@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -288,7 +288,7 @@ def estimate_pair_term(
     target = EdgeKey(float(g.space.dist[lo, hi]), lo, hi)
     n_nodes = g.n
 
-    def class_fn(row: tuple[int, ...]) -> tuple[float, int]:
+    def class_fn(row: Sequence[int]) -> tuple[float, int]:
         realized = tuple(i for i in row if i >= 0)
         cc, longest = values.get(realized)
         if longest != target:

@@ -86,18 +86,40 @@ def apply_budget_scale(full_n: int, scale: float = 1.0, cap: Optional[int] = Non
     return max(1, n)
 
 
+def realization_classes(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a row-sorted index block and each row's class.
+
+    ``rows`` holds point indices in [-1, m).  Returns (classes, inverse) with
+    ``classes[inverse]`` equal to ``rows``.  Each row is encoded as one int64
+    mixed-radix key sum((row[j] + 1) * (m + 1)**(n - 1 - j)), which keeps
+    lexicographic row order; when (m + 1)**n does not fit in int64 the rows
+    are compared as raw bytes instead.
+    """
+    n = rows.shape[1]
+    if (m + 1) ** n < 2**63:
+        keys = np.zeros(len(rows), dtype=np.int64)
+        for j in range(n):
+            keys *= m + 1
+            keys += rows[:, j] + 1
+    else:
+        rows = np.ascontiguousarray(rows)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], inverse
+
+
 def run_conditional_mc(
     sampler: ConditionalSampler,
-    class_fn: Callable[[tuple[int, ...]], tuple[float, int]],
+    class_fn: Callable[[Sequence[int]], tuple[float, int]],
     n_samples: int,
     stream: SampleStream,
     threads: int = 1,
 ) -> tuple[float, int]:
     """Mean of a per-realization value over n_samples conditional draws.
 
-    ``class_fn`` maps a sorted realized-index tuple to (value, indicator);
-    it is called once per distinct realization class per block and may cache.
-    Returns (mean, indicator_hits).
+    ``class_fn`` maps a sorted list of realized indices (-1 for absent) to
+    (value, indicator); it is called once per distinct realization class per
+    block and may cache.  Returns (mean, indicator_hits).
     """
     n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
@@ -106,13 +128,10 @@ def run_conditional_mc(
         count = min(BLOCK_SIZE, n_samples - start)
         rows = sampler.draw_block(stream, start, count)
         rows.sort(axis=1)
-        uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-        vals = np.empty(len(uniq))
-        hits = np.empty(len(uniq), dtype=np.int64)
-        for k, row in enumerate(uniq):
-            v, h = class_fn(tuple(int(x) for x in row))
-            vals[k] = v
-            hits[k] = h
+        classes, inverse = realization_classes(rows, sampler.g.m)
+        results = [class_fn(row) for row in classes.tolist()]
+        vals = np.array([v for v, _ in results], dtype=float)
+        hits = np.array([h for _, h in results], dtype=np.int64)
         return tree_sum(vals[inverse]), int(hits[inverse].sum())
 
     if threads > 1 and n_blocks > 1:
@@ -147,7 +166,7 @@ def estimate_conditional(
     sampler = ConditionalSampler(g, event)
     evaluator = evaluator or FunctionalEvaluator(g.space, functional)
 
-    def class_fn(row: tuple[int, ...]) -> tuple[float, int]:
+    def class_fn(row: Sequence[int]) -> tuple[float, int]:
         key = tuple(i for i in row if i >= 0)
         v = evaluator.value(key)
         if per_sample_check is not None:

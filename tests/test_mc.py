@@ -19,6 +19,7 @@ from stochgraph import (
     exact_expectation,
     tree_sum,
 )
+from stochgraph.mc import realization_classes
 
 from conftest import random_graph, rng_for
 
@@ -106,6 +107,37 @@ def test_tree_sum_independent_of_chunk_boundaries():
 
 
 # ---------------------------------------------------------------------------
+# realization_classes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "n, m, radix_keys",
+    [(5, 6, True), (16, 10, True), (16, 24, False)],
+)
+def test_realization_classes_partition_matches_rowwise_unique(n, m, radix_keys):
+    assert ((m + 1) ** n < 2**63) == radix_keys
+    rng = rng_for(100 * n + m)
+    for trial in range(5):
+        count = int(rng.integers(1, 3000))
+        # few distinct values per column so that rows repeat; -1 is absent
+        support = rng.integers(0, m, size=(n, 3))
+        support[::2, 0] = -1
+        rows = support[np.arange(n), rng.integers(0, 3, size=(count, n))]
+        rows.sort(axis=1)
+        assert (rows == -1).any()
+        classes, inverse = realization_classes(rows.copy(), m)
+        ref, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert len(classes) == len(ref)
+        np.testing.assert_array_equal(classes[inverse], rows)
+        # same partition: rows share a class exactly when they share one
+        # under the row-wise unique
+        pairs = set(zip(inverse.tolist(), ref_inverse.ravel().tolist()))
+        assert len(pairs) == len(ref)
+        if radix_keys:  # radix keys keep lexicographic class order
+            np.testing.assert_array_equal(classes, ref)
+
+
+# ---------------------------------------------------------------------------
 # estimate_conditional
 # ---------------------------------------------------------------------------
 
@@ -158,6 +190,20 @@ def test_conditional_thread_count_invariance(rng):
         for threads in (1, 4, 8)
     }
     assert means[1] == means[4] == means[8]
+
+
+def test_conditional_thread_count_invariance_without_radix_keys(rng):
+    # 25**16 overflows int64, so the engine compares rows as raw bytes
+    g = random_graph(rng, 16, 24, max_support=3)
+    assert (g.m + 1) ** g.n >= 2**63
+    budget = SampleBudget(2 * 4096 + 500, 1.0, 0.01, 0.25, 0.1)
+    means = {
+        threads: estimate_conditional(
+            g, Functional.MST, None, budget, seed=4, tag="threads", threads=threads
+        )[0]
+        for threads in (1, 2, 4)
+    }
+    assert means[1] == means[2] == means[4]
 
 
 def test_conditional_unbiased_at_sampler_level(rng):
