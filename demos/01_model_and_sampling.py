@@ -51,7 +51,7 @@ print("Pr[both downtown] =", event_probability(g, both_downtown))
 
 # Conditional sampling renormalizes each node inside its allowed set.
 # Draws are a pure function of (seed, tag, index): reruns reproduce exactly.
-stream = SampleStream(seed=7, tag="demo")
+stream = SampleStream(seed=7, tag="demo", draws=g.n)
 for i in range(5):
     draw = sample(g, both_downtown, stream, index=i)
     print(f"conditional sample {i}:", draw.to_mapping(g))

@@ -311,7 +311,7 @@ def estimate_pair_term(
         term.indicator_hits = hit
         return term
 
-    stream = SampleStream(seed, f"cc/{term.s}/{term.t}/{kind}")
+    stream = SampleStream(seed, f"cc/{term.s}/{term.t}/{kind}", g.n)
     mean, hits = run_conditional_mc(sampler, class_fn, n_samples, stream, threads)
     term.estimate = prob * mean
     term.samples = n_samples

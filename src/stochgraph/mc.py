@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .model import EventSpec, StochasticGraph
 from .oracle import Functional, FunctionalEvaluator
-from .rng import SampleStream
+from .rng import STREAM_VERSION, SampleStream
 from .sampling import ConditionalSampler
 
 BLOCK_SIZE = 4096
@@ -78,8 +78,8 @@ class SampleBudget:
 
 def apply_budget_scale(full_n: int, scale: float = 1.0, cap: Optional[int] = None) -> int:
     """Scaled-down sample count: ceil(full * scale), clipped by cap, floor 1."""
-    if scale <= 0.0:
-        raise DomainError("budget scale must be positive")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise DomainError("budget scale must be positive and finite")
     n = full_n if scale == 1.0 else math.ceil(full_n * scale)
     if cap is not None:
         n = min(n, int(cap))
@@ -177,7 +177,7 @@ def estimate_conditional(
         v, _ = class_fn(tuple(sorted(int(o[0]) for o in sampler.outcomes)))
         return v, 1
 
-    stream = SampleStream(seed, tag)
+    stream = SampleStream(seed, tag, g.n)
     mean, _ = run_conditional_mc(sampler, class_fn, budget.n, stream, threads)
     return mean, budget.n
 
@@ -237,6 +237,7 @@ class EstimateReport:
     def to_dict(self, include_timing: bool = False) -> dict:
         d = {
             "schema_version": 1,
+            "stream_version": STREAM_VERSION,
             "estimator": self.estimator,
             "value": self.value,
             "epsilon": self.epsilon,

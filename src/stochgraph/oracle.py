@@ -13,11 +13,10 @@ from typing import Callable, Optional
 
 from .errors import DomainError, EnumerationCapError
 from .model import EventSpec, StochasticGraph, event_probability
+from .sampling import ABSENT_IDX
 from .solvers import _cc_indices, _mpm_indices, _mst_indices, _nn_indices
 
 DEFAULT_CAP = 10_000_000
-
-ABSENT_IDX = -1
 
 
 class Functional(str, Enum):

@@ -14,27 +14,29 @@ import hashlib
 import numpy as np
 from numpy.random import Generator, Philox
 
+# Bumped whenever the draws a (seed, tag, index) triple yields change.
+# Version 2: per-index windows of 4 * ceil(n / 4) draws instead of 64.
+STREAM_VERSION = 2
+
 
 class SampleStream:
     """Substream handle for one estimator run: key = (seed, tag).
 
     ``uniforms(start, count)`` yields a (count, width) block of float64
     uniforms in [0, 1); row ``r`` holds the draws owned by sample index
-    ``start + r``.  ``width`` is the per-index draw budget and must be a
-    multiple of 4 (Philox emits 4 words per counter tick).
+    ``start + r``.  ``draws`` is how many uniforms each index needs; the
+    window ``width`` rounds it up to a multiple of 4, because Philox emits 4
+    words per counter tick.
     """
 
-    def __init__(self, seed: int, tag: str, width: int = 64):
-        if width <= 0 or width % 4 != 0:
-            raise ValueError("width must be a positive multiple of 4")
+    def __init__(self, seed: int, tag: str, draws: int):
+        if draws <= 0:
+            raise ValueError("draws must be positive")
         self.seed = int(seed)
         self.tag = str(tag)
-        self.width = width
+        self.width = 4 * -(-int(draws) // 4)
         digest = hashlib.sha256(f"{self.seed}:{self.tag}".encode()).digest()
         self._key = int.from_bytes(digest[:16], "little")
-
-    def substream(self, sub: str) -> "SampleStream":
-        return SampleStream(self.seed, f"{self.tag}/{sub}", self.width)
 
     def uniforms(self, start: int, count: int) -> np.ndarray:
         if count <= 0:
@@ -42,9 +44,3 @@ class SampleStream:
         bitgen = Philox(key=self._key, counter=start * (self.width // 4))
         flat = Generator(bitgen).random(count * self.width)
         return flat.reshape(count, self.width)
-
-
-def stream_for(seed: int, estimator_tag: str, term_tag: str = "", width: int = 64) -> SampleStream:
-    """Convenience: the substream used by one named term of one estimator run."""
-    tag = estimator_tag if not term_tag else f"{estimator_tag}/{term_tag}"
-    return SampleStream(seed, tag, width)

@@ -122,7 +122,7 @@ def test_criterion_02_solver_exactness():
 def test_criterion_03_per_realization_sandwich():
     rng = rng_for(9003)
     violations = 0
-    stream = SampleStream(9003, "criterion3")
+    stream = SampleStream(9003, "criterion3", 5)  # n <= 5 below
     done = 0
     while done < 1000:
         g = split_points(random_graph(rng, int(rng.integers(2, 6)), int(rng.integers(2, 7)))).graph

@@ -178,6 +178,15 @@ def test_budget_scale_warning_on_stderr(instance_path):
     assert "FPRAS" in proc.stderr
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_non_finite_budget_scale_is_invalid(instance_path, scale):
+    args = [
+        "estimate", "mst", str(instance_path),
+        "--epsilon", "0.25", "--seed", "1", "--budget-scale", scale,
+    ]
+    assert main(args) == 2
+
+
 def test_compare_json_and_csv_agree(tmp_path):
     inst = tmp_path / "i.json"
     assert main(["gen", "euclidean-uniform", "2", "3", "--seed", "2", "-o", str(inst)]) == 0

@@ -215,7 +215,7 @@ def test_event_probability_matches_enumeration(rng):
 def test_sample_forced_point():
     space = line_space(0.0, 1.0)
     g = StochasticGraph(["v"], space, {"v": {"p0": 0.5, "p1": 0.5}})
-    stream = SampleStream(7, "t")
+    stream = SampleStream(7, "t", g.n)
     for i in range(20):
         r = sample(g, EventSpec(allowed={"v": "p0"}), stream, i)
         assert r.to_mapping(g) == {"v": "p0"}
@@ -226,7 +226,7 @@ def test_sample_renormalization_frequencies():
     g = StochasticGraph(["v"], space, {"v": {"p0": 0.2, "p1": 0.3, "p2": 0.5}})
     sampler = ConditionalSampler(g, EventSpec(allowed={"v": ["p0", "p1"]}))
     n = 100_000
-    rows = sampler.draw_block(SampleStream(3, "freq"), 0, n)
+    rows = sampler.draw_block(SampleStream(3, "freq", g.n), 0, n)
     freq_a = float(np.mean(rows[:, 0] == 0))
     # conditional probabilities are 0.4 / 0.6; allow 3 sigma
     sigma = math.sqrt(0.4 * 0.6 / n)
@@ -242,7 +242,7 @@ def test_sample_unconditioned_chi_square():
     )
     sampler = ConditionalSampler(g, None)
     n = 100_000
-    rows = sampler.draw_block(SampleStream(11, "chi2"), 0, n)
+    rows = sampler.draw_block(SampleStream(11, "chi2", g.n), 0, n)
     observed = np.zeros(4)
     for a, b in product(range(2), repeat=2):
         observed[2 * a + b] = np.sum((rows[:, 0] == a) & (rows[:, 1] == b))
@@ -265,7 +265,7 @@ def test_sample_never_leaves_event(rng):
             allowed[v] = support[: max(1, len(support) - 1)]
         ev = EventSpec(allowed=allowed)
         sampler = ConditionalSampler(g, ev)
-        rows = sampler.draw_block(SampleStream(5, "inside"), 0, 2000)
+        rows = sampler.draw_block(SampleStream(5, "inside", g.n), 0, 2000)
         for row in rows:
             assert ev.contains(g, Realization(tuple(int(x) for x in row)))
 
@@ -284,13 +284,13 @@ def test_sample_zero_mass_event_rejected():
 def test_sampling_deterministic_and_partition_independent():
     g = two_node_graph()
     sampler = ConditionalSampler(g, None)
-    stream = SampleStream(99, "det")
+    stream = SampleStream(99, "det", g.n)
     whole = sampler.draw_block(stream, 0, 1000)
     parts = np.vstack(
         [sampler.draw_block(stream, s, 100) for s in range(0, 1000, 100)]
     )
     assert np.array_equal(whole, parts)
-    again = sampler.draw_block(SampleStream(99, "det"), 0, 1000)
+    again = sampler.draw_block(SampleStream(99, "det", g.n), 0, 1000)
     assert np.array_equal(whole, again)
 
 
@@ -303,7 +303,7 @@ def test_existential_sampling_and_probability():
     r = Realization.from_mapping(g, {"v": None})
     assert realization_probability(g, r) == pytest.approx(0.4, abs=1e-15)
     sampler = ConditionalSampler(g, None)
-    rows = sampler.draw_block(SampleStream(1, "exist"), 0, 50_000)
+    rows = sampler.draw_block(SampleStream(1, "exist", g.n), 0, 50_000)
     freq_absent = float(np.mean(rows[:, 0] == -1))
     assert abs(freq_absent - 0.4) <= 3 * math.sqrt(0.4 * 0.6 / 50_000)
     # forbidding absence renormalizes over the points

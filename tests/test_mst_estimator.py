@@ -149,6 +149,22 @@ def test_value_is_sum_of_terms():
             assert t.full_budget is not None and t.samples >= 1
 
 
+def test_more_than_64_nodes():
+    # each sample index owns a window of 4 * ceil(n / 4) draws, so n is not
+    # limited by a fixed stream width
+    rng = rng_for(68)
+    g = random_graph(rng, 68, 70, max_support=3)
+    assert SampleStream(1, "wide", 67).width == 68
+    sampler = ConditionalSampler(g, None)
+    rows = sampler.draw_block(SampleStream(1, "wide", g.n), 0, 50)
+    assert rows.shape == (50, 68)
+    for j, outcomes in enumerate(sampler.outcomes):
+        assert np.isin(rows[:, j], outcomes).all()
+    report = estimate_emst(g, 0.25, seed=1, budget_cap=10)
+    assert report.value > 0.0
+    assert all(t.samples <= 10 for t in report.terms)
+
+
 def test_scaling_equivariance_same_seed():
     rng = rng_for(99)
     g = random_graph(rng, 4, 5)
@@ -196,7 +212,7 @@ def test_far_field_soundness_on_sampled_realizations():
         }
     )
     sampler = ConditionalSampler(g, ev)
-    rows = sampler.draw_block(SampleStream(5, "far"), 0, 500)
+    rows = sampler.draw_block(SampleStream(5, "far", g.n), 0, 500)
     for row in rows:
         pts = [g.space.point_ids[i] for i in row]
         value = mst_length(g.space, pts)
