@@ -129,9 +129,9 @@ def run_conditional_mc(
         rows = sampler.draw_block(stream, start, count)
         rows.sort(axis=1)
         classes, inverse = realization_classes(rows, sampler.g.m)
-        results = [class_fn(row) for row in classes.tolist()]
-        vals = np.array([v for v, _ in results], dtype=float)
-        hits = np.array([h for _, h in results], dtype=np.int64)
+        vals, hits = zip(*[class_fn(row) for row in classes.tolist()])
+        vals = np.array(vals, dtype=float)
+        hits = np.array(hits, dtype=np.int64)
         return tree_sum(vals[inverse]), int(hits[inverse].sum())
 
     if threads > 1 and n_blocks > 1:

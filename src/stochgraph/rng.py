@@ -14,8 +14,8 @@ import hashlib
 import numpy as np
 from numpy.random import Generator, Philox
 
-# Bumped whenever the draws a (seed, tag, index) triple yields change.
-# Version 2: per-index windows of 4 * ceil(n / 4) draws instead of 64.
+# Changes whenever the draws of a (seed, tag, index) triple change; reports
+# record it.  2: windows of 4 * ceil(n / 4) draws for n nodes (1: 64 draws).
 STREAM_VERSION = 2
 
 

@@ -71,7 +71,7 @@ class ConditionalSampler:
         n = self.g.n
         if n > stream.width:
             raise DomainError(
-                f"stream draws {stream.width} uniforms per sample; {n} nodes need {n}"
+                f"stream width {stream.width} too small for {n} nodes"
             )
         u = stream.uniforms(start, count)
         out = np.empty((count, n), dtype=np.int64)

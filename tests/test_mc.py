@@ -117,7 +117,7 @@ def test_tree_sum_independent_of_chunk_boundaries():
 def test_realization_classes_partition_matches_rowwise_unique(n, m, radix_keys):
     assert ((m + 1) ** n < 2**63) == radix_keys
     rng = rng_for(100 * n + m)
-    for trial in range(5):
+    for _ in range(5):
         count = int(rng.integers(1, 3000))
         # few distinct values per column so that rows repeat; -1 is absent
         support = rng.integers(0, m, size=(n, 3))
