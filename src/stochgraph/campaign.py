@@ -9,21 +9,21 @@ from typing import Optional, Sequence
 
 from .cc import estimate_ecc
 from .errors import DomainError, EnumerationCapError
-from .mc import EstimateReport
+from .mc import EstimateReport, check_budget_scale
 from .model import StochasticGraph
 from .mpm import estimate_empm
 from .mst_dp import estimate_emst_dp
 from .mst_home import estimate_emst
 from .oracle import DEFAULT_CAP, Functional, exact_expectation
 
-ESTIMATORS = ("mst-home", "mst-dp", "mpm", "cc")
-
-_FUNCTIONAL_OF = {
-    "mst-home": Functional.MST,
-    "mst-dp": Functional.MST,
-    "mpm": Functional.MPM,
-    "cc": Functional.CC,
+# estimator name -> (estimate function, the functional it estimates)
+_ESTIMATORS = {
+    "mst-home": (estimate_emst, Functional.MST),
+    "mst-dp": (estimate_emst_dp, Functional.MST),
+    "mpm": (estimate_empm, Functional.MPM),
+    "cc": (estimate_ecc, Functional.CC),
 }
+ESTIMATORS = tuple(_ESTIMATORS)
 
 CSV_COLUMNS = (
     "schema_version",
@@ -48,18 +48,12 @@ def run_estimator(
     budget_cap: Optional[int] = None,
     threads: int = 1,
 ) -> EstimateReport:
-    kwargs = dict(
-        budget_scale=budget_scale, budget_cap=budget_cap, threads=threads
+    if name not in _ESTIMATORS:
+        raise DomainError(f"unknown estimator {name!r}; choose from {ESTIMATORS}")
+    estimate, _ = _ESTIMATORS[name]
+    return estimate(
+        g, epsilon, seed, budget_scale=budget_scale, budget_cap=budget_cap, threads=threads
     )
-    if name == "mst-home":
-        return estimate_emst(g, epsilon, seed, **kwargs)
-    if name == "mst-dp":
-        return estimate_emst_dp(g, epsilon, seed, **kwargs)
-    if name == "mpm":
-        return estimate_empm(g, epsilon, seed, **kwargs)
-    if name == "cc":
-        return estimate_ecc(g, epsilon, seed, **kwargs)
-    raise DomainError(f"unknown estimator {name!r}; choose from {ESTIMATORS}")
 
 
 @dataclass
@@ -148,13 +142,14 @@ def run_campaign(
 
     Rows where the oracle refused (enumeration cap) or the estimator cannot
     apply (odd node count for matchings) carry a reason and are excluded from
-    the aggregate.
+    the aggregate.  An invalid budget scale fails the whole run.
     """
+    check_budget_scale(budget_scale)
     result = CampaignResult(epsilon=epsilon)
     for name, g in instances:
         oracles: dict[Functional, tuple[Optional[float], str]] = {}
         for est in estimators:
-            f = _FUNCTIONAL_OF[est]
+            _, f = _ESTIMATORS[est]
             if f not in oracles:
                 try:
                     oracles[f] = (exact_expectation(g, f, cap=cap), "")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -33,7 +33,7 @@ from .mc import (
     combine_terms,
     run_conditional_mc,
 )
-from .model import EventSpec, MetricSpace, StochasticGraph
+from .model import EXISTENTIAL, Event, MetricSpace, StochasticGraph, mass_in
 from .rng import SampleStream
 from .sampling import ConditionalSampler
 from .solvers import EdgeKey, _cc_indices, _nn_indices
@@ -49,9 +49,7 @@ class SplitSpace:
     owner: tuple[int, ...]   # split point index -> node index (-1 unowned)
     origin: tuple[int, ...]  # split point index -> original point index
     source: StochasticGraph
-
-    def point_id(self, s: int) -> str:
-        return self.graph.space.point_ids[s]
+    balls: dict = field(default_factory=dict, repr=False, compare=False)  # see _ball
 
 
 def split_points(g: StochasticGraph) -> SplitSpace:
@@ -91,18 +89,29 @@ def split_points(g: StochasticGraph) -> SplitSpace:
     return SplitSpace(graph, tuple(owner), tuple(origin), g)
 
 
-def _ball(sp: SplitSpace, s: int, t: int) -> list[int]:
-    """Points strictly nearer to s than t under EdgeKey order (s, t excluded)."""
-    space = sp.graph.space
-    ref = EdgeKey(float(space.dist[min(s, t), max(s, t)]), min(s, t), max(s, t))
-    out = []
-    for r in range(sp.graph.m):
-        if r == s or r == t:
-            continue
-        lo, hi = (s, r) if s < r else (r, s)
-        if EdgeKey(float(space.dist[lo, hi]), lo, hi) < ref:
-            out.append(r)
-    return out
+def _ball(sp: SplitSpace, s: int, t: int) -> np.ndarray:
+    """Mask of the points strictly nearer to s than t under EdgeKey order
+    (s, t excluded).  Built once per (s, t) and kept on ``sp``, because the
+    pair terms of an edge share their balls."""
+    ball = sp.balls.get((s, t))
+    if ball is None:
+        space = sp.graph.space
+        ref = EdgeKey(float(space.dist[min(s, t), max(s, t)]), min(s, t), max(s, t))
+        ball = np.zeros(sp.graph.m, dtype=bool)
+        for r in range(sp.graph.m):
+            if r == s or r == t:
+                continue
+            lo, hi = (s, r) if s < r else (r, s)
+            ball[r] = EdgeKey(float(space.dist[lo, hi]), lo, hi) < ref
+        sp.balls[s, t] = ball
+    return ball
+
+
+def _outside(sp: SplitSpace, si: int, ti: int, mutual: bool) -> np.ndarray:
+    """Points the other nodes may take when t is s's nearest neighbor (and
+    s is t's, if ``mutual``)."""
+    ball = _ball(sp, si, ti) | _ball(sp, ti, si) if mutual else _ball(sp, si, ti)
+    return ~ball
 
 
 def _resolve_pair(sp: SplitSpace, s, t) -> tuple[int, int, int, int]:
@@ -115,44 +124,27 @@ def _resolve_pair(sp: SplitSpace, s, t) -> tuple[int, int, int, int]:
     return si, ti, v, u
 
 
-def _outside_mass(g: StochasticGraph, w: int, ball: set[int]) -> float:
-    """1 - p_w(ball), evaluated as the complement sum so it is exactly the
-    mass the conditional sampler renormalizes over (absence included)."""
-    inside = [r for r in range(g.m) if r not in ball]
-    mass = float(g.probs[w, inside].sum())
-    if g.presence_mode == "existential":
-        mass += g.absent_mass(w)
-    return mass
+def _pair_prob(sp: SplitSpace, s, t, mutual: bool) -> float:
+    si, ti, v, u = _resolve_pair(sp, s, t)
+    if v < 0 or u < 0:
+        return 0.0
+    g = sp.graph
+    outside = _outside(sp, si, ti, mutual)
+    prob = float(g.probs[v, si]) * float(g.probs[u, ti])
+    for w in range(g.n):
+        if w not in (v, u):
+            prob *= mass_in(g, w, outside)
+    return prob
 
 
 def prob_nearest(sp: SplitSpace, s: Union[str, int], t: Union[str, int]) -> float:
     """Exact probability that t is the realized nearest neighbor of s."""
-    si, ti, v, u = _resolve_pair(sp, s, t)
-    if v < 0 or u < 0:
-        return 0.0
-    g = sp.graph
-    ball = set(_ball(sp, si, ti))
-    prob = float(g.probs[v, si]) * float(g.probs[u, ti])
-    for w in range(g.n):
-        if w in (v, u):
-            continue
-        prob *= _outside_mass(g, w, ball)
-    return prob
+    return _pair_prob(sp, s, t, mutual=False)
 
 
 def prob_mutual_nearest(sp: SplitSpace, s: Union[str, int], t: Union[str, int]) -> float:
     """Exact probability that s and t are each other's nearest neighbors."""
-    si, ti, v, u = _resolve_pair(sp, s, t)
-    if v < 0 or u < 0:
-        return 0.0
-    g = sp.graph
-    ball = set(_ball(sp, si, ti)) | set(_ball(sp, ti, si))
-    prob = float(g.probs[v, si]) * float(g.probs[u, ti])
-    for w in range(g.n):
-        if w in (v, u):
-            continue
-        prob *= _outside_mass(g, w, ball)
-    return prob
+    return _pair_prob(sp, s, t, mutual=True)
 
 
 @dataclass
@@ -164,23 +156,13 @@ class PairTerm:
     node_s: str
     node_t: str
     kind: str  # "nearest(s->t)" | "nearest(t->s)" | "mutual"
-    prob_ns_t: float
-    estimate: float
-    samples: int
-    indicator_hits: int
+    prob: float = 0.0  # Pr[N_s(t)], or Pr[mutual] for "mutual"
+    estimate: float = 0.0
+    samples: int = 0
+    indicator_hits: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "node_s": self.node_s,
-            "node_t": self.node_t,
-            "kind": self.kind,
-            "prob": self.prob_ns_t,
-            "estimate": self.estimate,
-            "samples": self.samples,
-            "indicator_hits": self.indicator_hits,
-        }
+        return dict(vars(self))
 
 
 class _PairValues:
@@ -221,26 +203,15 @@ class _PairValues:
         return out
 
 
-def _pair_event(sp: SplitSpace, si: int, ti: int, mutual: bool) -> EventSpec:
+def _pair_event(sp: SplitSpace, si: int, ti: int, mutual: bool) -> Event:
     g = sp.graph
-    ball = set(_ball(sp, si, ti))
-    if mutual:
-        ball |= set(_ball(sp, ti, si))
     v, u = sp.owner[si], sp.owner[ti]
-    allowed: dict[str, object] = {}
-    absent: dict[str, bool] = {}
-    vname, uname = g.node_ids[v], g.node_ids[u]
-    allowed[vname] = g.space.point_ids[si]
-    allowed[uname] = g.space.point_ids[ti]
-    absent[vname] = False
-    absent[uname] = False
-    complement = [
-        g.space.point_ids[r] for r in range(g.m) if r not in ball
-    ]
-    for w in range(g.n):
-        if w not in (v, u):
-            allowed[g.node_ids[w]] = complement
-    return EventSpec(allowed=allowed, allow_absent=absent)
+    allowed = np.tile(_outside(sp, si, ti, mutual), (g.n, 1))
+    allowed[[v, u]] = False
+    allowed[v, si] = allowed[u, ti] = True
+    absent = np.full(g.n, g.presence_mode == EXISTENTIAL)
+    absent[[v, u]] = False
+    return Event(allowed, absent)
 
 
 def estimate_pair_term(
@@ -271,17 +242,13 @@ def estimate_pair_term(
         node_s=g.node_ids[v] if v >= 0 else "",
         node_t=g.node_ids[u] if u >= 0 else "",
         kind=kind,
-        prob_ns_t=0.0,
-        estimate=0.0,
-        samples=0,
-        indicator_hits=0,
     )
     prob = (
         prob_mutual_nearest(sp, si, ti) if mutual else prob_nearest(sp, si, ti)
     )
     if prob <= 0.0:
         return term
-    term.prob_ns_t = prob
+    term.prob = prob
 
     values = values or _PairValues(g.space)
     lo, hi = (si, ti) if si < ti else (ti, si)
@@ -304,24 +271,20 @@ def estimate_pair_term(
 
     sampler = ConditionalSampler(g, _pair_event(sp, si, ti, mutual))
     if sampler.is_deterministic:
-        row = tuple(sorted(int(o[0]) for o in sampler.outcomes))
-        val, hit = class_fn(row)
-        term.estimate = prob * val
-        term.samples = 1
-        term.indicator_hits = hit
-        return term
-
-    stream = SampleStream(seed, f"cc/{term.s}/{term.t}/{kind}", g.n)
-    mean, hits = run_conditional_mc(sampler, class_fn, n_samples, stream, threads)
+        mean, hits = class_fn(tuple(sorted(int(o[0]) for o in sampler.outcomes)))
+        n_samples = 1
+    else:
+        stream = SampleStream(seed, f"cc/{term.s}/{term.t}/{kind}", g.n)
+        mean, hits = run_conditional_mc(sampler, class_fn, n_samples, stream, threads)
     term.estimate = prob * mean
     term.samples = n_samples
     term.indicator_hits = hits
     return term
 
 
-def pair_budget(n: int, m: int, epsilon: float, c: float = 4.0) -> int:
-    """Per-pair sample count: ceil(c n^2 m^3 (ln n + ln m) / eps^3)."""
-    return max(1, math.ceil(c * n * n * m**3 * (math.log(n) + math.log(m)) / epsilon**3))
+def pair_budget(n: int, m: int, epsilon: float) -> int:
+    """Per-pair sample count: ceil(4 n^2 m^3 (ln n + ln m) / eps^3)."""
+    return max(1, math.ceil(4.0 * n * n * m**3 * (math.log(n) + math.log(m)) / epsilon**3))
 
 
 def estimate_ecc(
@@ -332,7 +295,6 @@ def estimate_ecc(
     budget_scale: float = 1.0,
     budget_cap: Optional[int] = None,
     threads: int = 1,
-    budget_constant: float = 4.0,
 ) -> EstimateReport:
     """FPRAS estimate of the expected minimum cycle cover length."""
     if not 0.0 < epsilon <= 1.0:
@@ -342,12 +304,11 @@ def estimate_ecc(
     t0 = time.perf_counter()
     sp = split_points(g)
     work = sp.graph
-    full = pair_budget(g.n, work.m, epsilon, budget_constant)
+    full = pair_budget(g.n, work.m, epsilon)
     used = apply_budget_scale(full, budget_scale, budget_cap)
 
     report = EstimateReport(
         estimator="cc",
-        value=0.0,
         epsilon=epsilon,
         seed=seed,
         budget_scale=budget_scale,
@@ -377,13 +338,13 @@ def estimate_ecc(
                 sp, a, b, used, seed, mutual=True, threads=threads, values=values
             )
             contribution = t_ab.estimate + t_ba.estimate - t_mut.estimate
-            union_prob = t_ab.prob_ns_t + t_ba.prob_ns_t - t_mut.prob_ns_t
+            union_prob = t_ab.prob + t_ba.prob - t_mut.prob
             if union_prob <= 0.0:
                 continue
             pairs.extend([t_ab.to_dict(), t_ba.to_dict(), t_mut.to_dict()])
             report.terms.append(
                 TermReport(
-                    f"edge({sp.point_id(a)},{sp.point_id(b)})",
+                    f"edge({work.space.point_ids[a]},{work.space.point_ids[b]})",
                     contribution,
                     "monte-carlo",
                     probability=union_prob,

@@ -25,11 +25,11 @@ from .generate import KINDS, gen_instance
 from .model import (
     EventSpec,
     Realization,
+    event_probability,
     instance_from_dict,
     load_instance,
 )
 from .oracle import DEFAULT_CAP, Functional, enumerate_term, FunctionalEvaluator
-from .model import event_probability
 
 EXIT_VALIDATION = 2
 EXIT_REFUSAL = 3
@@ -43,8 +43,18 @@ def _default_threads() -> int:
         return 1
 
 
-def _emit(doc, path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+def _start_run(args) -> int:
+    """Warn when --budget-scale is below 1; return the thread count."""
+    if args.budget_scale < 1.0:
+        print(
+            f"WARNING: budget-scale {args.budget_scale} < 1 voids the FPRAS "
+            "guarantee; results are exploratory",
+            file=sys.stderr,
+        )
+    return args.threads if args.threads is not None else _default_threads()
+
+
+def _write(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -52,14 +62,27 @@ def _emit(doc, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit(doc, path: str | None) -> None:
+    _write(json.dumps(doc, sort_keys=True, indent=1) + "\n", path)
+
+
+def _load_json_arg(spec: str):
+    """JSON given inline or, as ``@path``, in a file."""
+    try:
+        if spec.startswith("@"):
+            with open(spec[1:], "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(spec)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"not valid JSON ({exc})") from None
+
+
 def _load_event(spec: str | None) -> EventSpec:
     if not spec:
         return EventSpec()
-    if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.loads(spec)
+    doc = _load_json_arg(spec)
+    if not isinstance(doc, dict):
+        raise ValidationError("an event must be a JSON object")
     return EventSpec(
         allowed=doc.get("allowed", {}),
         allow_absent=doc.get("allow_absent", {}),
@@ -163,13 +186,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = load_instance(args.instance)
-    spec = args.realization
-    if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.loads(spec)
-    r = Realization.from_mapping(g, doc)
+    r = Realization.from_mapping(g, _load_json_arg(args.realization))
     value = FunctionalEvaluator(g.space, Functional(args.functional)).value_of_assignment(
         r.indices
     )
@@ -179,7 +196,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = load_instance(args.instance)
-    event = _load_event(args.event)
+    spec = _load_event(args.event)
+    event = spec.to_event(g)
     term, count = enumerate_term(g, Functional(args.functional), event, cap=args.cap)
     prob = event_probability(g, event)
     if prob <= 0.0:
@@ -191,7 +209,7 @@ def _cmd_exact(args) -> int:
             "term": term,
             "probability": prob,
             "count": count,
-            "event": event.to_json_dict(g),
+            "event": spec.to_json_dict(g),
         },
         args.output,
     )
@@ -200,13 +218,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_estimate(args) -> int:
     g = load_instance(args.instance)
-    threads = args.threads if args.threads is not None else _default_threads()
-    if args.budget_scale < 1.0:
-        print(
-            f"WARNING: budget-scale {args.budget_scale} < 1 voids the FPRAS "
-            "guarantee; results are exploratory",
-            file=sys.stderr,
-        )
+    threads = _start_run(args)
     name = args.target if args.target != "mst" else (
         "mst-home" if args.method == "home" else "mst-dp"
     )
@@ -220,12 +232,7 @@ def _cmd_estimate(args) -> int:
         threads=threads,
     )
     if args.format == "csv":
-        text = _report_csv(report)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(_report_csv(report), args.output)
         return 0
     doc = report.to_dict(include_timing=args.with_timing)
     if not args.dump_homes:
@@ -264,13 +271,7 @@ def _cmd_compare(args) -> int:
     for e in estimators:
         if e not in ESTIMATORS:
             raise ValidationError(f"unknown estimator {e!r}")
-    threads = args.threads if args.threads is not None else _default_threads()
-    if args.budget_scale < 1.0:
-        print(
-            f"WARNING: budget-scale {args.budget_scale} < 1 voids the FPRAS "
-            "guarantee; results are exploratory",
-            file=sys.stderr,
-        )
+    threads = _start_run(args)
     instances = [(path, load_instance(path)) for path in args.instances]
     result = run_campaign(
         instances,
@@ -283,12 +284,7 @@ def _cmd_compare(args) -> int:
         cap=args.cap,
     )
     if args.format == "csv":
-        text = result.to_csv()
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(result.to_csv(), args.output)
     else:
         _emit(result.to_dict(), args.output)
     return 0

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError
-from .model import EventSpec, StochasticGraph
+from .model import Event, EventSpec, StochasticGraph
 from .oracle import Functional, FunctionalEvaluator
 from .rng import STREAM_VERSION, SampleStream
 from .sampling import ConditionalSampler
@@ -71,19 +71,33 @@ class SampleBudget:
         if self.epsilon <= 0.0 or not 0.0 < self.delta < 1.0:
             raise DomainError("need epsilon > 0 and delta in (0, 1)")
 
-    @classmethod
-    def for_bound(cls, u: float, mu_lower: float, epsilon: float, delta: float) -> "SampleBudget":
-        return cls(chernoff_budget(u, mu_lower, epsilon, delta), u, mu_lower, epsilon, delta)
+
+def check_budget_scale(scale: float) -> None:
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise DomainError("budget scale must be positive and finite")
 
 
 def apply_budget_scale(full_n: int, scale: float = 1.0, cap: Optional[int] = None) -> int:
     """Scaled-down sample count: ceil(full * scale), clipped by cap, floor 1."""
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise DomainError("budget scale must be positive and finite")
+    check_budget_scale(scale)
     n = full_n if scale == 1.0 else math.ceil(full_n * scale)
     if cap is not None:
         n = min(n, int(cap))
     return max(1, n)
+
+
+def term_budget(
+    u: float,
+    mu_lower: float,
+    epsilon: float,
+    delta: float,
+    scale: float = 1.0,
+    cap: Optional[int] = None,
+) -> tuple[SampleBudget, int]:
+    """The scaled and capped Chernoff budget of one term, and the full count."""
+    full = chernoff_budget(u, mu_lower, epsilon, delta)
+    used = apply_budget_scale(full, scale, cap)
+    return SampleBudget(used, u, mu_lower, epsilon, delta), full
 
 
 def realization_classes(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,30 +162,24 @@ def run_conditional_mc(
 def estimate_conditional(
     g: StochasticGraph,
     functional: Functional,
-    event: Optional[EventSpec],
+    event: Union[EventSpec, Event, None],
     budget: SampleBudget,
     *,
     seed: int,
     tag: str,
     threads: int = 1,
     evaluator: Optional[FunctionalEvaluator] = None,
-    per_sample_check: Optional[Callable[[tuple[int, ...], float], None]] = None,
 ) -> tuple[float, int]:
     """Sample mean of the functional under the conditioning event.
 
     Returns (mean, samples_used).  If the event pins every node the value is
-    computed once, exactly.  ``per_sample_check`` runs on every distinct
-    realization class (equivalently, on every sample) and may raise.
+    computed once, exactly.
     """
     sampler = ConditionalSampler(g, event)
     evaluator = evaluator or FunctionalEvaluator(g.space, functional)
 
     def class_fn(row: Sequence[int]) -> tuple[float, int]:
-        key = tuple(i for i in row if i >= 0)
-        v = evaluator.value(key)
-        if per_sample_check is not None:
-            per_sample_check(key, v)
-        return v, 0
+        return evaluator.value(tuple(i for i in row if i >= 0)), 0
 
     if sampler.is_deterministic:
         v, _ = class_fn(tuple(sorted(int(o[0]) for o in sampler.outcomes)))
@@ -222,9 +230,9 @@ class EstimateReport:
     """Estimator output: the value, its term breakdown, and run parameters."""
 
     estimator: str
-    value: float
     epsilon: float
     seed: int
+    value: float = 0.0
     terms: list[TermReport] = field(default_factory=list)
     epsilon_mc: Optional[float] = None
     budget_scale: float = 1.0

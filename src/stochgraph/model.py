@@ -5,8 +5,9 @@ satisfying the triangle inequality.  A ``StochasticGraph`` places ``n`` nodes
 on that space, each node carrying an independent discrete distribution over
 the points.  A ``Realization`` assigns every node to a concrete point (or, in
 existential mode, marks it absent).  ``EventSpec`` describes product-form
-events: per-node restrictions of the allowed points, which is the only kind of
-conditioning the estimators in this package ever need.
+events by ids: per-node restrictions of the allowed points, which is the only
+kind of conditioning the estimators in this package ever need.  Inside the
+package events are ``Event`` index masks; ``EventSpec.to_event`` converts.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class MetricSpace:
             return int(point)
         try:
             return self._index[point]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValidationError(f"unknown point identifier {point!r}") from None
 
     def indices(self, points: Iterable[Union[str, int]]) -> list[int]:
@@ -266,59 +267,58 @@ class Realization:
             for v, i in zip(g.node_ids, self.indices)
         }
 
-    def present_indices(self) -> list[int]:
-        return [i for i in self.indices if i >= 0]
+
+@dataclass(frozen=True)
+class Event:
+    """Product-form event as index masks, the form used inside the package.
+
+    ``allowed[v, s]`` says node ``v`` may realize at point ``s``;
+    ``absent[v]`` says it may be absent (always False in certain mode).
+    """
+
+    allowed: np.ndarray  # (n, m) bool
+    absent: np.ndarray  # (n,) bool
 
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Product-form conditioning event: per-node allowed point sets.
+    """Product-form conditioning event by node and point ids (JSON/CLI form).
 
     ``allowed`` maps a node id to an iterable of point ids (or one point id,
     meaning the node is forced there).  Unmentioned nodes are unrestricted.
     ``allow_absent`` (existential mode only) controls whether "not present"
     counts as allowed for a node; it defaults to True for every node.
+    ``to_event`` validates the ids and converts to index masks.
     """
 
     allowed: Mapping[str, Union[str, Iterable[str]]] = field(default_factory=dict)
     allow_absent: Mapping[str, bool] = field(default_factory=dict)
 
-    def allowed_indices(self, g: StochasticGraph, node: Union[str, int]) -> list[int]:
-        """Sorted point indices allowed for ``node`` (absence not included)."""
-        ni = g.node_index(node)
-        name = g.node_ids[ni]
-        if name not in self.allowed:
-            return list(range(g.m))
-        spec = self.allowed[name]
-        if isinstance(spec, str):
-            return [g.space.index(spec)]
-        idx = sorted({g.space.index(p) for p in spec})
-        if not idx:
-            raise ValidationError(f"node {name}: empty allowed set")
-        return idx
-
-    def absent_allowed(self, g: StochasticGraph, node: Union[str, int]) -> bool:
-        if g.presence_mode != EXISTENTIAL:
-            return False
-        name = g.node_ids[g.node_index(node)]
-        return bool(self.allow_absent.get(name, True))
-
-    def node_mass(self, g: StochasticGraph, node: Union[str, int]) -> float:
-        """Probability that ``node`` satisfies its restriction."""
-        ni = g.node_index(node)
-        mass = float(g.probs[ni, self.allowed_indices(g, ni)].sum())
-        if self.absent_allowed(g, ni):
-            mass += g.absent_mass(ni)
-        return mass
+    def to_event(self, g: StochasticGraph) -> Event:
+        if not isinstance(self.allowed, Mapping) or not isinstance(self.allow_absent, Mapping):
+            raise ValidationError('event "allowed" and "allow_absent" must be objects')
+        event = as_event(g, None)
+        for name, spec in self.allowed.items():
+            v = g.node_index(name)
+            if isinstance(spec, str):
+                spec = [spec]
+            elif not isinstance(spec, Iterable) or isinstance(spec, Mapping):
+                raise ValidationError(f"node {name}: allowed points must be a list of point ids")
+            idx = [g.space.index(p) for p in spec]
+            if not idx:
+                raise ValidationError(f"node {name}: empty allowed set")
+            event.allowed[v] = False
+            event.allowed[v, idx] = True
+        for name, flag in self.allow_absent.items():
+            event.absent[g.node_index(name)] &= bool(flag)
+        return event
 
     def contains(self, g: StochasticGraph, r: Realization) -> bool:
-        for ni, pi in enumerate(r.indices):
-            if pi < 0:
-                if not self.absent_allowed(g, ni):
-                    return False
-            elif pi not in self.allowed_indices(g, ni):
-                return False
-        return True
+        event = self.to_event(g)
+        return all(
+            event.absent[v] if s < 0 else event.allowed[v, s]
+            for v, s in enumerate(r.indices)
+        )
 
     def to_json_dict(self, g: StochasticGraph) -> dict:
         out: dict = {"allowed": {}, "allow_absent": {}}
@@ -327,6 +327,25 @@ class EventSpec:
         for v, b in self.allow_absent.items():
             out["allow_absent"][v] = bool(b)
         return out
+
+
+def as_event(g: StochasticGraph, event: Union[EventSpec, Event, None]) -> Event:
+    """The index-mask form of ``event``; ``None`` is the unrestricted event."""
+    if event is None:
+        return Event(np.ones((g.n, g.m), dtype=bool), np.full(g.n, g.presence_mode == EXISTENTIAL))
+    if isinstance(event, EventSpec):
+        return event.to_event(g)
+    return event
+
+
+def mass_in(g: StochasticGraph, w: int, points, absent: bool = True) -> float:
+    """Probability that node ``w`` realizes in ``points`` (point indices or a
+    boolean mask over the points), plus its absence mass when ``absent`` and
+    the presence mode allow it.  The point masses are summed by numpy first."""
+    mass = float(g.probs[w, points].sum())
+    if absent and g.presence_mode == EXISTENTIAL:
+        mass += g.absent_mass(w)
+    return mass
 
 
 def realization_probability(g: StochasticGraph, r: Realization) -> float:
@@ -358,11 +377,12 @@ def node_mass(g: StochasticGraph, v: Union[str, int], H: Iterable) -> float:
     return float(g.probs[g.node_index(v), idx].sum())
 
 
-def event_probability(g: StochasticGraph, event: EventSpec) -> float:
+def event_probability(g: StochasticGraph, event: Union[EventSpec, Event]) -> float:
     """Probability of a product-form event: the product of per-node masses."""
+    event = as_event(g, event)
     prob = 1.0
-    for v in g.node_ids:
-        prob *= event.node_mass(g, v)
+    for v in range(g.n):
+        prob *= mass_in(g, v, event.allowed[v], event.absent[v])
     return prob
 
 
@@ -440,9 +460,3 @@ def load_instance(path: str) -> StochasticGraph:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     return instance_from_dict(doc)
-
-
-def dump_instance(g: StochasticGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(instance_to_dict(g), sort_keys=True, indent=1))
-        fh.write("\n")

@@ -4,14 +4,13 @@ The home is a disjoint family of point clusters found by a single-linkage
 sweep: grow a radius t, merge components of the graph on {d(s,s') <= 2t}, and
 stop at the first t where every node keeps all but a theta-fraction of its
 mass inside one cluster (its home) and every cluster is home to an even
-number of nodes.  The estimate then mirrors the MST decomposition: an
-all-home term, per-node near-escape terms, and exact far-field terms, with
-escapes measured from the node's own cluster.
+number of nodes.  The estimate is then the all-home / near(v) / far(v) sum
+of ``stochgraph.home``, with escapes measured from the node's own cluster
+and D the largest cluster diameter.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -19,17 +18,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InternalAssertionError
-from .mc import (
-    EstimateReport,
-    SampleBudget,
-    TermReport,
-    apply_budget_scale,
-    chernoff_budget,
-    combine_terms,
-    estimate_conditional,
-)
-from .model import CERTAIN, EventSpec, StochasticGraph
-from .oracle import Functional, FunctionalEvaluator
+from .home import check_inputs, estimate_by_homes
+from .mc import EstimateReport
+from .model import StochasticGraph
+from .oracle import Functional
 
 
 @dataclass(frozen=True)
@@ -93,10 +85,7 @@ def find_home_clusters(g: StochasticGraph, epsilon: float) -> HomeClustering:
     component the first condition holds with full mass and the second
     reduces to n being even.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError("epsilon must be in (0, 1]")
-    if g.presence_mode != CERTAIN:
-        raise DomainError("home clustering requires certain presence mode")
+    check_inputs(g, epsilon)
     if g.n % 2 != 0:
         raise DomainError("perfect matchings need an even number of nodes")
     m = g.m
@@ -164,21 +153,17 @@ def estimate_empm(
     budget_scale: float = 1.0,
     budget_cap: Optional[int] = None,
     threads: int = 1,
-    delta: Optional[float] = None,
 ) -> EstimateReport:
     """FPRAS estimate of the expected minimum perfect matching length."""
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError("epsilon must be in (0, 1]")
-    if g.presence_mode != CERTAIN:
-        raise DomainError("this estimator requires certain presence mode")
+    check_inputs(g, epsilon)
     if g.n % 2 != 0 or g.n < 2:
         raise DomainError("perfect matchings need an even number of nodes (>= 2)")
     t0 = time.perf_counter()
     clustering = find_home_clusters(g, epsilon)
     D = clustering.max_diameter
+    n, m = g.n, g.m
     report = EstimateReport(
         estimator="mpm",
-        value=0.0,
         epsilon=epsilon,
         seed=seed,
         epsilon_mc=epsilon / 2.0,
@@ -187,134 +172,15 @@ def estimate_empm(
         threads=threads,
     )
     report.extras["homes"] = clustering.to_dict(g)
-
-    home_pts = [list(clustering.clusters[clustering.home_of[v]]) for v in range(g.n)]
-    home_ids = [
-        [g.space.point_ids[s] for s in pts] for pts in home_pts
-    ]
-    p_home = np.array([float(g.probs[v, home_pts[v]].sum()) for v in range(g.n)])
-
-    def prod_except(v: Optional[int]) -> float:
-        out = 1.0
-        for u in range(g.n):
-            if u != v:
-                out *= float(p_home[u])
-        return out
-
-    near_threshold = (g.n / epsilon) * D
-    d_to_own_home = [
-        g.space.dist[:, home_pts[v]].min(axis=1) for v in range(g.n)
-    ]
-    near_pts = [
-        [
-            s
-            for s in range(g.m)
-            if s not in clustering.clusters[clustering.home_of[v]]
-            and d_to_own_home[v][s] < near_threshold
-        ]
-        for v in range(g.n)
-    ]
-    far_pts = [
-        [
-            s
-            for s in range(g.m)
-            if s not in clustering.clusters[clustering.home_of[v]]
-            and d_to_own_home[v][s] >= near_threshold
-        ]
-        for v in range(g.n)
-    ]
-
-    eps_mc = epsilon / 2.0
-    evaluator = FunctionalEvaluator(g.space, Functional.MPM)
-    prob_all = prod_except(None)
-    p_near = np.array(
-        [float(g.probs[v, near_pts[v]].sum()) if near_pts[v] else 0.0 for v in range(g.n)]
+    estimate_by_homes(
+        report,
+        g,
+        Functional.MPM,
+        [clustering.clusters[ci] for ci in clustering.home_of],
+        D,
+        lambda mask: np.array([float(g.probs[v, row].sum()) for v, row in enumerate(mask)]),
+        all_home=(n * D, epsilon * D / (64.0 * n * m**5)),
+        near=((n / epsilon) * D + (n + 1) * D, epsilon * D / (128.0 * n * m**5)),
     )
-    near_nodes = [v for v in range(g.n) if p_near[v] > 0.0 and prod_except(v) > 0.0]
-    mc_terms = int(prob_all > 0.0 and D > 0.0) + len(near_nodes)
-    delta_each = delta if delta is not None else 1.0 / (8.0 * max(1, mc_terms))
-
-    # All-home term: every cluster realizes its (even) set of homed nodes.
-    if prob_all > 0.0:
-        if D == 0.0:
-            report.terms.append(
-                TermReport("all-home", 0.0, "exact", probability=prob_all, mean=0.0)
-            )
-        else:
-            u_bound = g.n * D
-            mu_lb = epsilon * D / (64.0 * g.n * g.m**5)
-            full = chernoff_budget(u_bound, mu_lb, eps_mc, delta_each)
-            used = apply_budget_scale(full, budget_scale, budget_cap)
-            budget = SampleBudget(used, u_bound, mu_lb, eps_mc, delta_each)
-            mean, samples = estimate_conditional(
-                g,
-                Functional.MPM,
-                EventSpec(allowed={g.node_ids[v]: home_ids[v] for v in range(g.n)}),
-                budget,
-                seed=seed,
-                tag="mpm/all-home",
-                threads=threads,
-                evaluator=evaluator,
-            )
-            report.terms.append(
-                TermReport(
-                    "all-home",
-                    prob_all * mean,
-                    "monte-carlo",
-                    probability=prob_all,
-                    mean=mean,
-                    samples=samples,
-                    full_budget=full,
-                    possibly_negligible=mean < 0.5 * mu_lb,
-                )
-            )
-    else:
-        report.terms.append(TermReport("all-home", 0.0, "exact", probability=0.0))
-
-    for v in range(g.n):
-        vname = g.node_ids[v]
-        others = prod_except(v)
-        if v in near_nodes:
-            prob = float(p_near[v]) * others
-            u_bound = (g.n / epsilon) * D + (g.n + 1) * D
-            mu_lb = epsilon * D / (128.0 * g.n * g.m**5)
-            full = chernoff_budget(u_bound, mu_lb, eps_mc, delta_each)
-            used = apply_budget_scale(full, budget_scale, budget_cap)
-            budget = SampleBudget(used, u_bound, mu_lb, eps_mc, delta_each)
-            allowed = {g.node_ids[u]: home_ids[u] for u in range(g.n)}
-            allowed[vname] = [g.space.point_ids[s] for s in near_pts[v]]
-            mean, samples = estimate_conditional(
-                g,
-                Functional.MPM,
-                EventSpec(allowed=allowed),
-                budget,
-                seed=seed,
-                tag=f"mpm/near/{vname}",
-                threads=threads,
-                evaluator=evaluator,
-            )
-            report.terms.append(
-                TermReport(
-                    f"near({vname})",
-                    prob * mean,
-                    "monte-carlo",
-                    probability=prob,
-                    mean=mean,
-                    samples=samples,
-                    full_budget=full,
-                    possibly_negligible=mean < 0.5 * mu_lb,
-                )
-            )
-        if far_pts[v] and others > 0.0:
-            term = math.fsum(
-                float(g.probs[v, s]) * others * float(d_to_own_home[v][s])
-                for s in far_pts[v]
-                if g.probs[v, s] > 0.0
-            )
-            if term > 0.0:
-                report.terms.append(TermReport(f"far({vname})", term, "far-field"))
-
-    report.value = combine_terms(report.terms)
-    report.flags["epsilon_split"] = "half to sampling error, half to truncation"
     report.elapsed = time.perf_counter() - t0
     return report

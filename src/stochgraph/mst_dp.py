@@ -25,23 +25,13 @@ from .cc import SplitSpace, split_points
 from .errors import DomainError
 from .mc import (
     EstimateReport,
-    SampleBudget,
     TermReport,
-    apply_budget_scale,
-    chernoff_budget,
     combine_terms,
     estimate_conditional,
+    term_budget,
 )
-from .model import EventSpec, StochasticGraph
+from .model import Event, StochasticGraph, mass_in
 from .oracle import Functional, FunctionalEvaluator
-
-
-def _mass_in(g: StochasticGraph, w: int, pts: set[int]) -> float:
-    """Probability that node w is inside ``pts`` (or absent, if allowed)."""
-    inside = float(g.probs[w, sorted(pts)].sum())
-    if g.presence_mode == "existential":
-        inside += g.absent_mass(w)
-    return inside
 
 
 def estimate_emst_dp(
@@ -52,7 +42,6 @@ def estimate_emst_dp(
     budget_scale: float = 1.0,
     budget_cap: Optional[int] = None,
     threads: int = 1,
-    delta: Optional[float] = None,
 ) -> EstimateReport:
     """Expected MST length by recursive conditioning with MC leaves.
 
@@ -64,7 +53,6 @@ def estimate_emst_dp(
     t0 = time.perf_counter()
     report = EstimateReport(
         estimator="mst-dp",
-        value=0.0,
         epsilon=epsilon,
         seed=seed,
         epsilon_mc=epsilon / 2.0,
@@ -87,8 +75,9 @@ def estimate_emst_dp(
 
     eps_mc = epsilon / 2.0
     max_leaves = m * (m - 1) // 2
-    delta_each = delta if delta is not None else 1.0 / (8.0 * max(1, max_leaves))
+    delta_each = 1.0 / (8.0 * max(1, max_leaves))
     evaluator = FunctionalEvaluator(space, Functional.MST)
+    support = work.probs > 0.0
     outer_weights: list[float] = []
 
     outer_weight = 1.0  # Pr[nothing yet at u_1..u_{i-1} | their suffix events]
@@ -98,12 +87,11 @@ def estimate_emst_dp(
             continue
         ui = order[pos]
         suffix = order[pos:]
-        suffix_set = set(suffix)
         vi = sp.owner[ui]
         if vi < 0 or work.probs[vi, ui] <= 0.0:
             outer_weights.append(0.0)
             continue
-        g_vi = _mass_in(work, vi, suffix_set)
+        g_vi = mass_in(work, vi, sorted(suffix))
         p_exists = float(work.probs[vi, ui]) / g_vi if g_vi > 0.0 else 0.0
         top_w = outer_weight * p_exists
         outer_weight *= 1.0 - p_exists
@@ -122,10 +110,11 @@ def estimate_emst_dp(
                 break
             rj = r_order[j]
             wj = sp.owner[rj]
-            prefix = set(r_order[: j + 1])
             if wj < 0 or wj == vi or work.probs[wj, rj] <= 0.0:
                 continue  # nothing can newly appear at r_j
-            g_wj = _mass_in(work, wj, prefix)
+            prefix = np.zeros(m, dtype=bool)
+            prefix[r_order[: j + 1]] = True
+            g_wj = mass_in(work, wj, prefix)
             p_here = float(work.probs[wj, rj]) / g_wj if g_wj > 0.0 else 0.0
             leaf_w = top_w * inner_weight * p_here
             inner_weight *= 1.0 - p_here
@@ -139,33 +128,22 @@ def estimate_emst_dp(
                     TermReport(name, 0.0, "exact", probability=leaf_w, mean=0.0)
                 )
                 continue
-            allowed: dict[str, object] = {
-                work.node_ids[vi]: space.point_ids[ui],
-                work.node_ids[wj]: space.point_ids[rj],
-            }
-            absent = {work.node_ids[vi]: False, work.node_ids[wj]: False}
-            dead = False
-            for w in range(n):
-                if w in (vi, wj):
-                    continue
-                pts = [
-                    space.point_ids[s] for s in prefix if work.probs[w, s] > 0.0
-                ]
-                if not pts:
-                    if work.presence_mode == "certain":
-                        dead = True  # unreachable: the chain weight is 0 here
-                        break
-                    pts = [space.point_ids[rj]]  # zero mass: node must be absent
-                allowed[work.node_ids[w]] = pts
-            if dead:
-                continue
-            full = chernoff_budget(n * d_ij, d_ij, eps_mc, delta_each)
-            used = apply_budget_scale(full, budget_scale, budget_cap)
-            budget = SampleBudget(used, n * d_ij, d_ij, eps_mc, delta_each)
+            # v_i sits at u_i and w_j at r_j; everyone else stays inside the
+            # prefix or is absent.
+            allowed = prefix & support
+            allowed[[vi, wj]] = False
+            allowed[vi, ui] = allowed[wj, rj] = True
+            if work.presence_mode == "certain" and not allowed.any(axis=1).all():
+                continue  # unreachable: the chain weight is 0 here
+            absent = np.full(n, work.presence_mode == "existential")
+            absent[[vi, wj]] = False
+            budget, full = term_budget(
+                n * d_ij, d_ij, eps_mc, delta_each, budget_scale, budget_cap
+            )
             mean, samples = estimate_conditional(
                 work,
                 Functional.MST,
-                EventSpec(allowed=allowed, allow_absent=absent),
+                Event(allowed, absent),
                 budget,
                 seed=seed,
                 tag=f"mst-dp/{space.point_ids[ui]}/{space.point_ids[rj]}",

@@ -1,40 +1,24 @@
 """Expected-MST estimator via home-set conditioning.
 
-The estimate is a sum of exactly three kinds of terms:
-
-* all-home: every node lands in the home ball H; the conditional mean is a
-  low-variance Monte Carlo target because MST is bounded by n * diam(H) there.
-* near(v): node v alone escapes to a point closer than (n/eps) * diam(H); the
-  event probability is exact, the conditional mean is Monte Carlo.
-* far(v): v alone escapes beyond that threshold; there the escape distance
-  itself is a (1 +- eps) surrogate for the conditional mean, so the term is
-  computed exactly with no sampling.
-
-Events where two or more nodes escape are deliberately dropped; their total
-contribution is dominated by the one-escape terms.
+Every node shares one home: the ball H around the furthest pair of heavy
+points.  The estimate is the all-home / near(v) / far(v) sum of
+``stochgraph.home`` with D = diam(H); MST is bounded by n * D when everyone
+is home.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InternalAssertionError
-from .mc import (
-    EstimateReport,
-    SampleBudget,
-    TermReport,
-    apply_budget_scale,
-    chernoff_budget,
-    combine_terms,
-    estimate_conditional,
-)
-from .model import CERTAIN, EventSpec, StochasticGraph
-from .oracle import Functional, FunctionalEvaluator
+from .errors import InternalAssertionError
+from .home import check_inputs, estimate_by_homes
+from .mc import EstimateReport, TermReport
+from .model import StochasticGraph
+from .oracle import Functional
 from .solvers import EdgeKey
 
 
@@ -70,10 +54,7 @@ def find_home(g: StochasticGraph, epsilon: float) -> HomeSet:
     returned ball is light, so the ball captures all but eps/16 of the total
     expected mass.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError("epsilon must be in (0, 1]")
-    if g.presence_mode != CERTAIN:
-        raise DomainError("home construction requires certain presence mode")
+    check_inputs(g, epsilon)
     mass = g.probs.sum(axis=0)
     threshold = epsilon / (16.0 * g.m)
     heavy = [s for s in range(g.m) if mass[s] >= threshold]
@@ -113,17 +94,12 @@ def estimate_emst(
     budget_scale: float = 1.0,
     budget_cap: Optional[int] = None,
     threads: int = 1,
-    delta: Optional[float] = None,
 ) -> EstimateReport:
     """FPRAS estimate of the expected minimum spanning tree length."""
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError("epsilon must be in (0, 1]")
-    if g.presence_mode != CERTAIN:
-        raise DomainError("this estimator requires certain presence mode")
+    check_inputs(g, epsilon)
     t0 = time.perf_counter()
     report = EstimateReport(
         estimator="mst-home",
-        value=0.0,
         epsilon=epsilon,
         seed=seed,
         epsilon_mc=epsilon / 2.0,
@@ -133,129 +109,19 @@ def estimate_emst(
     )
     if g.n == 1:
         report.terms.append(TermReport("all-home", 0.0, "exact", probability=1.0))
-        report.elapsed = time.perf_counter() - t0
-        return report
-
-    home = find_home(g, epsilon)
-    report.extras["home"] = home.to_dict(g.space)
-    H = list(home.members)
-    H_ids = [g.space.point_ids[s] for s in H]
-    in_home = np.zeros(g.m, dtype=bool)
-    in_home[H] = True
-    d_to_home = g.space.dist[:, H].min(axis=1)
-    near_threshold = (g.n / epsilon) * home.diameter
-    outside = [s for s in range(g.m) if not in_home[s]]
-    near_pts = [s for s in outside if d_to_home[s] < near_threshold]
-    far_pts = [s for s in outside if d_to_home[s] >= near_threshold]
-
-    p_home = g.probs[:, H].sum(axis=1)  # p_v(H) per node
-
-    def prod_except(v: Optional[int]) -> float:
-        out = 1.0
-        for u in range(g.n):
-            if u != v:
-                out *= float(p_home[u])
-        return out
-
-    eps_mc = epsilon / 2.0
-    evaluator = FunctionalEvaluator(g.space, Functional.MST)
-
-    # Term plan first: the per-term failure probability is union-bounded.
-    prob_all = prod_except(None)
-    p_near = g.probs[:, near_pts].sum(axis=1) if near_pts else np.zeros(g.n)
-    mc_terms = int(prob_all > 0.0 and home.diameter > 0.0)
-    near_nodes = [
-        v for v in range(g.n) if p_near[v] > 0.0 and prod_except(v) > 0.0
-    ]
-    mc_terms += len(near_nodes)
-    delta_each = delta if delta is not None else 1.0 / (8.0 * max(1, mc_terms))
-
-    # All-home term.
-    if prob_all > 0.0:
-        if home.diameter == 0.0:
-            report.terms.append(
-                TermReport("all-home", 0.0, "exact", probability=prob_all, mean=0.0)
-            )
-        else:
-            u_bound = g.n * home.diameter
-            mu_lb = home.diameter * epsilon * epsilon / (32.0 * g.m * g.m)
-            full = chernoff_budget(u_bound, mu_lb, eps_mc, delta_each)
-            used = apply_budget_scale(full, budget_scale, budget_cap)
-            budget = SampleBudget(used, u_bound, mu_lb, eps_mc, delta_each)
-            mean, samples = estimate_conditional(
-                g,
-                Functional.MST,
-                EventSpec(allowed={v: H_ids for v in g.node_ids}),
-                budget,
-                seed=seed,
-                tag="mst-home/all-home",
-                threads=threads,
-                evaluator=evaluator,
-            )
-            report.terms.append(
-                TermReport(
-                    "all-home",
-                    prob_all * mean,
-                    "monte-carlo",
-                    probability=prob_all,
-                    mean=mean,
-                    samples=samples,
-                    full_budget=full,
-                    possibly_negligible=mean < 0.5 * mu_lb,
-                )
-            )
     else:
-        report.terms.append(TermReport("all-home", 0.0, "exact", probability=0.0))
-
-    near_ids = [g.space.point_ids[s] for s in near_pts]
-    for v in range(g.n):
-        vname = g.node_ids[v]
-        others = prod_except(v)
-        # near(v): v escapes within the near field, everyone else is home.
-        if v in near_nodes:
-            prob = float(p_near[v]) * others
-            u_bound = (g.n / epsilon) * home.diameter + g.n * home.diameter
-            mu_lb = home.diameter * epsilon * epsilon / (64.0 * g.m * g.m)
-            full = chernoff_budget(u_bound, mu_lb, eps_mc, delta_each)
-            used = apply_budget_scale(full, budget_scale, budget_cap)
-            budget = SampleBudget(used, u_bound, mu_lb, eps_mc, delta_each)
-            allowed = {u: H_ids for u in g.node_ids}
-            allowed[vname] = near_ids
-            mean, samples = estimate_conditional(
-                g,
-                Functional.MST,
-                EventSpec(allowed=allowed),
-                budget,
-                seed=seed,
-                tag=f"mst-home/near/{vname}",
-                threads=threads,
-                evaluator=evaluator,
-            )
-            report.terms.append(
-                TermReport(
-                    f"near({vname})",
-                    prob * mean,
-                    "monte-carlo",
-                    probability=prob,
-                    mean=mean,
-                    samples=samples,
-                    full_budget=full,
-                    possibly_negligible=mean < 0.5 * mu_lb,
-                )
-            )
-        # far(v): the escape distance stands in for the conditional mean.
-        if far_pts and others > 0.0:
-            term = math.fsum(
-                float(g.probs[v, s]) * others * float(d_to_home[s])
-                for s in far_pts
-                if g.probs[v, s] > 0.0
-            )
-            if term > 0.0:
-                report.terms.append(
-                    TermReport(f"far({vname})", term, "far-field")
-                )
-
-    report.value = combine_terms(report.terms)
-    report.flags["epsilon_split"] = "half to sampling error, half to truncation"
+        home = find_home(g, epsilon)
+        report.extras["home"] = home.to_dict(g.space)
+        D = home.diameter
+        estimate_by_homes(
+            report,
+            g,
+            Functional.MST,
+            [list(home.members)] * g.n,
+            D,
+            lambda mask: g.probs[:, mask[0]].sum(axis=1),  # one home for all
+            all_home=(g.n * D, D * epsilon * epsilon / (32.0 * g.m * g.m)),
+            near=((g.n / epsilon) * D + g.n * D, D * epsilon * epsilon / (64.0 * g.m * g.m)),
+        )
     report.elapsed = time.perf_counter() - t0
     return report

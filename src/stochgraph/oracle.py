@@ -9,11 +9,11 @@ compensation so results are reproducible bit-for-bit.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Optional
+from typing import Union
 
 from .errors import DomainError, EnumerationCapError
-from .model import EventSpec, StochasticGraph, event_probability
-from .sampling import ABSENT_IDX
+from .model import Event, EventSpec, StochasticGraph, as_event, event_probability
+from .sampling import node_outcomes
 from .solvers import _cc_indices, _mpm_indices, _mst_indices, _nn_indices
 
 DEFAULT_CAP = 10_000_000
@@ -89,37 +89,14 @@ class _Kahan:
         self.total = t
 
 
-def _node_outcomes(g: StochasticGraph, event: Optional[EventSpec]):
-    """Per node: list of (point index or -1, probability), zero-mass dropped."""
-    event = event if event is not None else EventSpec()
-    per_node = []
-    for ni in range(g.n):
-        outs = [
-            (s, float(g.probs[ni, s]))
-            for s in event.allowed_indices(g, ni)
-            if g.probs[ni, s] > 0.0
-        ]
-        if event.absent_allowed(g, ni):
-            a = g.absent_mass(ni)
-            if a > 0.0:
-                outs.append((ABSENT_IDX, a))
-        per_node.append(outs)
-    return per_node
-
-
 def enumerate_term(
     g: StochasticGraph,
     functional: Functional,
-    event: Optional[EventSpec] = None,
+    event: Union[EventSpec, Event, None] = None,
     cap: int = DEFAULT_CAP,
-    value_fn: Optional[Callable[[tuple[int, ...]], float]] = None,
 ) -> tuple[float, int]:
-    """Sum of Pr[r] * f(r) over realizations in the event; returns (term, count).
-
-    ``value_fn`` (taking the raw assignment tuple) overrides the functional;
-    used by tests that integrate indicator-weighted quantities.
-    """
-    per_node = _node_outcomes(g, event)
+    """Sum of Pr[r] * f(r) over realizations in the event; returns (term, count)."""
+    per_node = [list(zip(outs, weights)) for outs, weights in node_outcomes(g, event)]
     count = 1
     for outs in per_node:
         count *= len(outs)
@@ -128,17 +105,14 @@ def enumerate_term(
     if count == 0:
         return 0.0, 0
 
-    evaluator = FunctionalEvaluator(g.space, functional) if value_fn is None else None
+    evaluator = FunctionalEvaluator(g.space, functional)
     acc = _Kahan()
     n = g.n
     assignment = [0] * n
 
     def rec(level: int, prefix: float) -> None:
         if level == n:
-            if value_fn is not None:
-                acc.add(prefix * value_fn(tuple(assignment)))
-            else:
-                acc.add(prefix * evaluator.value_of_assignment(assignment))
+            acc.add(prefix * evaluator.value_of_assignment(assignment))
             return
         for idx, p in per_node[level]:
             assignment[level] = idx
@@ -151,7 +125,7 @@ def enumerate_term(
 def exact_term(
     g: StochasticGraph,
     functional: Functional,
-    event: Optional[EventSpec] = None,
+    event: Union[EventSpec, Event, None] = None,
     cap: int = DEFAULT_CAP,
 ) -> float:
     """Pr[event] * E[f | event] in one enumeration pass (no division)."""
@@ -162,11 +136,14 @@ def exact_term(
 def exact_expectation(
     g: StochasticGraph,
     functional: Functional,
-    event: Optional[EventSpec] = None,
+    event: Union[EventSpec, Event, None] = None,
     cap: int = DEFAULT_CAP,
 ) -> float:
     """E[f | event] by exhaustive enumeration (unconditional if no event)."""
-    prob = event_probability(g, event) if event is not None else 1.0
+    prob = 1.0
+    if event is not None:
+        event = as_event(g, event)
+        prob = event_probability(g, event)
     if prob <= 0.0:
         raise DomainError("conditioning event has zero probability")
     term, _ = enumerate_term(g, functional, event, cap)

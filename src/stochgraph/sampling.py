@@ -12,10 +12,29 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .model import EventSpec, Realization, StochasticGraph
+from .model import Event, EventSpec, Realization, StochasticGraph, as_event
 from .rng import SampleStream
 
 ABSENT_IDX = -1
+
+
+def node_outcomes(
+    g: StochasticGraph, event: EventSpec | Event | None
+) -> list[tuple[list[int], list[float]]]:
+    """Per node: the outcomes the event allows that have positive probability
+    (point indices ascending, then ``ABSENT_IDX``) and their probabilities."""
+    event = as_event(g, event)
+    table = []
+    for v in range(g.n):
+        outs = [int(s) for s in np.flatnonzero(event.allowed[v] & (g.probs[v] > 0.0))]
+        weights = [float(g.probs[v, s]) for s in outs]
+        if event.absent[v]:
+            a = g.absent_mass(v)
+            if a > 0.0:
+                outs.append(ABSENT_IDX)
+                weights.append(a)
+        table.append((outs, weights))
+    return table
 
 
 class ConditionalSampler:
@@ -27,39 +46,17 @@ class ConditionalSampler:
     its restriction.
     """
 
-    def __init__(self, g: StochasticGraph, event: EventSpec | None = None):
-        event = event if event is not None else EventSpec()
+    def __init__(self, g: StochasticGraph, event: EventSpec | Event | None = None):
         self.g = g
         self.outcomes: list[np.ndarray] = []
         self.cum: list[np.ndarray] = []
-        self.node_masses: list[float] = []
-        for ni, name in enumerate(g.node_ids):
-            idx = event.allowed_indices(g, ni)
-            weights = [float(g.probs[ni, s]) for s in idx]
-            outs = list(idx)
-            if event.absent_allowed(g, ni):
-                a = g.absent_mass(ni)
-                if a > 0.0:
-                    outs.append(ABSENT_IDX)
-                    weights.append(a)
-            total = float(sum(weights))
-            if total <= 0.0:
+        for name, (outs, weights) in zip(g.node_ids, node_outcomes(g, event)):
+            if not weights:
                 raise DomainError(
                     f"node {name}: zero probability mass under the conditioning event"
                 )
-            keep = [(o, w) for o, w in zip(outs, weights) if w > 0.0]
-            outs = [o for o, _ in keep]
-            cum = np.cumsum([w for _, w in keep]) / total
             self.outcomes.append(np.asarray(outs, dtype=np.int64))
-            self.cum.append(cum)
-            self.node_masses.append(total)
-
-    @property
-    def event_probability(self) -> float:
-        prob = 1.0
-        for mass in self.node_masses:
-            prob *= mass
-        return prob
+            self.cum.append(np.cumsum(weights) / float(sum(weights)))
 
     @property
     def is_deterministic(self) -> bool:
@@ -81,14 +78,10 @@ class ConditionalSampler:
             out[:, j] = self.outcomes[j][pos]
         return out
 
-    def draw_one(self, stream: SampleStream, index: int = 0) -> Realization:
-        row = self.draw_block(stream, index, 1)[0]
-        return Realization(tuple(int(x) for x in row))
-
 
 def sample(
     g: StochasticGraph,
-    event: EventSpec | None,
+    event: EventSpec | Event | None,
     stream: SampleStream,
     index: int = 0,
 ) -> Realization:
@@ -96,4 +89,5 @@ def sample(
 
     The draw is a pure function of (stream.seed, stream.tag, index).
     """
-    return ConditionalSampler(g, event).draw_one(stream, index)
+    row = ConditionalSampler(g, event).draw_block(stream, index, 1)[0]
+    return Realization(tuple(int(x) for x in row))

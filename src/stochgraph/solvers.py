@@ -33,9 +33,6 @@ class EdgeKey(NamedTuple):
     lo: int
     hi: int
 
-    def ids(self, space: MetricSpace) -> tuple[str, str]:
-        return (space.point_ids[self.lo], space.point_ids[self.hi])
-
 
 def edge_key(space: MetricSpace, a: Union[str, int], b: Union[str, int]) -> EdgeKey:
     ai, bi = space.index(a), space.index(b)
@@ -43,10 +40,6 @@ def edge_key(space: MetricSpace, a: Union[str, int], b: Union[str, int]) -> Edge
         raise DomainError("an edge needs two distinct points")
     lo, hi = (ai, bi) if ai < bi else (bi, ai)
     return EdgeKey(float(space.dist[lo, hi]), lo, hi)
-
-
-def _as_indices(space: MetricSpace, points: Sequence) -> list[int]:
-    return [space.index(p) for p in points]
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +67,7 @@ def _mst_indices(space: MetricSpace, idx: Sequence[int]) -> float:
 
 def mst_length(space: MetricSpace, points: Sequence) -> float:
     """Exact MST weight over a realized point multiset (duplicates cost 0)."""
-    return _mst_indices(space, _as_indices(space, points))
+    return _mst_indices(space, space.indices(points))
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +95,7 @@ def _mpm_indices(space: MetricSpace, idx: Sequence[int]) -> float:
 
 def mpm_length(space: MetricSpace, points: Sequence) -> float:
     """Exact minimum-weight perfect matching over an even point multiset."""
-    return _mpm_indices(space, _as_indices(space, points))
+    return _mpm_indices(space, space.indices(points))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +121,7 @@ def cc_length(space: MetricSpace, points: Sequence) -> float:
     A fixed-point-free assignment on the realized points is exactly a cover
     by cycles of length >= 2; a 2-cycle pays both directed copies of its edge.
     """
-    return _cc_indices(space, _as_indices(space, points))
+    return _cc_indices(space, space.indices(points))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +167,7 @@ def _nn_indices(space: MetricSpace, idx: Sequence[int]) -> NNGraph:
 
 def nn_graph(space: MetricSpace, points: Sequence) -> NNGraph:
     """Nearest-neighbor graph under EdgeKey order over distinct points."""
-    return _nn_indices(space, _as_indices(space, points))
+    return _nn_indices(space, space.indices(points))
 
 
 def longest_nn_edge(space: MetricSpace, points: Sequence) -> EdgeKey:

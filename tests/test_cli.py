@@ -80,6 +80,21 @@ def test_exact_subcommand(tmp_path, instance_path):
     assert doc["count"] >= 1
 
 
+@pytest.mark.parametrize(
+    "event",
+    [
+        '{"allowed": {"nope": ["p0"]}}',  # unknown node
+        '{"allowed": {"v0": ["nope"]}}',  # unknown point
+        "[1, 2]",  # not an object
+        '{"allowed": ["v0"]}',
+        "{not json",
+    ],
+)
+def test_exact_rejects_malformed_event(instance_path, event):
+    args = ["exact", str(instance_path), "--functional", "mst", "--event", event]
+    assert main(args) == 2
+
+
 def test_exact_cap_refusal(instance_path):
     code = main(
         ["exact", str(instance_path), "--functional", "mst", "--cap", "1"]
@@ -180,11 +195,11 @@ def test_budget_scale_warning_on_stderr(instance_path):
 
 @pytest.mark.parametrize("scale", ["nan", "inf"])
 def test_non_finite_budget_scale_is_invalid(instance_path, scale):
-    args = [
-        "estimate", "mst", str(instance_path),
-        "--epsilon", "0.25", "--seed", "1", "--budget-scale", scale,
-    ]
-    assert main(args) == 2
+    for args in (
+        ["estimate", "mst", str(instance_path), "--epsilon", "0.25", "--seed", "1"],
+        ["compare", str(instance_path), "--epsilon", "0.25", "--seeds", "1"],
+    ):
+        assert main(args + ["--budget-scale", scale]) == 2
 
 
 def test_compare_json_and_csv_agree(tmp_path):
