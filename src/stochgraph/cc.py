@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .mc import (
 from .model import EXISTENTIAL, Event, MetricSpace, StochasticGraph, mass_in
 from .rng import SampleStream
 from .sampling import ConditionalSampler
-from .solvers import EdgeKey, _cc_indices, _nn_indices
+from .solvers import EdgeKey, _cc_indices, _nn_indices, blocks_by_size, present_sets
 
 _SLACK = 1e-9  # relative float slack in per-sample sandwich assertions
 
@@ -176,31 +176,35 @@ class _PairValues:
         self.space = space
         self.cache: dict[tuple[int, ...], tuple[float, EdgeKey]] = {}
 
-    def get(self, realized: tuple[int, ...]) -> tuple[float, EdgeKey]:
-        try:
-            return self.cache[realized]
-        except KeyError:
-            pass
-        nn = _nn_indices(self.space, realized)
-        cc = _cc_indices(self.space, realized)
-        total = nn.total_length
-        k = len(realized)
-        if not (
-            total * (1.0 - _SLACK) <= cc <= 2.0 * total * (1.0 + _SLACK) + 1e-300
-        ):
-            raise InternalAssertionError(
-                f"cycle-cover sandwich violated: NN={total}, CC={cc}"
-            )
-        lam = nn.longest.length
-        if not (
-            total / k * (1.0 - _SLACK) <= lam <= total * (1.0 + _SLACK)
-        ):
-            raise InternalAssertionError(
-                f"longest-edge sandwich violated: NN={total}, longest={lam}, k={k}"
-            )
-        out = (cc, nn.longest)
-        self.cache[realized] = out
-        return out
+    def get(self, rows: np.ndarray) -> list[tuple[float, EdgeKey]]:
+        """(CC, longest nearest-neighbor edge) of each row of a row-sorted
+        block (-1 for absent).
+
+        Uncached point sets are solved with one call of each kernel per
+        present count.
+        """
+        keys = present_sets(rows)
+        dist = self.space.dist
+        for sets, idx in blocks_by_size(key for key in keys if key not in self.cache):
+            nn = _nn_indices(self.space, idx)
+            cc = _cc_indices(self.space, idx)
+            k = idx.shape[1]
+            for key, c, total, (lo, hi) in zip(
+                sets, cc.tolist(), nn.total.tolist(), nn.longest.tolist()
+            ):
+                if not (
+                    total * (1.0 - _SLACK) <= c <= 2.0 * total * (1.0 + _SLACK) + 1e-300
+                ):
+                    raise InternalAssertionError(
+                        f"cycle-cover sandwich violated: NN={total}, CC={c}"
+                    )
+                lam = float(dist[lo, hi])
+                if not (total / k * (1.0 - _SLACK) <= lam <= total * (1.0 + _SLACK)):
+                    raise InternalAssertionError(
+                        f"longest-edge sandwich violated: NN={total}, longest={lam}, k={k}"
+                    )
+                self.cache[key] = (c, EdgeKey(lam, lo, hi))
+        return [self.cache[key] for key in keys]
 
 
 def _pair_event(sp: SplitSpace, si: int, ti: int, mutual: bool) -> Event:
@@ -255,23 +259,26 @@ def estimate_pair_term(
     target = EdgeKey(float(g.space.dist[lo, hi]), lo, hi)
     n_nodes = g.n
 
-    def class_fn(row: Sequence[int]) -> tuple[float, int]:
-        realized = tuple(i for i in row if i >= 0)
-        cc, longest = values.get(realized)
-        if longest != target:
-            return 0.0, 0
-        d = target.length
-        if not (
-            d * (1.0 - _SLACK) <= cc <= 2.0 * n_nodes * d * (1.0 + _SLACK) + 1e-300
-        ):
-            raise InternalAssertionError(
-                f"conditioned cycle-cover bound violated: d={d}, CC={cc}"
-            )
-        return cc, 1
+    def class_fn(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        vals = np.zeros(len(rows))
+        hits = np.zeros(len(rows), dtype=np.int64)
+        for r, (cc, longest) in enumerate(values.get(rows)):
+            if longest != target:
+                continue
+            d = target.length
+            if not (
+                d * (1.0 - _SLACK) <= cc <= 2.0 * n_nodes * d * (1.0 + _SLACK) + 1e-300
+            ):
+                raise InternalAssertionError(
+                    f"conditioned cycle-cover bound violated: d={d}, CC={cc}"
+                )
+            vals[r], hits[r] = cc, 1
+        return vals, hits
 
     sampler = ConditionalSampler(g, _pair_event(sp, si, ti, mutual))
     if sampler.is_deterministic:
-        mean, hits = class_fn(tuple(sorted(int(o[0]) for o in sampler.outcomes)))
+        vals, hits = class_fn(np.sort([[int(o[0]) for o in sampler.outcomes]], axis=1))
+        mean, hits = float(vals[0]), int(hits[0])
         n_samples = 1
     else:
         stream = SampleStream(seed, f"cc/{term.s}/{term.t}/{kind}", g.n)

@@ -124,16 +124,17 @@ def realization_classes(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarra
 
 def run_conditional_mc(
     sampler: ConditionalSampler,
-    class_fn: Callable[[Sequence[int]], tuple[float, int]],
+    class_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     n_samples: int,
     stream: SampleStream,
     threads: int = 1,
 ) -> tuple[float, int]:
     """Mean of a per-realization value over n_samples conditional draws.
 
-    ``class_fn`` maps a sorted list of realized indices (-1 for absent) to
-    (value, indicator); it is called once per distinct realization class per
-    block and may cache.  Returns (mean, indicator_hits).
+    ``class_fn`` maps a block's (B, n) array of distinct row-sorted
+    realization classes (point indices, -1 for absent) to (values,
+    indicators), one of each per class; it is called once per block and may
+    cache.  Returns (mean, indicator_hits).
     """
     n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
@@ -143,9 +144,9 @@ def run_conditional_mc(
         rows = sampler.draw_block(stream, start, count)
         rows.sort(axis=1)
         classes, inverse = realization_classes(rows, sampler.g.m)
-        vals, hits = zip(*[class_fn(row) for row in classes.tolist()])
-        vals = np.array(vals, dtype=float)
-        hits = np.array(hits, dtype=np.int64)
+        vals, hits = class_fn(classes)
+        vals = np.asarray(vals, dtype=float)
+        hits = np.asarray(hits, dtype=np.int64)
         return tree_sum(vals[inverse]), int(hits[inverse].sum())
 
     if threads > 1 and n_blocks > 1:
@@ -178,12 +179,11 @@ def estimate_conditional(
     sampler = ConditionalSampler(g, event)
     evaluator = evaluator or FunctionalEvaluator(g.space, functional)
 
-    def class_fn(row: Sequence[int]) -> tuple[float, int]:
-        return evaluator.value(tuple(i for i in row if i >= 0)), 0
-
     if sampler.is_deterministic:
-        v, _ = class_fn(tuple(sorted(int(o[0]) for o in sampler.outcomes)))
-        return v, 1
+        return evaluator.value_of_assignment([int(o[0]) for o in sampler.outcomes]), 1
+
+    def class_fn(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return evaluator.values(rows), np.zeros(len(rows), dtype=np.int64)
 
     stream = SampleStream(seed, tag, g.n)
     mean, _ = run_conditional_mc(sampler, class_fn, budget.n, stream, threads)

@@ -394,12 +394,29 @@ def event_probability(g: StochasticGraph, event: Union[EventSpec, Event]) -> flo
 #  "nodes": [{"id": str, "dist": {point_id: prob, ...}}, ...],
 #  "presence_mode": "certain" | "existential"}
 
+def _field(entry, key: str, kind: str):
+    if not isinstance(entry, Mapping):
+        raise ValidationError(f"each {kind} must be an object")
+    if key not in entry:
+        raise ValidationError(f'a {kind} has no "{key}"')
+    return entry[key]
+
+
+def _numbers(value, what: str, scalar: bool = False):
+    try:
+        return float(value) if scalar else np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be numbers") from None
+
+
 def instance_from_dict(doc: Mapping) -> StochasticGraph:
     if not isinstance(doc, Mapping):
         raise ValidationError("instance document must be a JSON object")
     if "points" not in doc or "nodes" not in doc:
         raise ValidationError('instance needs "points" and "nodes"')
-    points = doc["points"]
+    points, nodes = doc["points"], doc["nodes"]
+    if not isinstance(points, list) or not isinstance(nodes, list):
+        raise ValidationError('"points" and "nodes" must be lists')
     ids = []
     coords = []
     have_coords = True
@@ -408,23 +425,30 @@ def instance_from_dict(doc: Mapping) -> StochasticGraph:
             ids.append(entry)
             have_coords = False
             continue
-        ids.append(entry["id"])
+        ids.append(_field(entry, "id", "point"))
         if "coords" in entry:
             coords.append(entry["coords"])
         else:
             have_coords = False
     if "distance_matrix" in doc:
-        space = MetricSpace(ids, dist=np.asarray(doc["distance_matrix"], dtype=float))
+        space = MetricSpace(ids, dist=_numbers(doc["distance_matrix"], "distance_matrix"))
     elif have_coords and coords:
-        space = MetricSpace(ids, coords=np.asarray(coords, dtype=float))
+        space = MetricSpace(ids, coords=_numbers(coords, "point coords"))
     else:
         raise ValidationError("points need coords, or provide a distance_matrix")
 
     node_ids = []
     rows = {}
-    for entry in doc["nodes"]:
-        node_ids.append(entry["id"])
-        rows[entry["id"]] = {str(k): float(p) for k, p in entry["dist"].items()}
+    for entry in nodes:
+        name = str(_field(entry, "id", "node"))
+        dist = _field(entry, "dist", "node")
+        if not isinstance(dist, Mapping):
+            raise ValidationError(f'node {name}: "dist" must be an object')
+        node_ids.append(name)
+        rows[name] = {
+            str(k): _numbers(p, f"node {name} probabilities", scalar=True)
+            for k, p in dist.items()
+        }
     mode = doc.get("presence_mode", CERTAIN)
     return StochasticGraph(node_ids, space, rows, presence_mode=mode)
 

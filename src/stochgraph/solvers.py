@@ -1,4 +1,10 @@
-"""Exact deterministic solvers evaluated per realization.
+"""Exact deterministic solvers, batched over blocks of realizations.
+
+Each private kernel (``_mst_indices``, ``_mpm_indices``, ``_cc_indices``,
+``_nn_indices``) takes a ``(B, k)`` array of point indices, one realized
+point set per row, and solves every row in one call; a row's value never
+depends on the other rows of its block.  The public functions are one-row
+calls on point ids.
 
 All lengths are recomputed from the chosen edge/pair multiset with
 ``math.fsum``, so two optimal solutions with the same true total produce the
@@ -11,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import networkx as nx
 import numpy as np
@@ -43,76 +48,124 @@ def edge_key(space: MetricSpace, a: Union[str, int], b: Union[str, int]) -> Edge
 
 
 # ---------------------------------------------------------------------------
+# Blocks of realization classes
+# ---------------------------------------------------------------------------
+
+def present_sets(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """Present point indices of each row of a row-sorted block.
+
+    Absent nodes are -1, so they sort to the front of their row.
+    """
+    rows = np.asarray(rows)
+    absent = (rows < 0).sum(axis=1).tolist()
+    return [tuple(row[a:]) for row, a in zip(rows.tolist(), absent)]
+
+
+def blocks_by_size(keys: Iterable[tuple[int, ...]]) -> Iterator[tuple[list, np.ndarray]]:
+    """Distinct point sets grouped by size: (sets, their (B, k) index array)."""
+    groups: dict[int, dict[tuple[int, ...], None]] = {}
+    for key in keys:
+        groups.setdefault(len(key), {})[key] = None
+    for k in sorted(groups):
+        sets = list(groups[k])
+        yield sets, np.array(sets, dtype=np.intp).reshape(len(sets), k)
+
+
+def _one_row(space: MetricSpace, points: Sequence) -> np.ndarray:
+    return np.array([space.indices(points)], dtype=np.intp)
+
+
+# ---------------------------------------------------------------------------
 # Minimum spanning tree
 # ---------------------------------------------------------------------------
 
-def _mst_indices(space: MetricSpace, idx: Sequence[int]) -> float:
-    k = len(idx)
+def _mst_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
+    """Prim's algorithm on every row at once, one gathered distance row per step."""
+    B, k = idx.shape
     if k <= 1:
-        return 0.0
-    D = space.dist[np.ix_(idx, idx)]
-    in_tree = np.zeros(k, dtype=bool)
-    in_tree[0] = True
-    best = D[0].copy()
-    best[0] = np.inf
-    picked: list[float] = []
-    for _ in range(k - 1):
-        j = int(np.argmin(best))
-        picked.append(float(best[j]))
-        in_tree[j] = True
-        best[j] = np.inf
-        np.minimum(best, np.where(in_tree, np.inf, D[j]), out=best)
-    return math.fsum(picked)
+        return np.zeros(B)
+    dist = space.dist
+    rows = np.arange(B)
+    in_tree = np.zeros((B, k), dtype=bool)
+    in_tree[:, 0] = True
+    best = dist[idx[:, :1], idx]
+    best[:, 0] = np.inf
+    picked = np.empty((B, k - 1))
+    for step in range(k - 1):
+        j = best.argmin(axis=1)
+        picked[:, step] = best[rows, j]
+        in_tree[rows, j] = True
+        best[rows, j] = np.inf
+        np.minimum(best, np.where(in_tree, np.inf, dist[idx[rows, j][:, None], idx]), out=best)
+    return np.array([math.fsum(p) for p in picked.tolist()])
 
 
 def mst_length(space: MetricSpace, points: Sequence) -> float:
     """Exact MST weight over a realized point multiset (duplicates cost 0)."""
-    return _mst_indices(space, space.indices(points))
+    return float(_mst_indices(space, _one_row(space, points))[0])
 
 
 # ---------------------------------------------------------------------------
 # Minimum-weight perfect matching
 # ---------------------------------------------------------------------------
 
-def _mpm_indices(space: MetricSpace, idx: Sequence[int]) -> float:
-    k = len(idx)
-    if k % 2 != 0:
-        raise DomainError(f"perfect matching needs an even point count, got {k}")
-    if k == 0:
-        return 0.0
-    if k == 2:
-        return float(space.dist[idx[0], idx[1]])
-    # Blossom on exact Fraction weights: float ties cannot corrupt optimality.
+def _matching_weights(k: int, a: list[int], b: list[int], w: list[float]) -> list[float]:
+    """Edge weights of a minimum-weight perfect matching of K_k whose edge e
+    joins a[e] and b[e] with weight w[e].
+
+    Every double is an integer times a power of two, so the weights are scaled
+    by their common power-of-two denominator to exact integers: networkx then
+    runs blossom in integer arithmetic and verifies the optimum.
+    """
+    ratios = [x.as_integer_ratio() for x in w]
+    den = max(d for _, d in ratios)
     G = nx.Graph()
-    for a in range(k):
-        for b in range(a + 1, k):
-            G.add_edge(a, b, weight=Fraction(float(space.dist[idx[a], idx[b]])))
+    for e, (num, d) in enumerate(ratios):
+        G.add_edge(a[e], b[e], weight=num * (den // d), e=e)
     mate = nx.min_weight_matching(G)
     if 2 * len(mate) != k:
         raise DomainError("matching solver failed to return a perfect matching")
-    return math.fsum(float(space.dist[idx[a], idx[b]]) for a, b in mate)
+    return [w[G.edges[pair]["e"]] for pair in mate]
+
+
+def _mpm_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
+    B, k = idx.shape
+    if k % 2 != 0:
+        raise DomainError(f"perfect matching needs an even point count, got {k}")
+    if k == 0:
+        return np.zeros(B)
+    if k == 2:
+        return space.dist[idx[:, 0], idx[:, 1]]
+    a, b = np.triu_indices(k, 1)
+    weights = space.dist[idx[:, a], idx[:, b]].tolist()
+    a, b = a.tolist(), b.tolist()
+    return np.array([math.fsum(_matching_weights(k, a, b, w)) for w in weights])
 
 
 def mpm_length(space: MetricSpace, points: Sequence) -> float:
     """Exact minimum-weight perfect matching over an even point multiset."""
-    return _mpm_indices(space, space.indices(points))
+    return float(_mpm_indices(space, _one_row(space, points))[0])
 
 
 # ---------------------------------------------------------------------------
 # Minimum cycle cover (2-cycles allowed, paying both directions)
 # ---------------------------------------------------------------------------
 
-def _cc_indices(space: MetricSpace, idx: Sequence[int]) -> float:
-    k = len(idx)
+def _cc_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
+    B, k = idx.shape
     if k < 2:
         raise DomainError(f"cycle cover needs at least 2 points, got {k}")
-    D = space.dist[np.ix_(idx, idx)].copy()
-    # Forbid fixed points with a cost no optimal solution can touch.
-    forbid = float(k) * (float(D.max()) + 1.0)
-    np.fill_diagonal(D, forbid)
-    rows, cols = linear_sum_assignment(D)
-    sub = space.dist[np.ix_(idx, idx)]
-    return math.fsum(float(sub[r, c]) for r, c in zip(rows, cols))
+    dist = space.dist
+    diag = np.diag_indices(k)
+    out = np.empty(B)
+    for r, row in enumerate(idx):
+        D = dist[row[:, None], row]
+        # Forbid fixed points with a cost above any derangement's, so the
+        # optimum never reads the diagonal.
+        D[diag] = float(k) * (float(D.max()) + 1.0)
+        rr, cc = linear_sum_assignment(D)
+        out[r] = math.fsum(D[rr, cc].tolist())
+    return out
 
 
 def cc_length(space: MetricSpace, points: Sequence) -> float:
@@ -121,7 +174,7 @@ def cc_length(space: MetricSpace, points: Sequence) -> float:
     A fixed-point-free assignment on the realized points is exactly a cover
     by cycles of length >= 2; a 2-cycle pays both directed copies of its edge.
     """
-    return _cc_indices(space, space.indices(points))
+    return float(_cc_indices(space, _one_row(space, points))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -137,37 +190,57 @@ class NNGraph:
     total_length: float
 
 
-def _nn_indices(space: MetricSpace, idx: Sequence[int]) -> NNGraph:
-    k = len(idx)
+class NNBlock(NamedTuple):
+    """Nearest-neighbor graphs of a block, one row each."""
+
+    nearest: np.ndarray  # (B, k): column of each point's nearest neighbor
+    total: np.ndarray  # (B,): fsum of the distinct edge lengths
+    longest: np.ndarray  # (B, 2): point indices (lo, hi) of the longest edge
+
+
+def _nn_indices(space: MetricSpace, idx: np.ndarray) -> NNBlock:
+    """Nearest-neighbor graphs of a block of row-sorted distinct point sets.
+
+    With indices ascending along a row, the first minimum of a point's
+    distance row is its least neighbor under EdgeKey order, and column order
+    is point order, so the longest edge is the largest (length, lo, hi).
+    """
+    B, k = idx.shape
     if k < 2:
         raise DomainError(f"nearest-neighbor graph needs at least 2 points, got {k}")
-    if len(set(idx)) != k:
+    if np.any(idx[:, 1:] <= idx[:, :-1]):
         raise DomainError(
             "nearest-neighbor graph needs distinct points; split co-located nodes first"
         )
-    edges: set[EdgeKey] = set()
-    for a in range(k):
-        best: EdgeKey | None = None
-        for b in range(k):
-            if a == b:
-                continue
-            lo, hi = (idx[a], idx[b]) if idx[a] < idx[b] else (idx[b], idx[a])
-            key = EdgeKey(float(space.dist[lo, hi]), lo, hi)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        edges.add(best)
-    ordered = tuple(sorted(edges))
-    return NNGraph(
-        edges=ordered,
-        longest=ordered[-1],
-        total_length=math.fsum(e.length for e in ordered),
-    )
+    r = np.arange(B)
+    rows = r[:, None]
+    cols = np.arange(k)
+    D = space.dist[idx[:, :, None], idx[:, None, :]]
+    D[:, cols, cols] = np.inf
+    nearest = D.argmin(axis=2)
+    lo, hi = np.minimum(cols, nearest), np.maximum(cols, nearest)
+    # a mutual pair is one edge: keep it from its lower column only
+    kept = (nearest[rows, nearest] != cols) | (cols < nearest)
+    length = np.where(kept, D[rows, lo, hi], 0.0)
+    total = np.array([math.fsum(x) for x in length.tolist()])
+    top = kept & (length == length.max(axis=1, keepdims=True))
+    e = np.where(top, lo * k + hi, -1).argmax(axis=1)
+    longest = np.stack([idx[r, lo[r, e]], idx[r, hi[r, e]]], axis=1)
+    return NNBlock(nearest, total, longest)
 
 
 def nn_graph(space: MetricSpace, points: Sequence) -> NNGraph:
     """Nearest-neighbor graph under EdgeKey order over distinct points."""
-    return _nn_indices(space, space.indices(points))
+    idx = np.sort(_one_row(space, points), axis=1)
+    block = _nn_indices(space, idx)
+    row = idx[0].tolist()
+    edges = {edge_key(space, row[a], row[b]) for a, b in enumerate(block.nearest[0].tolist())}
+    lo, hi = block.longest[0].tolist()
+    return NNGraph(
+        edges=tuple(sorted(edges)),
+        longest=EdgeKey(float(space.dist[lo, hi]), lo, hi),
+        total_length=float(block.total[0]),
+    )
 
 
 def longest_nn_edge(space: MetricSpace, points: Sequence) -> EdgeKey:

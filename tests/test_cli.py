@@ -48,6 +48,24 @@ def test_validate_ok_and_failure(tmp_path, instance_path):
     assert main(["validate", str(missing)]) == 2
 
 
+@pytest.mark.parametrize(
+    "break_doc",
+    [
+        lambda d: d["nodes"][0].pop("dist"),
+        lambda d: d["points"][0].pop("id"),
+        lambda d: d.update(points=5),
+        lambda d: d["nodes"][0].update(dist=[0.5, 0.5]),
+    ],
+    ids=["node-without-dist", "point-without-id", "points-not-a-list", "dist-is-a-list"],
+)
+def test_validate_malformed_document_exits_2(tmp_path, instance_path, break_doc):
+    doc = json.loads(instance_path.read_text())
+    break_doc(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+
+
 def test_solve_single_realization(tmp_path, instance_path):
     out = tmp_path / "out.json"
     realization = json.dumps({"v0": "p0", "v1": "p1", "v2": "p2"})

@@ -19,7 +19,9 @@ from stochgraph import (
     exact_expectation,
     tree_sum,
 )
-from stochgraph.mc import realization_classes
+from stochgraph.mc import BLOCK_SIZE, realization_classes, run_conditional_mc
+from stochgraph.rng import SampleStream
+from stochgraph.sampling import ConditionalSampler
 
 from conftest import random_graph, rng_for
 
@@ -135,6 +137,28 @@ def test_realization_classes_partition_matches_rowwise_unique(n, m, radix_keys):
         assert len(pairs) == len(ref)
         if radix_keys:  # radix keys keep lexicographic class order
             np.testing.assert_array_equal(classes, ref)
+
+
+def test_class_fn_gets_each_block_distinct_sorted_classes(rng):
+    g = random_graph(rng, 4, 5)
+    sampler = ConditionalSampler(g)
+    blocks = []
+
+    def class_fn(rows):
+        blocks.append(rows.copy())
+        return rows[:, -1].astype(float), (rows[:, 0] == rows[:, -1]).astype(int)
+
+    n = 2 * BLOCK_SIZE + 7
+    mean, hits = run_conditional_mc(sampler, class_fn, n, SampleStream(1, "blocks", g.n))
+    assert len(blocks) == 3
+    rows = np.sort(sampler.draw_block(SampleStream(1, "blocks", g.n), 0, n), axis=1)
+    # integer values sum exactly, so block boundaries cannot matter
+    assert mean == tree_sum(rows[:, -1].astype(float)) / n
+    assert hits == int((rows[:, 0] == rows[:, -1]).sum())
+    for block in blocks:
+        assert block.shape[1] == g.n
+        assert np.all(block[:, 1:] >= block[:, :-1])
+        assert len(np.unique(block, axis=0)) == len(block)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from itertools import product
 
@@ -332,3 +333,41 @@ def test_instance_validation_errors():
         instance_from_dict(
             {"points": [{"id": "a"}], "nodes": [{"id": "v", "dist": {"a": 1.0}}]}
         )
+
+
+def _paths(x, prefix=()):
+    """Every (container path, key) of a JSON document, depth first."""
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield prefix, k
+        yield from _paths(v, prefix + (k,))
+
+
+@pytest.mark.parametrize("presence_mode", ["certain", "existential"])
+def test_malformed_instance_documents_raise_validation_error(presence_mode):
+    g = random_graph(rng_for(31), 3, 4, presence_mode=presence_mode)
+    docs = [instance_to_dict(g)]
+    by_matrix = instance_to_dict(StochasticGraph(
+        g.node_ids, MetricSpace(g.space.point_ids, dist=g.space.dist), g.probs, presence_mode
+    ))
+    docs.append(by_matrix)
+    tried = 0
+    for doc in docs:
+        for path, key in _paths(doc):
+            for new in ("delete", 5, [1], "x", None):
+                bad = copy.deepcopy(doc)
+                holder = bad
+                for k in path:
+                    holder = holder[k]
+                if new != "delete":
+                    holder[key] = new
+                elif isinstance(holder, dict):
+                    del holder[key]
+                else:
+                    continue
+                tried += 1
+                try:
+                    instance_from_dict(bad)
+                except ValidationError:
+                    pass
+    assert tried > 200

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from stochgraph import (
     exact_expectation,
     exact_term,
 )
+from stochgraph import oracle
 from stochgraph.oracle import FunctionalEvaluator, enumerate_term
 
 from conftest import (
@@ -165,3 +168,31 @@ def test_enumerate_term_reports_count(rng):
     g = random_graph(rng, 3, 3)
     _, count = enumerate_term(g, Functional.MST)
     assert count == int(np.prod([(g.probs[v] > 0).sum() for v in range(3)]))
+
+
+def test_enumerate_term_frees_its_evaluator_without_gc(rng, monkeypatch):
+    refs = []
+
+    class Tracked(FunctionalEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(oracle, "FunctionalEvaluator", Tracked)
+    g = random_graph(rng, 3, 4)
+    gc.disable()
+    try:
+        enumerate_term(g, Functional.MST)
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
+
+
+def test_values_fill_rows_sharing_a_point_set():
+    g = random_graph(rng_for(70), 3, 4, presence_mode="existential")
+    ev = FunctionalEvaluator(g.space, Functional.MST)
+    rows = np.array([[-1, 0, 2], [0, 2, 3], [-1, 0, 2], [-1, -1, 1], [0, 2, 3]])
+    got = ev.values(rows)
+    assert got.tolist() == [ev.value_of_assignment(r) for r in rows.tolist()]
+    assert got[0] == got[2] and got[1] == got[4] and got[3] == 0.0
+    assert len(ev._cache) == 3

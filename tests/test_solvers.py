@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from stochgraph import (
     DomainError,
     MetricSpace,
+    StochasticGraph,
     cc_length,
     edge_key,
     longest_nn_edge,
@@ -16,11 +20,15 @@ from stochgraph import (
     nn_graph,
 )
 
+from stochgraph.cc import split_points
+from stochgraph.solvers import _cc_indices, _mpm_indices, _mst_indices, _nn_indices
+
 from conftest import (
     cc_by_permutation_enumeration,
     euclidean_space,
     mpm_by_subset_dp,
     mst_by_tree_enumeration,
+    nn_edges_of,
     rng_for,
 )
 
@@ -212,3 +220,133 @@ def test_scaling_by_power_of_two_is_exact():
         assert mpm_length(scaled, pts) == c * mpm_length(space, pts)
         assert cc_length(scaled, pts) == c * cc_length(space, pts)
         assert nn_graph(scaled, pts).total_length == c * nn_graph(space, pts).total_length
+
+
+# ---------------------------------------------------------------------------
+# batched kernels
+# ---------------------------------------------------------------------------
+
+def grid_space() -> MetricSpace:
+    """Integer-grid points (many equal distances) plus two co-located copies."""
+    xy = [[x, y] for x in range(3) for y in range(3)] + [[1, 1], [0, 2]]
+    return MetricSpace([f"p{i}" for i in range(len(xy))], coords=np.array(xy, dtype=float))
+
+
+def random_rows(rng, m: int, k: int, count: int, distinct: bool) -> np.ndarray:
+    rows = [np.sort(rng.choice(m, size=k, replace=not distinct)) for _ in range(count)]
+    return np.array(rows, dtype=np.intp).reshape(count, k)
+
+
+def nn_reference(space: MetricSpace, row) -> tuple[float, tuple[int, int]]:
+    edges = nn_edges_of(space, tuple(row))
+    return math.fsum(e[0] for e in edges), edges[-1][1:]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_batched_mst_matches_tree_enumeration(k):
+    space = grid_space()
+    rows = random_rows(rng_for(600 + k), space.m, k, 25, distinct=False)
+    got = _mst_indices(space, rows)
+    assert got.tolist() == [mst_by_tree_enumeration(space, r) for r in rows.tolist()]
+
+
+@pytest.mark.parametrize("k", [0, 2, 4, 6, 8])
+def test_batched_mpm_matches_subset_dp(k):
+    space = grid_space()
+    rows = random_rows(rng_for(610 + k), space.m, k, 25, distinct=False)
+    got = _mpm_indices(space, rows)
+    assert got.tolist() == [mpm_by_subset_dp(space, r) for r in rows.tolist()]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7])
+def test_batched_cc_matches_permutation_enumeration(k):
+    space = grid_space()
+    rows = random_rows(rng_for(620 + k), space.m, k, 25, distinct=False)
+    got = _cc_indices(space, rows)
+    assert got.tolist() == [cc_by_permutation_enumeration(space, r) for r in rows.tolist()]
+
+
+@pytest.mark.parametrize("k", [2, 3, 6, 11])
+def test_batched_nn_matches_edge_key_reference(k):
+    space = grid_space()
+    rows = random_rows(rng_for(630 + k), space.m, k, 25, distinct=True)
+    block = _nn_indices(space, rows)
+    for row, total, longest in zip(rows.tolist(), block.total.tolist(), block.longest.tolist()):
+        assert (total, tuple(longest)) == nn_reference(space, row)
+
+
+@pytest.mark.parametrize("kernel", [_mst_indices, _mpm_indices, _cc_indices])
+def test_row_value_does_not_depend_on_its_batch(kernel):
+    rng = rng_for(640)
+    space = euclidean_space(rng, 12)
+    rows = random_rows(rng, 12, 6, 40, distinct=False)
+    whole = kernel(space, rows)
+    alone = np.concatenate([kernel(space, rows[i : i + 1]) for i in range(len(rows))])
+    perm = rng.permutation(len(rows))
+    shuffled = kernel(space, rows[perm])
+    assert whole.tobytes() == alone.tobytes()
+    assert shuffled.tobytes() == whole[perm].tobytes()
+
+
+def test_nn_row_does_not_depend_on_its_batch():
+    rng = rng_for(641)
+    space = grid_space()
+    rows = random_rows(rng, space.m, 5, 40, distinct=True)
+    whole = _nn_indices(space, rows)
+    perm = rng.permutation(len(rows))
+    shuffled = _nn_indices(space, rows[perm])
+    for i in range(len(rows)):
+        alone = _nn_indices(space, rows[i : i + 1])
+        assert alone.total.tobytes() == whole.total[i : i + 1].tobytes()
+        assert alone.longest.tolist() == whole.longest[i : i + 1].tolist()
+    assert shuffled.total.tobytes() == whole.total[perm].tobytes()
+    assert shuffled.longest.tolist() == whole.longest[perm].tolist()
+
+
+def mpm_by_exact_enumeration(D: np.ndarray, row: list[int]) -> float:
+    """fsum of a perfect matching whose exact rational weight is least."""
+
+    def matchings(rest):
+        if not rest:
+            yield []
+            return
+        a = rest[0]
+        for i in range(1, len(rest)):
+            for m in matchings(rest[1:i] + rest[i + 1 :]):
+                yield [(a, rest[i])] + m
+
+    best = min(
+        matchings(list(range(len(row)))),
+        key=lambda m: sum(Fraction(float(D[row[a], row[b]])) for a, b in m),
+    )
+    return math.fsum(float(D[row[a], row[b]]) for a, b in best)
+
+
+def test_mpm_exact_across_binades_and_zero():
+    rng = rng_for(650)
+    m = 10
+    # weights from 2**-40 to 2**40, and exact zeros between co-located points
+    scale = 2.0 ** rng.integers(-40, 41, size=m)
+    scale[:2] = 0.0
+    D = np.maximum.outer(scale, scale) * (1.0 + rng.random((m, m)))
+    D = np.triu(D, 1) + np.triu(D, 1).T
+    D[0, 1] = D[1, 0] = 0.0
+    space = MetricSpace([f"p{i}" for i in range(m)], dist=D, validate=False)
+    for k in (4, 6, 8):
+        for _ in range(6):
+            row = rng.permutation(m)[:k].tolist()
+            got = _mpm_indices(space, np.array([row], dtype=np.intp))
+            assert got[0] == mpm_by_exact_enumeration(D, row)
+
+
+def test_nn_longest_edge_ties_on_split_copies():
+    # four nodes sharing two points: every realization has zero-length ties
+    space = MetricSpace(["a", "b", "c"], coords=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    probs = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+    g = StochasticGraph([f"v{i}" for i in range(4)], space, probs)
+    split = split_points(g).graph.space
+    rows = random_rows(rng_for(661), split.m, 4, 60, distinct=True)
+    block = _nn_indices(split, rows)
+    for row, total, longest in zip(rows.tolist(), block.total.tolist(), block.longest.tolist()):
+        assert (total, tuple(longest)) == nn_reference(split, row)
+        assert longest_nn_edge(split, row) == edge_key(split, *longest)
