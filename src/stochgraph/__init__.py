@@ -20,7 +20,6 @@ from .errors import (
 )
 from .mc import (
     EstimateReport,
-    SampleBudget,
     TermReport,
     chernoff_budget,
     estimate_conditional,
@@ -74,7 +73,6 @@ __all__ = [
     "NNGraph",
     "PairTerm",
     "Realization",
-    "SampleBudget",
     "SampleStream",
     "SplitSpace",
     "StochasticGraph",

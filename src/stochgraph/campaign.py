@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 from .cc import estimate_ecc
 from .errors import DomainError, EnumerationCapError
-from .mc import EstimateReport, check_budget_scale
+from .mc import EstimateReport, check_run_settings
 from .model import StochasticGraph
 from .mpm import estimate_empm
 from .mst_dp import estimate_emst_dp
@@ -142,9 +142,12 @@ def run_campaign(
 
     Rows where the oracle refused (enumeration cap) or the estimator cannot
     apply (odd node count for matchings) carry a reason and are excluded from
-    the aggregate.  An invalid budget scale fails the whole run.
+    the aggregate.  An invalid epsilon, budget scale, budget cap or thread
+    count fails the whole run.
     """
-    check_budget_scale(budget_scale)
+    if not 0.0 < epsilon <= 1.0:
+        raise DomainError("epsilon must be in (0, 1]")
+    check_run_settings(budget_scale, budget_cap, threads)
     result = CampaignResult(epsilon=epsilon)
     for name, g in instances:
         oracles: dict[Functional, tuple[Optional[float], str]] = {}

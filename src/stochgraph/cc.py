@@ -31,11 +31,10 @@ from .mc import (
     TermReport,
     apply_budget_scale,
     combine_terms,
-    run_conditional_mc,
+    estimate_conditional,
+    run_conditional_mc,  # noqa: F401  (perfbench/tracer.py wraps this binding)
 )
-from .model import EXISTENTIAL, Event, MetricSpace, StochasticGraph, mass_in
-from .rng import SampleStream
-from .sampling import ConditionalSampler
+from .model import MetricSpace, StochasticGraph, mass_in, pinned_event
 from .solvers import EdgeKey, _cc_indices, _nn_indices, blocks_by_size, present_sets
 
 _SLACK = 1e-9  # relative float slack in per-sample sandwich assertions
@@ -207,17 +206,6 @@ class _PairValues:
         return [self.cache[key] for key in keys]
 
 
-def _pair_event(sp: SplitSpace, si: int, ti: int, mutual: bool) -> Event:
-    g = sp.graph
-    v, u = sp.owner[si], sp.owner[ti]
-    allowed = np.tile(_outside(sp, si, ti, mutual), (g.n, 1))
-    allowed[[v, u]] = False
-    allowed[v, si] = allowed[u, ti] = True
-    absent = np.full(g.n, g.presence_mode == EXISTENTIAL)
-    absent[[v, u]] = False
-    return Event(allowed, absent)
-
-
 def estimate_pair_term(
     sp: SplitSpace,
     s: Union[str, int],
@@ -275,17 +263,16 @@ def estimate_pair_term(
             vals[r], hits[r] = cc, 1
         return vals, hits
 
-    sampler = ConditionalSampler(g, _pair_event(sp, si, ti, mutual))
-    if sampler.is_deterministic:
-        vals, hits = class_fn(np.sort([[int(o[0]) for o in sampler.outcomes]], axis=1))
-        mean, hits = float(vals[0]), int(hits[0])
-        n_samples = 1
-    else:
-        stream = SampleStream(seed, f"cc/{term.s}/{term.t}/{kind}", g.n)
-        mean, hits = run_conditional_mc(sampler, class_fn, n_samples, stream, threads)
+    mean, term.indicator_hits, term.samples = estimate_conditional(
+        g,
+        pinned_event(g, _outside(sp, si, ti, mutual), v, si, u, ti),
+        class_fn,
+        n_samples,
+        seed=seed,
+        tag=f"cc/{term.s}/{term.t}/{kind}",
+        threads=threads,
+    )
     term.estimate = prob * mean
-    term.samples = n_samples
-    term.indicator_hits = hits
     return term
 
 

@@ -44,11 +44,19 @@ def _default_threads() -> int:
 
 
 def _start_run(args) -> int:
-    """Warn when --budget-scale is below 1; return the thread count."""
+    """Warn when --budget-scale is below 1 or --budget-cap is given; return
+    the thread count."""
     if args.budget_scale < 1.0:
         print(
             f"WARNING: budget-scale {args.budget_scale} < 1 voids the FPRAS "
             "guarantee; results are exploratory",
+            file=sys.stderr,
+        )
+    if args.budget_cap is not None:
+        print(
+            f"WARNING: budget-cap {args.budget_cap} voids the FPRAS guarantee "
+            "for every term whose full budget exceeds it (see full_budget); "
+            "results are exploratory",
             file=sys.stderr,
         )
     return args.threads if args.threads is not None else _default_threads()

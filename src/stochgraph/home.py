@@ -96,18 +96,17 @@ def estimate_by_homes(
     def sampled(
         name: str, tag: str, prob: float, allowed: np.ndarray, bounds: tuple[float, float]
     ) -> TermReport:
-        budget, full = term_budget(
+        used, full = term_budget(
             *bounds, report.epsilon_mc, delta, report.budget_scale, report.budget_cap
         )
-        mean, samples = estimate_conditional(
+        mean, _, samples = estimate_conditional(
             g,
-            functional,
             Event(allowed, nobody_absent),
-            budget,
+            evaluator.class_fn,
+            used,
             seed=report.seed,
             tag=f"{report.estimator}/{tag}",
             threads=report.threads,
-            evaluator=evaluator,
         )
         return TermReport(
             name,

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import DomainError
 from .model import Event, EventSpec, StochasticGraph
-from .oracle import Functional, FunctionalEvaluator
 from .rng import STREAM_VERSION, SampleStream
 from .sampling import ConditionalSampler
 
@@ -53,33 +52,20 @@ def chernoff_budget(U: float, mu_lower: float, epsilon: float, delta: float) -> 
     return max(1, math.ceil(4.0 * U * math.log(2.0 / delta) / (mu_lower * epsilon * epsilon)))
 
 
-@dataclass(frozen=True)
-class SampleBudget:
-    """Monte Carlo plan for one conditional-expectation term."""
-
-    n: int
-    u: float
-    mu_lower: float
-    epsilon: float
-    delta: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("budget needs at least one sample")
-        if not (self.u >= self.mu_lower > 0.0):
-            raise DomainError("need U >= mu_lower > 0")
-        if self.epsilon <= 0.0 or not 0.0 < self.delta < 1.0:
-            raise DomainError("need epsilon > 0 and delta in (0, 1)")
-
-
-def check_budget_scale(scale: float) -> None:
+def check_run_settings(scale: float, cap: Optional[int] = None, threads: int = 1) -> None:
+    """Reject a budget scale that is not positive and finite, and a sample
+    cap or thread count below 1."""
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError("budget scale must be positive and finite")
+    if cap is not None and cap < 1:
+        raise DomainError("budget cap must be at least 1")
+    if threads < 1:
+        raise DomainError("thread count must be at least 1")
 
 
 def apply_budget_scale(full_n: int, scale: float = 1.0, cap: Optional[int] = None) -> int:
     """Scaled-down sample count: ceil(full * scale), clipped by cap, floor 1."""
-    check_budget_scale(scale)
+    check_run_settings(scale, cap)
     n = full_n if scale == 1.0 else math.ceil(full_n * scale)
     if cap is not None:
         n = min(n, int(cap))
@@ -93,11 +79,10 @@ def term_budget(
     delta: float,
     scale: float = 1.0,
     cap: Optional[int] = None,
-) -> tuple[SampleBudget, int]:
+) -> tuple[int, int]:
     """The scaled and capped Chernoff budget of one term, and the full count."""
     full = chernoff_budget(u, mu_lower, epsilon, delta)
-    used = apply_budget_scale(full, scale, cap)
-    return SampleBudget(used, u, mu_lower, epsilon, delta), full
+    return apply_budget_scale(full, scale, cap), full
 
 
 def realization_classes(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,32 +147,28 @@ def run_conditional_mc(
 
 def estimate_conditional(
     g: StochasticGraph,
-    functional: Functional,
     event: Union[EventSpec, Event, None],
-    budget: SampleBudget,
+    class_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    n_samples: int,
     *,
     seed: int,
     tag: str,
     threads: int = 1,
-    evaluator: Optional[FunctionalEvaluator] = None,
-) -> tuple[float, int]:
-    """Sample mean of the functional under the conditioning event.
+) -> tuple[float, int, int]:
+    """Sample mean of ``class_fn`` under the conditioning event.
 
-    Returns (mean, samples_used).  If the event pins every node the value is
-    computed once, exactly.
+    ``class_fn`` is as in ``run_conditional_mc``; draws come from the
+    ``(seed, tag)`` stream.  Returns (mean, indicator_hits, samples_used).
+    If the event pins every node, ``class_fn`` runs once on that
+    realization, outside the engine, and counts as one sample.
     """
     sampler = ConditionalSampler(g, event)
-    evaluator = evaluator or FunctionalEvaluator(g.space, functional)
-
     if sampler.is_deterministic:
-        return evaluator.value_of_assignment([int(o[0]) for o in sampler.outcomes]), 1
-
-    def class_fn(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return evaluator.values(rows), np.zeros(len(rows), dtype=np.int64)
-
+        vals, hits = class_fn(np.sort([[int(o[0]) for o in sampler.outcomes]], axis=1))
+        return float(vals[0]), int(hits[0]), 1
     stream = SampleStream(seed, tag, g.n)
-    mean, _ = run_conditional_mc(sampler, class_fn, budget.n, stream, threads)
-    return mean, budget.n
+    mean, hits = run_conditional_mc(sampler, class_fn, n_samples, stream, threads)
+    return mean, hits, n_samples
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +222,9 @@ class EstimateReport:
     flags: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
     elapsed: float = 0.0
+
+    def __post_init__(self):
+        check_run_settings(self.budget_scale, self.budget_cap, self.threads)
 
     def to_dict(self, include_timing: bool = False) -> dict:
         d = {

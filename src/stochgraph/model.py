@@ -243,6 +243,8 @@ class Realization:
 
     @classmethod
     def from_mapping(cls, g: StochasticGraph, assignment: Mapping[str, Optional[str]]) -> "Realization":
+        if not isinstance(assignment, Mapping):
+            raise ValidationError("a realization must be an object mapping node ids to point ids")
         if set(assignment.keys()) != set(g.node_ids):
             missing = set(g.node_ids) - set(assignment.keys())
             extra = set(assignment.keys()) - set(g.node_ids)
@@ -336,6 +338,18 @@ def as_event(g: StochasticGraph, event: Union[EventSpec, Event, None]) -> Event:
     if isinstance(event, EventSpec):
         return event.to_event(g)
     return event
+
+
+def pinned_event(g: StochasticGraph, base: np.ndarray, v: int, s: int, u: int, t: int) -> Event:
+    """Node v at point s, node u at point t, and every other node inside
+    ``base`` (a point mask, or an n×m mask with one row per node) or, in
+    existential mode, absent."""
+    allowed = np.broadcast_to(base, (g.n, g.m)).copy()
+    allowed[[v, u]] = False
+    allowed[v, s] = allowed[u, t] = True
+    absent = np.full(g.n, g.presence_mode == EXISTENTIAL)
+    absent[[v, u]] = False
+    return Event(allowed, absent)
 
 
 def mass_in(g: StochasticGraph, w: int, points, absent: bool = True) -> float:

@@ -30,7 +30,7 @@ from .mc import (
     estimate_conditional,
     term_budget,
 )
-from .model import Event, StochasticGraph, mass_in
+from .model import StochasticGraph, mass_in, pinned_event
 from .oracle import Functional, FunctionalEvaluator
 
 
@@ -130,25 +130,20 @@ def estimate_emst_dp(
                 continue
             # v_i sits at u_i and w_j at r_j; everyone else stays inside the
             # prefix or is absent.
-            allowed = prefix & support
-            allowed[[vi, wj]] = False
-            allowed[vi, ui] = allowed[wj, rj] = True
-            if work.presence_mode == "certain" and not allowed.any(axis=1).all():
+            event = pinned_event(work, prefix & support, vi, ui, wj, rj)
+            if work.presence_mode == "certain" and not event.allowed.any(axis=1).all():
                 continue  # unreachable: the chain weight is 0 here
-            absent = np.full(n, work.presence_mode == "existential")
-            absent[[vi, wj]] = False
-            budget, full = term_budget(
+            used, full = term_budget(
                 n * d_ij, d_ij, eps_mc, delta_each, budget_scale, budget_cap
             )
-            mean, samples = estimate_conditional(
+            mean, _, samples = estimate_conditional(
                 work,
-                Functional.MST,
-                Event(allowed, absent),
-                budget,
+                event,
+                evaluator.class_fn,
+                used,
                 seed=seed,
                 tag=f"mst-dp/{space.point_ids[ui]}/{space.point_ids[rj]}",
                 threads=threads,
-                evaluator=evaluator,
             )
             report.terms.append(
                 TermReport(

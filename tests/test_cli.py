@@ -220,6 +220,43 @@ def test_non_finite_budget_scale_is_invalid(instance_path, scale):
         assert main(args + ["--budget-scale", scale]) == 2
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        ["--budget-cap", "0"],
+        ["--budget-cap", "-5"],
+        ["--threads", "0"],
+        ["--threads", "-3"],
+    ],
+)
+def test_budget_cap_or_threads_below_1_is_invalid(instance_path, setting):
+    for args in (
+        ["estimate", "mst", str(instance_path), "--epsilon", "0.25", "--seed", "1"],
+        ["estimate", "cc", str(instance_path), "--epsilon", "0.25", "--seed", "1"],
+        ["compare", str(instance_path), "--epsilon", "0.25", "--seeds", "1"],
+    ):
+        assert main(args + setting) == 2
+
+
+def test_budget_cap_warning_on_stderr(instance_path, capsys):
+    args = ["estimate", "mst", str(instance_path), "--epsilon", "0.25", "--seed", "1"]
+    assert main(args + ["--budget-cap", "1000"]) == 0
+    err = capsys.readouterr().err
+    assert "WARNING" in err and "budget-cap 1000" in err and "FPRAS" in err
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-0.5", "1.5", "nan"])
+def test_compare_epsilon_outside_unit_interval_is_invalid(instance_path, epsilon):
+    args = ["compare", str(instance_path), "--epsilon", epsilon, "--seeds", "1"]
+    assert main(args) == 2
+
+
+@pytest.mark.parametrize("realization", ["[1, 2]", '"v0"', "5", "null"])
+def test_solve_rejects_non_object_realization(instance_path, realization):
+    args = ["solve", str(instance_path), "--functional", "mst", "--realization", realization]
+    assert main(args) == 2
+
+
 def test_compare_json_and_csv_agree(tmp_path):
     inst = tmp_path / "i.json"
     assert main(["gen", "euclidean-uniform", "2", "3", "--seed", "2", "-o", str(inst)]) == 0

@@ -9,17 +9,19 @@ import pytest
 
 from stochgraph import (
     DomainError,
+    EstimateReport,
     EventSpec,
     Functional,
     MetricSpace,
-    SampleBudget,
     StochasticGraph,
     chernoff_budget,
     estimate_conditional,
     exact_expectation,
     tree_sum,
 )
-from stochgraph.mc import BLOCK_SIZE, realization_classes, run_conditional_mc
+from stochgraph.mc import BLOCK_SIZE, apply_budget_scale, realization_classes, run_conditional_mc
+from stochgraph.model import Event
+from stochgraph.oracle import FunctionalEvaluator
 from stochgraph.rng import SampleStream
 from stochgraph.sampling import ConditionalSampler
 
@@ -81,12 +83,14 @@ def test_budget_achieves_coverage_on_bernoulli():
         assert failures / 200 <= delta
 
 
-def test_sample_budget_validation():
-    SampleBudget(10, 2.0, 1.0, 0.5, 0.25)
-    with pytest.raises(DomainError):
-        SampleBudget(0, 2.0, 1.0, 0.5, 0.25)
-    with pytest.raises(DomainError):
-        SampleBudget(10, 0.5, 1.0, 0.5, 0.25)
+def test_budget_cap_and_threads_below_1_are_domain_errors():
+    assert apply_budget_scale(10, 1.0, 1) == 1
+    for cap in (0, -5):
+        with pytest.raises(DomainError):
+            apply_budget_scale(10, 1.0, cap)
+    for settings in ({"budget_cap": 0}, {"threads": 0}, {"threads": -3}):
+        with pytest.raises(DomainError):
+            EstimateReport("mst-home", 0.25, 1, **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +169,10 @@ def test_class_fn_gets_each_block_distinct_sorted_classes(rng):
 # estimate_conditional
 # ---------------------------------------------------------------------------
 
+def mst_class_fn(g):
+    return FunctionalEvaluator(g.space, Functional.MST).class_fn
+
+
 def test_conditional_deterministic_event_is_exact():
     space = line_space(0.0, 3.0)
     g = StochasticGraph(
@@ -173,12 +181,52 @@ def test_conditional_deterministic_event_is_exact():
         {v: {"p0": 0.5, "p1": 0.5} for v in ("v1", "v2")},
     )
     ev = EventSpec(allowed={"v1": "p0", "v2": "p1"})
-    budget = SampleBudget(1000, 3.0, 0.1, 0.25, 0.1)
-    mean, samples = estimate_conditional(
-        g, Functional.MST, ev, budget, seed=5, tag="t"
+    mean, hits, samples = estimate_conditional(
+        g, ev, mst_class_fn(g), 1000, seed=5, tag="t"
     )
     assert mean == 3.0
+    assert hits == 0
     assert samples == 1
+
+
+def test_conditional_pinned_existential_event_is_the_oracle_value():
+    space = line_space(0.0, 3.0, 5.0)
+    g = StochasticGraph(
+        ["v1", "v2", "v3"],
+        space,
+        {
+            "v1": {"p0": 0.5, "p1": 0.3},
+            "v2": {"p1": 0.6, "p2": 0.2},
+            "v3": {"p0": 0.1, "p2": 0.7},
+        },
+        presence_mode="existential",
+    )
+    # v1 at p0, v2 at p2, v3 pinned absent
+    event = Event(
+        np.array([[True, False, False], [False, False, True], [False, False, False]]),
+        np.array([False, False, True]),
+    )
+    oracle = exact_expectation(g, Functional.MST, event)
+    mean, hits, samples = estimate_conditional(
+        g, event, mst_class_fn(g), 1000, seed=5, tag="absent"
+    )
+    assert mean == oracle == 5.0
+    assert (hits, samples) == (0, 1)
+
+
+def test_conditional_hits_count_indicator_samples(rng):
+    g = random_graph(rng, 4, 5)
+
+    def class_fn(rows):
+        return rows[:, -1].astype(float), (rows[:, -1] % 2 == 0).astype(int)
+
+    n = BLOCK_SIZE + 321
+    mean, hits, samples = estimate_conditional(g, None, class_fn, n, seed=9, tag="hits")
+    rows = np.sort(ConditionalSampler(g).draw_block(SampleStream(9, "hits", g.n), 0, n), axis=1)
+    assert samples == n
+    assert hits == int((rows[:, -1] % 2 == 0).sum())
+    assert 0 < hits < n
+    assert mean == tree_sum(rows[:, -1].astype(float)) / n
 
 
 def test_conditional_tracks_oracle():
@@ -195,9 +243,8 @@ def test_conditional_tracks_oracle():
     oracle = exact_expectation(g, Functional.MST, ev)
     hits = 0
     for seed in range(20):
-        budget = SampleBudget(2000, 1.0, 0.1, 0.2, 0.1)
-        mean, _ = estimate_conditional(
-            g, Functional.MST, ev, budget, seed=seed, tag="vs-oracle"
+        mean, _, _ = estimate_conditional(
+            g, ev, mst_class_fn(g), 2000, seed=seed, tag="vs-oracle"
         )
         if abs(mean - oracle) <= 0.2 * oracle:
             hits += 1
@@ -206,10 +253,9 @@ def test_conditional_tracks_oracle():
 
 def test_conditional_thread_count_invariance(rng):
     g = random_graph(rng, 4, 5)
-    budget = SampleBudget(20_000, 1.0, 0.01, 0.25, 0.1)
     means = {
         threads: estimate_conditional(
-            g, Functional.MST, None, budget, seed=3, tag="threads", threads=threads
+            g, None, mst_class_fn(g), 20_000, seed=3, tag="threads", threads=threads
         )[0]
         for threads in (1, 4, 8)
     }
@@ -220,10 +266,9 @@ def test_conditional_thread_count_invariance_without_radix_keys(rng):
     # 25**16 overflows int64, so the engine compares rows as raw bytes
     g = random_graph(rng, 16, 24, max_support=3)
     assert (g.m + 1) ** g.n >= 2**63
-    budget = SampleBudget(2 * 4096 + 500, 1.0, 0.01, 0.25, 0.1)
     means = {
         threads: estimate_conditional(
-            g, Functional.MST, None, budget, seed=4, tag="threads", threads=threads
+            g, None, mst_class_fn(g), 2 * 4096 + 500, seed=4, tag="threads", threads=threads
         )[0]
         for threads in (1, 2, 4)
     }
@@ -234,8 +279,6 @@ def test_conditional_unbiased_at_sampler_level(rng):
     # mean over many samples approaches the oracle-computed expectation
     g = random_graph(rng, 3, 4)
     oracle = exact_expectation(g, Functional.CC)
-    budget = SampleBudget(60_000, 1.0, 0.01, 0.25, 0.1)
-    mean, _ = estimate_conditional(
-        g, Functional.CC, None, budget, seed=17, tag="unbiased"
-    )
+    class_fn = FunctionalEvaluator(g.space, Functional.CC).class_fn
+    mean, _, _ = estimate_conditional(g, None, class_fn, 60_000, seed=17, tag="unbiased")
     assert mean == pytest.approx(oracle, rel=0.05)
