@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cc import estimate_ecc
 from .errors import DomainError, EnumerationCapError
@@ -105,26 +106,24 @@ class CampaignResult:
         }
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(",".join(CSV_COLUMNS) + "\n")
-        for r in self.rows:
-            out.write(
-                ",".join(
-                    [
-                        "1",
-                        r.instance,
-                        r.estimator,
-                        repr(r.seed),
-                        repr(r.estimate),
-                        repr(r.oracle),
-                        repr(r.rel_err),
-                        "true" if r.passed else "false",
-                        r.reason,
-                    ]
-                )
-                + "\n"
-            )
-        return out.getvalue()
+        return csv_text(
+            CSV_COLUMNS,
+            (
+                [1, r.instance, r.estimator, r.seed, r.estimate, r.oracle, r.rel_err,
+                 "true" if r.passed else "false", r.reason]
+                for r in self.rows
+            ),
+        )
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV with "\\n" line ends: a field holding a comma or a quote is quoted,
+    None is an empty field and other values are written with str()."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def run_campaign(
@@ -145,9 +144,7 @@ def run_campaign(
     the aggregate.  An invalid epsilon, budget scale, budget cap or thread
     count fails the whole run.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError("epsilon must be in (0, 1]")
-    check_run_settings(budget_scale, budget_cap, threads)
+    check_run_settings(budget_scale, budget_cap, threads, epsilon)
     result = CampaignResult(epsilon=epsilon)
     for name, g in instances:
         oracles: dict[Functional, tuple[Optional[float], str]] = {}

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -30,12 +31,13 @@ from .mc import (
     EstimateReport,
     TermReport,
     apply_budget_scale,
+    check_run_settings,
     combine_terms,
     estimate_conditional,
     run_conditional_mc,  # noqa: F401  (perfbench/tracer.py wraps this binding)
 )
 from .model import MetricSpace, StochasticGraph, mass_in, pinned_event
-from .solvers import EdgeKey, _cc_indices, _nn_indices, blocks_by_size, present_sets
+from .solvers import EdgeKey, _cc_indices, _nn_indices, blocks_by_size, edge_order, present_sets
 
 _SLACK = 1e-9  # relative float slack in per-sample sandwich assertions
 
@@ -48,7 +50,15 @@ class SplitSpace:
     owner: tuple[int, ...]   # split point index -> node index (-1 unowned)
     origin: tuple[int, ...]  # split point index -> original point index
     source: StochasticGraph
-    balls: dict = field(default_factory=dict, repr=False, compare=False)  # see _ball
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """(m, m) position of each edge in EdgeKey order; the diagonal ranks
+        after every edge.  Built on first use, so mst-dp never pays for it."""
+        lo, hi = edge_order(self.graph.space)
+        rank = np.full((self.graph.m, self.graph.m), lo.size)
+        rank[lo, hi] = rank[hi, lo] = np.arange(lo.size)
+        return rank
 
 
 def split_points(g: StochasticGraph) -> SplitSpace:
@@ -88,28 +98,14 @@ def split_points(g: StochasticGraph) -> SplitSpace:
     return SplitSpace(graph, tuple(owner), tuple(origin), g)
 
 
-def _ball(sp: SplitSpace, s: int, t: int) -> np.ndarray:
-    """Mask of the points strictly nearer to s than t under EdgeKey order
-    (s, t excluded).  Built once per (s, t) and kept on ``sp``, because the
-    pair terms of an edge share their balls."""
-    ball = sp.balls.get((s, t))
-    if ball is None:
-        space = sp.graph.space
-        ref = EdgeKey(float(space.dist[min(s, t), max(s, t)]), min(s, t), max(s, t))
-        ball = np.zeros(sp.graph.m, dtype=bool)
-        for r in range(sp.graph.m):
-            if r == s or r == t:
-                continue
-            lo, hi = (s, r) if s < r else (r, s)
-            ball[r] = EdgeKey(float(space.dist[lo, hi]), lo, hi) < ref
-        sp.balls[s, t] = ball
-    return ball
-
-
 def _outside(sp: SplitSpace, si: int, ti: int, mutual: bool) -> np.ndarray:
     """Points the other nodes may take when t is s's nearest neighbor (and
-    s is t's, if ``mutual``)."""
-    ball = _ball(sp, si, ti) | _ball(sp, ti, si) if mutual else _ball(sp, si, ti)
+    s is t's, if ``mutual``): those outside the ball of points nearer to s
+    than t under EdgeKey order."""
+    rank = sp.rank
+    ball = rank[si] < rank[si, ti]
+    if mutual:
+        ball |= rank[ti] < rank[si, ti]
     return ~ball
 
 
@@ -291,8 +287,7 @@ def estimate_ecc(
     threads: int = 1,
 ) -> EstimateReport:
     """FPRAS estimate of the expected minimum cycle cover length."""
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError("epsilon must be in (0, 1]")
+    check_run_settings(epsilon=epsilon)
     if g.n < 2:
         raise DomainError("a cycle cover needs at least 2 nodes")
     t0 = time.perf_counter()

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .campaign import ESTIMATORS, run_campaign, run_estimator
+from .campaign import ESTIMATORS, csv_text, run_campaign, run_estimator
 from .errors import (
     DomainError,
     EnumerationCapError,
@@ -36,16 +36,8 @@ EXIT_REFUSAL = 3
 EXIT_INTERNAL = 4
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("STOCHGRAPH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _start_run(args) -> int:
-    """Warn when --budget-scale is below 1 or --budget-cap is given; return
-    the thread count."""
+def _warn_budget(args) -> None:
+    """Warn when --budget-scale is below 1 or --budget-cap is given."""
     if args.budget_scale < 1.0:
         print(
             f"WARNING: budget-scale {args.budget_scale} < 1 voids the FPRAS "
@@ -59,7 +51,6 @@ def _start_run(args) -> int:
             "results are exploratory",
             file=sys.stderr,
         )
-    return args.threads if args.threads is not None else _default_threads()
 
 
 def _write(text: str, path: str | None) -> None:
@@ -99,6 +90,16 @@ def _load_event(spec: str | None) -> EventSpec:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", help="write JSON here instead of stdout")
+
+
+def _add_run_settings(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget-scale", type=float, default=1.0)
+    p.add_argument("--budget-cap", type=int, default=None,
+                   help="hard per-term sample cap")
+    # argparse parses a string default as if it were given, so a malformed
+    # STOCHGRAPH_THREADS fails exactly as the same --threads value does.
+    p.add_argument("--threads", type=int, default=os.environ.get("STOCHGRAPH_THREADS", "1"),
+                   help="worker threads (default: $STOCHGRAPH_THREADS, else 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,10 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--method", choices=["home", "dp"], default="home",
                    help="mst only: decomposition to use")
-    p.add_argument("--budget-scale", type=float, default=1.0)
-    p.add_argument("--budget-cap", type=int, default=None,
-                   help="hard per-term sample cap")
-    p.add_argument("--threads", type=int, default=None)
+    _add_run_settings(p)
     p.add_argument("--dump-homes", action="store_true",
                    help="include the home structure in the report")
     p.add_argument("--with-timing", action="store_true")
@@ -161,9 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=20, help="number of seeds (0..k-1)")
     p.add_argument("--seed-base", type=int, default=0)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--budget-scale", type=float, default=1.0)
-    p.add_argument("--budget-cap", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    _add_run_settings(p)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     _add_common(p)
@@ -226,7 +222,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_estimate(args) -> int:
     g = load_instance(args.instance)
-    threads = _start_run(args)
+    _warn_budget(args)
     name = args.target if args.target != "mst" else (
         "mst-home" if args.method == "home" else "mst-dp"
     )
@@ -237,7 +233,7 @@ def _cmd_estimate(args) -> int:
         args.seed,
         budget_scale=args.budget_scale,
         budget_cap=args.budget_cap,
-        threads=threads,
+        threads=args.threads,
     )
     if args.format == "csv":
         _write(_report_csv(report), args.output)
@@ -250,28 +246,19 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+_TERM_COLUMNS = ("name", "method", "value", "probability", "mean", "samples", "full_budget")
+_PAIR_COLUMNS = (
+    "s", "t", "node_s", "node_t", "kind", "prob", "estimate", "samples", "indicator_hits"
+)
+
+
 def _report_csv(report) -> str:
-    lines = []
     pairs = report.extras.get("pairs")
     if pairs:  # cycle-cover runs: the per-pair conditioned sub-terms
-        lines.append(
-            "schema_version,s,t,node_s,node_t,kind,prob,estimate,samples,indicator_hits"
-        )
-        for p in pairs:
-            lines.append(
-                "1,{s},{t},{node_s},{node_t},{kind},{prob!r},{estimate!r},"
-                "{samples},{indicator_hits}".format(**p)
-            )
+        columns, rows = _PAIR_COLUMNS, pairs
     else:
-        lines.append("schema_version,name,method,value,probability,mean,samples,full_budget")
-        for t in report.terms:
-            lines.append(
-                f"1,{t.name},{t.method},{t.value!r},"
-                f"{'' if t.probability is None else repr(t.probability)},"
-                f"{'' if t.mean is None else repr(t.mean)},"
-                f"{t.samples},{'' if t.full_budget is None else t.full_budget}"
-            )
-    return "\n".join(lines) + "\n"
+        columns, rows = _TERM_COLUMNS, [vars(t) for t in report.terms]
+    return csv_text(("schema_version",) + columns, ([1] + [r[c] for c in columns] for r in rows))
 
 
 def _cmd_compare(args) -> int:
@@ -279,7 +266,7 @@ def _cmd_compare(args) -> int:
     for e in estimators:
         if e not in ESTIMATORS:
             raise ValidationError(f"unknown estimator {e!r}")
-    threads = _start_run(args)
+    _warn_budget(args)
     instances = [(path, load_instance(path)) for path in args.instances]
     result = run_campaign(
         instances,
@@ -288,7 +275,7 @@ def _cmd_compare(args) -> int:
         args.epsilon,
         budget_scale=args.budget_scale,
         budget_cap=args.budget_cap,
-        threads=threads,
+        threads=args.threads,
         cap=args.cap,
     )
     if args.format == "csv":

@@ -28,6 +28,7 @@ from .errors import DomainError
 from .mc import (
     EstimateReport,
     TermReport,
+    check_run_settings,
     combine_terms,
     estimate_conditional,
     term_budget,
@@ -37,8 +38,7 @@ from .oracle import Functional, FunctionalEvaluator
 
 
 def check_inputs(g: StochasticGraph, epsilon: float) -> None:
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError("epsilon must be in (0, 1]")
+    check_run_settings(epsilon=epsilon)
     if g.presence_mode != CERTAIN:
         raise DomainError("the home decomposition requires certain presence mode")
 

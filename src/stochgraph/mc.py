@@ -52,9 +52,13 @@ def chernoff_budget(U: float, mu_lower: float, epsilon: float, delta: float) -> 
     return max(1, math.ceil(4.0 * U * math.log(2.0 / delta) / (mu_lower * epsilon * epsilon)))
 
 
-def check_run_settings(scale: float, cap: Optional[int] = None, threads: int = 1) -> None:
-    """Reject a budget scale that is not positive and finite, and a sample
-    cap or thread count below 1."""
+def check_run_settings(
+    scale: float = 1.0, cap: Optional[int] = None, threads: int = 1, epsilon: float = 1.0
+) -> None:
+    """Reject an epsilon outside (0, 1], a budget scale that is not positive
+    and finite, and a sample cap or thread count below 1."""
+    if not 0.0 < epsilon <= 1.0:
+        raise DomainError("epsilon must be in (0, 1]")
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError("budget scale must be positive and finite")
     if cap is not None and cap < 1:
@@ -64,12 +68,18 @@ def check_run_settings(scale: float, cap: Optional[int] = None, threads: int = 1
 
 
 def apply_budget_scale(full_n: int, scale: float = 1.0, cap: Optional[int] = None) -> int:
-    """Scaled-down sample count: ceil(full * scale), clipped by cap, floor 1."""
+    """Scaled-down sample count: ceil(full * scale), clipped by cap, floor 1.
+
+    The cap clips the product before it is rounded up, which gives the same
+    count for an integer cap and keeps a huge scale from overflowing.
+    """
     check_run_settings(scale, cap)
-    n = full_n if scale == 1.0 else math.ceil(full_n * scale)
+    n = full_n if scale == 1.0 else full_n * scale
     if cap is not None:
         n = min(n, int(cap))
-    return max(1, n)
+    if not math.isfinite(n):
+        raise DomainError("scaled sample budget is not finite; give a budget cap")
+    return max(1, math.ceil(n))
 
 
 def term_budget(

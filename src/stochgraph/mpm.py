@@ -22,6 +22,7 @@ from .home import check_inputs, estimate_by_homes
 from .mc import EstimateReport
 from .model import StochasticGraph
 from .oracle import Functional
+from .solvers import edge_order
 
 
 @dataclass(frozen=True)
@@ -53,94 +54,56 @@ class HomeClustering:
         }
 
 
-class _DSU:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _components(dsu: _DSU, m: int) -> list[list[int]]:
-    groups: dict[int, list[int]] = {}
-    for s in range(m):
-        groups.setdefault(dsu.find(s), []).append(s)
-    return [groups[r] for r in sorted(groups)]
-
-
 def find_home_clusters(g: StochasticGraph, epsilon: float) -> HomeClustering:
     """Single-linkage sweep stopping at the first radius where both hold:
     every node has a cluster with all but theta of its mass, and every
     cluster is home to an even number of nodes.
 
-    The sweep always terminates: once everything has merged into one
-    component the first condition holds with full mass and the second
-    reduces to n being even.
+    The sweep walks the edges once in `edge_order`, labelling each
+    component by its least point, and checks the two conditions where the
+    edge length grows after a merge: the components change nowhere else.
+    It always terminates: once everything has merged into one component the
+    first condition holds with full mass and the second reduces to n being
+    even.
     """
     check_inputs(g, epsilon)
     if g.n % 2 != 0:
-        raise DomainError("perfect matchings need an even number of nodes")
+        raise DomainError("perfect matchings need an even number of nodes (>= 2)")
     m = g.m
     theta = epsilon / (16.0 * g.n * m**3)
     if theta >= 0.5:
         raise InternalAssertionError("theta must stay below 1/2 for home uniqueness")
+    # A home holds all but theta < 1/m of its node's mass, so it holds the
+    # node's heaviest point: that point's component is the only candidate.
+    heaviest = g.probs.argmax(axis=1)
 
-    def check(dsu: _DSU):
-        comps = _components(dsu, m)
-        home_of = []
-        for v in range(g.n):
-            home = None
-            for ci, comp in enumerate(comps):
-                if float(g.probs[v, comp].sum()) >= 1.0 - theta:
-                    home = ci
-                    break
-            if home is None:
-                return None
-            home_of.append(home)
-        counts = [0] * len(comps)
-        for ci in home_of:
-            counts[ci] += 1
-        if any(c % 2 for c in counts):
-            return None
-        return comps, home_of
+    def settled(label: np.ndarray) -> bool:
+        home = label[heaviest]
+        return all(
+            float(g.probs[v, label == home[v]].sum()) >= 1.0 - theta for v in range(g.n)
+        ) and not (np.unique(home, return_counts=True)[1] % 2).any()
 
-    lengths: dict[float, list[tuple[int, int]]] = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            lengths.setdefault(float(g.space.dist[a, b]), []).append((a, b))
-
-    dsu = _DSU(m)
-    radius = 0.0
-    if 0.0 in lengths:
-        for a, b in lengths.pop(0.0):
-            dsu.union(a, b)
-    result = check(dsu)
-    for length in sorted(lengths):
-        if result is not None:
-            break
-        for a, b in lengths[length]:
-            dsu.union(a, b)
-        radius = length / 2.0
-        result = check(dsu)
-    if result is None:
-        raise InternalAssertionError("cluster sweep failed to terminate")
-    comps, home_of = result
-    diameters = [
-        float(g.space.dist[np.ix_(comp, comp)].max()) for comp in comps
-    ]
+    lo, hi = edge_order(g.space)
+    label = np.arange(m)
+    length, merged = 0.0, True
+    for a, b, d in zip(lo.tolist(), hi.tolist(), g.space.dist[lo, hi].tolist()):
+        if d != length:
+            if merged and settled(label):
+                break
+            length, merged = d, False
+        if label[a] != label[b]:
+            label[label == max(label[a], label[b])] = min(label[a], label[b])
+            merged = True
+    else:
+        if not (merged and settled(label)):
+            raise InternalAssertionError("cluster sweep failed to terminate")
+    roots = np.unique(label)
+    clusters = tuple(tuple(np.flatnonzero(label == r).tolist()) for r in roots)
     return HomeClustering(
-        clusters=tuple(tuple(comp) for comp in comps),
-        home_of=tuple(home_of),
-        merge_radius=radius,
-        max_diameter=max(diameters),
+        clusters=clusters,
+        home_of=tuple(np.searchsorted(roots, label[heaviest]).tolist()),
+        merge_radius=length / 2.0,
+        max_diameter=max(float(g.space.dist[np.ix_(c, c)].max()) for c in clusters),
         theta=theta,
     )
 
@@ -155,11 +118,8 @@ def estimate_empm(
     threads: int = 1,
 ) -> EstimateReport:
     """FPRAS estimate of the expected minimum perfect matching length."""
-    check_inputs(g, epsilon)
-    if g.n % 2 != 0 or g.n < 2:
-        raise DomainError("perfect matchings need an even number of nodes (>= 2)")
     t0 = time.perf_counter()
-    clustering = find_home_clusters(g, epsilon)
+    clustering = find_home_clusters(g, epsilon)  # checks the inputs
     D = clustering.max_diameter
     n, m = g.n, g.m
     report = EstimateReport(

@@ -22,10 +22,10 @@ from typing import Optional
 import numpy as np
 
 from .cc import SplitSpace, split_points
-from .errors import DomainError
 from .mc import (
     EstimateReport,
     TermReport,
+    check_run_settings,
     combine_terms,
     estimate_conditional,
     term_budget,
@@ -48,8 +48,7 @@ def estimate_emst_dp(
     Works in both presence modes; "inside the suffix" reads as "inside or
     absent" when nodes may be missing.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError("epsilon must be in (0, 1]")
+    check_run_settings(epsilon=epsilon)
     t0 = time.perf_counter()
     report = EstimateReport(
         estimator="mst-dp",

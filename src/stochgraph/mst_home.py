@@ -19,7 +19,7 @@ from .home import check_inputs, estimate_by_homes
 from .mc import EstimateReport, TermReport
 from .model import StochasticGraph
 from .oracle import Functional
-from .solvers import EdgeKey
+from .solvers import edge_order
 
 
 @dataclass(frozen=True)
@@ -55,22 +55,18 @@ def find_home(g: StochasticGraph, epsilon: float) -> HomeSet:
     expected mass.
     """
     check_inputs(g, epsilon)
-    mass = g.probs.sum(axis=0)
-    threshold = epsilon / (16.0 * g.m)
-    heavy = [s for s in range(g.m) if mass[s] >= threshold]
-    if not heavy:
+    heavy = g.probs.sum(axis=0) >= epsilon / (16.0 * g.m)
+    if not heavy.any():
         raise InternalAssertionError(
             "no heavy point found; impossible since max_s p(s) >= n/m"
         )
-    if len(heavy) == 1:
-        center, radius = heavy[0], 0.0
+    lo, hi = edge_order(g.space)
+    heavy_edges = np.flatnonzero(heavy[lo] & heavy[hi])
+    if heavy_edges.size == 0:  # a single heavy point
+        center, radius = int(np.flatnonzero(heavy)[0]), 0.0
     else:
-        furthest = max(
-            EdgeKey(float(g.space.dist[a, b]), a, b)
-            for i, a in enumerate(heavy)
-            for b in heavy[i + 1 :]
-        )
-        center, radius = furthest.lo, furthest.length
+        e = heavy_edges[-1]
+        center, radius = int(lo[e]), float(g.space.dist[lo[e], hi[e]])
     members = tuple(
         int(s) for s in range(g.m) if g.space.dist[center, s] <= radius
     )
@@ -96,7 +92,6 @@ def estimate_emst(
     threads: int = 1,
 ) -> EstimateReport:
     """FPRAS estimate of the expected minimum spanning tree length."""
-    check_inputs(g, epsilon)
     t0 = time.perf_counter()
     report = EstimateReport(
         estimator="mst-home",
@@ -108,9 +103,10 @@ def estimate_emst(
         threads=threads,
     )
     if g.n == 1:
+        check_inputs(g, epsilon)
         report.terms.append(TermReport("all-home", 0.0, "exact", probability=1.0))
     else:
-        home = find_home(g, epsilon)
+        home = find_home(g, epsilon)  # checks the inputs
         report.extras["home"] = home.to_dict(g.space)
         D = home.diameter
         estimate_by_homes(

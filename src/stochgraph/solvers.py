@@ -47,6 +47,17 @@ def edge_key(space: MetricSpace, a: Union[str, int], b: Union[str, int]) -> Edge
     return EdgeKey(float(space.dist[lo, hi]), lo, hi)
 
 
+def edge_order(space: MetricSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (lo, hi) of every edge of ``space`` in EdgeKey order.
+
+    ``np.triu_indices`` lists the edges by (lo, hi), so a stable sort on
+    length alone breaks ties as EdgeKey does.
+    """
+    lo, hi = np.triu_indices(space.m, 1)
+    order = np.argsort(space.dist[lo, hi], kind="stable")
+    return lo[order], hi[order]
+
+
 # ---------------------------------------------------------------------------
 # Blocks of realization classes
 # ---------------------------------------------------------------------------

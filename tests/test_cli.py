@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -249,6 +251,50 @@ def test_budget_cap_warning_on_stderr(instance_path, capsys):
 def test_compare_epsilon_outside_unit_interval_is_invalid(instance_path, epsilon):
     args = ["compare", str(instance_path), "--epsilon", epsilon, "--seeds", "1"]
     assert main(args) == 2
+
+
+def exit_code(args) -> int:
+    """main()'s exit code, also when argparse rejects an argument."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_csv_rows_have_the_header_width(instance_path, capsys):
+    # mst-dp term names such as dp(p3,p1) and the oracle's refusal reason
+    # hold commas, so those fields must be quoted
+    runs = [
+        ["estimate", "mst", str(instance_path), "--method", "dp"],
+        ["compare", str(instance_path), "--seeds", "1", "--cap", "5"],
+    ]
+    for args in runs:
+        args += ["--epsilon", "0.25", "--seed" if args[0] == "estimate" else "--seed-base", "1"]
+        assert main(args + ["--budget-cap", "20", "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) > 1
+        assert {len(row) for row in rows} == {len(rows[0])}
+        assert any("," in field for row in rows[1:] for field in row)
+
+
+def test_huge_budget_scale_under_a_cap_runs_the_cap(tmp_path, instance_path):
+    args = ["estimate", "mst", str(instance_path), "--epsilon", "0.25", "--seed", "1"]
+    out = tmp_path / "r.json"
+    assert main(args + ["--budget-scale", "1e308", "--budget-cap", "100", "-o", str(out)]) == 0
+    sampled = [t for t in json.loads(out.read_text())["terms"] if t["method"] == "monte-carlo"]
+    assert sampled and all(t["samples"] == 100 for t in sampled)
+    assert main(args + ["--budget-scale", "1e308"]) == 2
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "abc", "1.5", ""])
+def test_malformed_threads_env_var_is_invalid(instance_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("STOCHGRAPH_THREADS", value)
+    args = ["estimate", "mst", str(instance_path), "--epsilon", "0.25", "--seed", "1"]
+    assert exit_code(args) == 2
+    env_err = capsys.readouterr().err.splitlines()[-1]
+    monkeypatch.delenv("STOCHGRAPH_THREADS")
+    assert exit_code(args + ["--threads", value]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == env_err
 
 
 @pytest.mark.parametrize("realization", ["[1, 2]", '"v0"', "5", "null"])

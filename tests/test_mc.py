@@ -93,6 +93,14 @@ def test_budget_cap_and_threads_below_1_are_domain_errors():
             EstimateReport("mst-home", 0.25, 1, **settings)
 
 
+def test_cap_applies_before_rounding_so_a_huge_scale_does_not_overflow():
+    assert apply_budget_scale(10**6, 1e308, 100) == 100
+    assert apply_budget_scale(1000, 0.0123, 7) == min(math.ceil(1000 * 0.0123), 7)
+    assert apply_budget_scale(1000, 0.0123, 100) == math.ceil(1000 * 0.0123)
+    with pytest.raises(DomainError):
+        apply_budget_scale(10**6, 1e308)
+
+
 # ---------------------------------------------------------------------------
 # tree_sum
 # ---------------------------------------------------------------------------

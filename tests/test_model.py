@@ -8,6 +8,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stochgraph import (
@@ -18,6 +20,7 @@ from stochgraph import (
     Realization,
     SampleStream,
     StochasticGraph,
+    StochgraphError,
     ValidationError,
     diam,
     event_probability,
@@ -371,3 +374,70 @@ def test_malformed_instance_documents_raise_validation_error(presence_mode):
                 except ValidationError:
                     pass
     assert tried > 200
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the JSON boundary: only StochgraphError may escape
+# ---------------------------------------------------------------------------
+
+_IDS = ["p0", "p1", "p3", "v0", "v2", "id", "dist", "coords", "x"]
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.sampled_from(_IDS)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_IDS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+_FUZZ_GRAPHS = [
+    random_graph(rng_for(41), 3, 4, presence_mode=mode) for mode in ("certain", "existential")
+]
+
+
+def _matrix_form(g: StochasticGraph) -> dict:
+    space = MetricSpace(g.space.point_ids, dist=g.space.dist)
+    return instance_to_dict(StochasticGraph(g.node_ids, space, g.probs, g.presence_mode))
+
+
+_FUZZ_DOCS = [instance_to_dict(g) for g in _FUZZ_GRAPHS] + [_matrix_form(g) for g in _FUZZ_GRAPHS]
+
+
+@given(st.sampled_from(_FUZZ_DOCS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_instance_documents_raise_only_stochgraph_errors(doc, data):
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path, key = data.draw(st.sampled_from(list(_paths(doc))))
+        holder = doc
+        for k in path:
+            holder = holder[k]
+        holder[key] = data.draw(_json)
+    try:
+        instance_from_dict(doc)
+    except StochgraphError:
+        pass
+
+
+_node_maps = st.dictionaries(st.sampled_from(["v0", "v1", "v2"]) | st.text(max_size=3), _json)
+
+
+@given(st.sampled_from(_FUZZ_GRAPHS), _node_maps | _json, _node_maps | _json)
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_events_raise_only_stochgraph_errors(g, allowed, allow_absent):
+    try:
+        EventSpec(allowed=allowed, allow_absent=allow_absent).to_event(g)
+    except StochgraphError:
+        pass
+
+
+_assignments = st.fixed_dictionaries(
+    {v: st.sampled_from([None, "p0", "p3"]) | _json for v in ("v0", "v1", "v2")}
+)
+
+
+@given(st.sampled_from(_FUZZ_GRAPHS), _assignments | _node_maps | _json)
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_realizations_raise_only_stochgraph_errors(g, assignment):
+    try:
+        Realization.from_mapping(g, assignment)
+    except StochgraphError:
+        pass

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,14 +15,19 @@ from stochgraph import (
     StochasticGraph,
     cc_length,
     edge_key,
+    find_home,
+    find_home_clusters,
     longest_nn_edge,
     mpm_length,
     mst_length,
     nn_graph,
+    prob_mutual_nearest,
+    prob_nearest,
 )
 
 from stochgraph.cc import split_points
-from stochgraph.solvers import _cc_indices, _mpm_indices, _mst_indices, _nn_indices
+from stochgraph.model import mass_in
+from stochgraph.solvers import _cc_indices, _mpm_indices, _mst_indices, _nn_indices, edge_order
 
 from conftest import (
     cc_by_permutation_enumeration,
@@ -29,6 +35,7 @@ from conftest import (
     mpm_by_subset_dp,
     mst_by_tree_enumeration,
     nn_edges_of,
+    random_graph,
     rng_for,
 )
 
@@ -350,3 +357,131 @@ def test_nn_longest_edge_ties_on_split_copies():
     for row, total, longest in zip(rows.tolist(), block.total.tolist(), block.longest.tolist()):
         assert (total, tuple(longest)) == nn_reference(split, row)
         assert longest_nn_edge(split, row) == edge_key(split, *longest)
+
+
+# ---------------------------------------------------------------------------
+# edge_order and the planners that read it
+# ---------------------------------------------------------------------------
+
+def grid_graph(seed: int, n: int, presence_mode: str = "certain") -> StochasticGraph:
+    """Nodes spread over a few points of grid_space(): many tied lengths,
+    co-located copies, and points shared by several nodes."""
+    return random_graph(
+        rng_for(seed), n, 11, space=grid_space(), max_support=4, presence_mode=presence_mode
+    )
+
+
+def tied_graph() -> StochasticGraph:
+    """Four nodes, each split evenly over grid points, so heaviest points tie."""
+    probs = np.zeros((4, 11))
+    for v, pts in enumerate([(0, 1), (1, 0), (4, 9, 8), (8, 4, 9)]):
+        probs[v, list(pts)] = 1.0 / len(pts)
+    return StochasticGraph([f"v{v}" for v in range(4)], grid_space(), probs)
+
+
+def all_edge_keys(space: MetricSpace) -> list:
+    return sorted(edge_key(space, a, b) for a, b in combinations(range(space.m), 2))
+
+
+def test_edge_order_is_edge_key_order():
+    spaces = [line_space(0.0), grid_space()]
+    spaces += [split_points(grid_graph(700 + i, 5)).graph.space for i in range(4)]
+    for space in spaces:
+        lo, hi = edge_order(space)
+        assert list(zip(lo.tolist(), hi.tolist())) == [(k.lo, k.hi) for k in all_edge_keys(space)]
+
+
+def prob_nearest_reference(sp, s: int, t: int, mutual: bool) -> float:
+    """Pr[t is s's nearest neighbor (and s is t's, if mutual)], with the ball
+    built from EdgeKey comparisons and _pair_prob's multiplication order."""
+    g = sp.graph
+    key = edge_key(g.space, s, t)
+    outside = np.ones(g.m, dtype=bool)
+    for r in set(range(g.m)) - {s, t}:
+        if edge_key(g.space, s, r) < key or (mutual and edge_key(g.space, t, r) < key):
+            outside[r] = False
+    v, u = sp.owner[s], sp.owner[t]
+    prob = float(g.probs[v, s]) * float(g.probs[u, t])
+    for w in range(g.n):
+        if w not in (v, u):
+            prob *= mass_in(g, w, outside)
+    return prob
+
+
+@pytest.mark.parametrize("mode", ["certain", "existential"])
+def test_nearest_neighbour_balls_match_edge_key_reference(mode):
+    for seed in range(710, 714):
+        sp = split_points(grid_graph(seed, 4, mode))
+        for s, t in combinations(range(sp.graph.m), 2):
+            if sp.owner[s] < 0 or sp.owner[t] < 0 or sp.owner[s] == sp.owner[t]:
+                continue
+            assert prob_nearest(sp, s, t) == prob_nearest_reference(sp, s, t, False)
+            assert prob_nearest(sp, t, s) == prob_nearest_reference(sp, t, s, False)
+            assert prob_mutual_nearest(sp, s, t) == prob_nearest_reference(sp, s, t, True)
+
+
+def home_reference(g: StochasticGraph, eps: float) -> tuple[int, float]:
+    """Centre and radius of the home: the furthest heavy pair by EdgeKey."""
+    mass = g.probs.sum(axis=0)
+    heavy = [s for s in range(g.m) if mass[s] >= eps / (16.0 * g.m)]
+    if len(heavy) == 1:
+        return heavy[0], 0.0
+    furthest = max(edge_key(g.space, a, b) for a, b in combinations(heavy, 2))
+    return furthest.lo, furthest.length
+
+
+def test_find_home_matches_edge_key_reference():
+    one_point = StochasticGraph(["v0", "v1"], grid_space(), {"v0": {"p4": 1.0}, "v1": {"p4": 1.0}})
+    graphs = [one_point, tied_graph()] + [grid_graph(720 + i, 1 + i % 5) for i in range(10)]
+    graphs += [clustered_graph(725 + i, 1 + i) for i in range(6)]
+    for g in graphs:
+        for eps in (0.05, 1.0):
+            home = find_home(g, eps)
+            assert (home.center, home.radius) == home_reference(g, eps)
+
+
+def home_clusters_reference(g: StochasticGraph, eps: float):
+    """Clusters, homes and merge radius of the first sweep length (0 first)
+    whose threshold-graph components pass both home conditions."""
+    theta = eps / (16.0 * g.n * g.m**3)
+    D = g.space.dist
+    for length in sorted({0.0} | {k.length for k in all_edge_keys(g.space)}):
+        label = list(range(g.m))
+        for _ in range(g.m):
+            for a, b in combinations(range(g.m), 2):
+                if D[a, b] <= length:
+                    label[a] = label[b] = min(label[a], label[b])
+        comps = [[s for s in range(g.m) if label[s] == r] for r in sorted(set(label))]
+        home_of = [
+            next((ci for ci, c in enumerate(comps) if g.probs[v, c].sum() >= 1.0 - theta), None)
+            for v in range(g.n)
+        ]
+        if None not in home_of and all(home_of.count(ci) % 2 == 0 for ci in home_of):
+            return tuple(map(tuple, comps)), tuple(home_of), length / 2.0
+    raise AssertionError("sweep never settled")
+
+
+def clustered_graph(seed: int, n: int) -> StochasticGraph:
+    """Nodes each kept to one of four far-apart 2x2 grids (spacing 1 or 2,
+    plus two co-located copies), so the sweep stops at several clusters,
+    or merges grids to pair up their nodes."""
+    corners = [(0, 0, 1), (10, 0, 1), (0, 10, 2), (20, 20, 2)]
+    xy = [[ox + d * x, oy + d * y] for ox, oy, d in corners for x in (0, 1) for y in (0, 1)]
+    xy += [[0, 0], [10, 1]]
+    space = MetricSpace([f"p{i}" for i in range(len(xy))], coords=np.array(xy, dtype=float))
+    rng = rng_for(seed)
+    probs = np.zeros((n, space.m))
+    for v in range(n):
+        pts = 4 * rng.integers(4) + rng.choice(4, size=rng.integers(1, 5), replace=False)
+        probs[v, pts] = rng.random(len(pts)) + 0.05
+        probs[v] /= probs[v].sum()
+    return StochasticGraph([f"v{v}" for v in range(n)], space, probs)
+
+
+def test_find_home_clusters_matches_threshold_graph_reference():
+    graphs = [tied_graph()] + [grid_graph(730 + i, 2 + 2 * (i % 3)) for i in range(3)]
+    graphs += [clustered_graph(740 + i, 2 + 2 * (i % 4)) for i in range(12)]
+    for g in graphs:
+        for eps in (0.05, 1.0):
+            hc = find_home_clusters(g, eps)
+            assert (hc.clusters, hc.home_of, hc.merge_radius) == home_clusters_reference(g, eps)
