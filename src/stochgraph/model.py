@@ -117,6 +117,16 @@ class MetricSpace:
         return float(self.dist[self.index(a), self.index(b)])
 
 
+def _point_id_index(space: MetricSpace, point) -> int:
+    """Index of a point named by id in a JSON document.
+
+    Ids are strings; a number there is refused rather than read as an index.
+    """
+    if not isinstance(point, str):
+        raise ValidationError(f"point ids are strings, got {point!r}")
+    return space.index(point)
+
+
 def set_distance(space: MetricSpace, p: Union[str, int], H: Iterable) -> float:
     """Closest distance from point ``p`` to the nonempty point set ``H``."""
     idx = space.indices(H)
@@ -260,7 +270,7 @@ class Realization:
                     raise ValidationError(f"node {v}: absent only allowed in existential mode")
                 idx.append(-1)
             else:
-                idx.append(g.space.index(point))
+                idx.append(_point_id_index(g.space, point))
         return cls(tuple(idx))
 
     def to_mapping(self, g: StochasticGraph) -> dict[str, Optional[str]]:
@@ -306,7 +316,7 @@ class EventSpec:
                 spec = [spec]
             elif not isinstance(spec, Iterable) or isinstance(spec, Mapping):
                 raise ValidationError(f"node {name}: allowed points must be a list of point ids")
-            idx = [g.space.index(p) for p in spec]
+            idx = [_point_id_index(g.space, p) for p in spec]
             if not idx:
                 raise ValidationError(f"node {name}: empty allowed set")
             event.allowed[v] = False

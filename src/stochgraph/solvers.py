@@ -15,6 +15,7 @@ replaces the usual "perturb so no two edges have equal length" assumption.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -86,6 +87,17 @@ def _one_row(space: MetricSpace, points: Sequence) -> np.ndarray:
     return np.array([space.indices(points)], dtype=np.intp)
 
 
+_CHUNK_BYTES = 1 << 18  # bound on a kernel's per-chunk temporaries
+
+
+def _chunks(B: int, row_bytes: int) -> Iterator[slice]:
+    """Row slices of a block whose temporaries of ``row_bytes`` per row stay
+    within ``_CHUNK_BYTES``; larger chunks raised peak memory without
+    running faster."""
+    step = max(1, _CHUNK_BYTES // row_bytes)
+    return (slice(start, start + step) for start in range(0, B, step))
+
+
 # ---------------------------------------------------------------------------
 # Minimum spanning tree
 # ---------------------------------------------------------------------------
@@ -120,6 +132,82 @@ def mst_length(space: MetricSpace, points: Sequence) -> float:
 # Minimum-weight perfect matching
 # ---------------------------------------------------------------------------
 
+_ENUMERATE_MAX = 12  # (k - 1)!! matchings: 10,395 at k = 12, 135,135 at k = 14
+
+
+@functools.cache
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(k, 1)``, read-only: the pairs that pair ids index."""
+    a, b = np.triu_indices(k, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+@functools.cache
+def _matchings(k: int) -> np.ndarray:
+    """Every perfect matching of K_k, one row of k/2 pair ids each.
+
+    A pair id indexes ``_pairs(k)``.  Column 0 pairs point 0 with each j > 0
+    in turn; the other columns are the matchings of K_(k-2) relabelled onto
+    the points left over.  The table is stored column by column, the order
+    ``_mpm_enumerate`` reads it in.
+    """
+    if k == 0:
+        out = np.zeros((1, 0), dtype=np.intp)
+    else:
+        pair = np.zeros((k, k), dtype=np.intp)
+        pair[_pairs(k)] = np.arange(k * (k - 1) // 2)
+        a, b = _pairs(k - 2)
+        sub = _matchings(k - 2)
+        # rest[j - 1] lists the points other than 0 and j, ascending
+        i, j = np.arange(k - 2), np.arange(1, k)[:, None]
+        rest = 1 + i + (1 + i >= j)
+        tail = pair[rest[:, a[sub]], rest[:, b[sub]]]
+        head = np.broadcast_to(pair[0, 1:, None, None], tail.shape[:2] + (1,))
+        out = np.concatenate([head, tail], axis=2).reshape(-1, k // 2)
+    out = np.asfortranarray(out)
+    out.flags.writeable = False
+    return out
+
+
+def _mpm_enumerate(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
+    """Minimum perfect matchings by a float screen over all (k-1)!! matchings.
+
+    Each row's float sums S are accumulated left to right, one matching
+    column at a time.  The h = k/2 weights are nonnegative doubles, so
+    |S - E| <= g*E for a matching of exact weight E, with
+    g = (h-1)u / (1 - (h-1)u) and u = 2**-53; an addition that underflows
+    is exact, so this holds at every magnitude.  Hence min S >= (1-g)*E*,
+    and an optimal matching has S <= (1+g)*E* <= min S * (1+g)/(1-g), less
+    than min S * (1 + 4hu) * (1-u), which bounds the threshold
+    min S * (1 + 4hu) rounded to a double from below.  (Where min S is below
+    the normal range and that bound fails, sums up to min S are exact, so an
+    optimal matching has S = E* <= min S.)  Every optimal matching is thus a
+    candidate.  ``math.fsum`` of a candidate's weights is its exact weight
+    correctly rounded, and rounding is monotone, so the least candidate fsum
+    is E* correctly rounded: the float that fsum of any exact optimum, such
+    as blossom's in ``_mpm_blossom``, gives.
+    """
+    B, k = idx.shape
+    h = k // 2
+    matchings = _matchings(k)
+    columns = matchings.T
+    M = len(matchings)
+    a, b = _pairs(k)
+    slack = 1.0 + 4 * h * 2.0**-53
+    out = np.full(B, np.inf)
+    for rows in _chunks(B, 8 * max(M, len(a))):
+        w = space.dist[idx[rows, a], idx[rows, b]]
+        S = np.take(w, columns[0], axis=1)
+        term = np.empty_like(S)
+        for col in columns[1:]:
+            S += np.take(w, col, axis=1, out=term)
+        r, m = np.divmod(np.flatnonzero(S <= S.min(axis=1, keepdims=True) * slack), M)
+        fsums = [math.fsum(x) for x in w[r[:, None], matchings[m]].tolist()]
+        np.minimum.at(out[rows], r, fsums)
+    return out
+
+
 def _matching_weights(k: int, a: list[int], b: list[int], w: list[float]) -> list[float]:
     """Edge weights of a minimum-weight perfect matching of K_k whose edge e
     joins a[e] and b[e] with weight w[e].
@@ -139,7 +227,18 @@ def _matching_weights(k: int, a: list[int], b: list[int], w: list[float]) -> lis
     return [w[G.edges[pair]["e"]] for pair in mate]
 
 
+def _mpm_blossom(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
+    """Minimum perfect matchings by exact-integer blossom, one row at a time."""
+    k = idx.shape[1]
+    a, b = _pairs(k)
+    weights = space.dist[idx[:, a], idx[:, b]].tolist()
+    a, b = a.tolist(), b.tolist()
+    return np.array([math.fsum(_matching_weights(k, a, b, w)) for w in weights])
+
+
 def _mpm_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
+    """Enumeration up to ``_ENUMERATE_MAX`` points, where (k-1)!! stays
+    small, and blossom above; both give the correctly rounded optimum."""
     B, k = idx.shape
     if k % 2 != 0:
         raise DomainError(f"perfect matching needs an even point count, got {k}")
@@ -147,10 +246,9 @@ def _mpm_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
         return np.zeros(B)
     if k == 2:
         return space.dist[idx[:, 0], idx[:, 1]]
-    a, b = np.triu_indices(k, 1)
-    weights = space.dist[idx[:, a], idx[:, b]].tolist()
-    a, b = a.tolist(), b.tolist()
-    return np.array([math.fsum(_matching_weights(k, a, b, w)) for w in weights])
+    if k <= _ENUMERATE_MAX:
+        return _mpm_enumerate(space, idx)
+    return _mpm_blossom(space, idx)
 
 
 def mpm_length(space: MetricSpace, points: Sequence) -> float:
@@ -166,17 +264,17 @@ def _cc_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
     B, k = idx.shape
     if k < 2:
         raise DomainError(f"cycle cover needs at least 2 points, got {k}")
-    dist = space.dist
-    diag = np.diag_indices(k)
-    out = np.empty(B)
-    for r, row in enumerate(idx):
-        D = dist[row[:, None], row]
+    cols = np.arange(k)
+    out = []
+    for rows in _chunks(B, 8 * k * k):
+        D = space.dist[idx[rows, :, None], idx[rows, None, :]]
         # Forbid fixed points with a cost above any derangement's, so the
         # optimum never reads the diagonal.
-        D[diag] = float(k) * (float(D.max()) + 1.0)
-        rr, cc = linear_sum_assignment(D)
-        out[r] = math.fsum(D[rr, cc].tolist())
-    return out
+        D[:, cols, cols] = (k * (D.max(axis=(1, 2)) + 1.0))[:, None]
+        for Dr in D:
+            rr, cc = linear_sum_assignment(Dr)
+            out.append(math.fsum(Dr[rr, cc].tolist()))
+    return np.array(out)
 
 
 def cc_length(space: MetricSpace, points: Sequence) -> float:

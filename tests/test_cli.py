@@ -108,6 +108,8 @@ def test_exact_subcommand(tmp_path, instance_path):
         "[1, 2]",  # not an object
         '{"allowed": ["v0"]}',
         "{not json",
+        '{"allowed": {"v0": [true]}}',  # a number is not a point id
+        '{"allowed": {"v0": [1]}}',
     ],
 )
 def test_exact_rejects_malformed_event(instance_path, event):
@@ -299,6 +301,13 @@ def test_malformed_threads_env_var_is_invalid(instance_path, monkeypatch, capsys
 
 @pytest.mark.parametrize("realization", ["[1, 2]", '"v0"', "5", "null"])
 def test_solve_rejects_non_object_realization(instance_path, realization):
+    args = ["solve", str(instance_path), "--functional", "mst", "--realization", realization]
+    assert main(args) == 2
+
+
+@pytest.mark.parametrize("point", [1, True])
+def test_solve_rejects_number_as_point_id(instance_path, point):
+    realization = json.dumps({"v0": point, "v1": "p1", "v2": "p2"})
     args = ["solve", str(instance_path), "--functional", "mst", "--realization", realization]
     assert main(args) == 2
 

@@ -27,7 +27,17 @@ from stochgraph import (
 
 from stochgraph.cc import split_points
 from stochgraph.model import mass_in
-from stochgraph.solvers import _cc_indices, _mpm_indices, _mst_indices, _nn_indices, edge_order
+from stochgraph import solvers
+from stochgraph.solvers import (
+    _cc_indices,
+    _matchings,
+    _mpm_blossom,
+    _mpm_enumerate,
+    _mpm_indices,
+    _mst_indices,
+    _nn_indices,
+    edge_order,
+)
 
 from conftest import (
     cc_by_permutation_enumeration,
@@ -344,6 +354,68 @@ def test_mpm_exact_across_binades_and_zero():
             row = rng.permutation(m)[:k].tolist()
             got = _mpm_indices(space, np.array([row], dtype=np.intp))
             assert got[0] == mpm_by_exact_enumeration(D, row)
+
+
+def matching_spaces() -> dict[str, MetricSpace]:
+    rng = rng_for(670)
+    tenths = np.round(rng.random((16, 2)) * 2.0, 1)
+    spread = rng.random((16, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(16, 1))
+    ids = [f"p{i}" for i in range(16)]
+    return {
+        "grid": grid_space(),
+        "tenths": MetricSpace(ids, coords=tenths),
+        "1e-3..1e3": MetricSpace(ids, coords=spread),
+    }
+
+
+@pytest.mark.parametrize("kind", ["grid", "tenths", "1e-3..1e3"])
+@pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
+def test_mpm_enumeration_equals_blossom_bit_for_bit(k, kind):
+    space = matching_spaces()[kind]
+    rows = random_rows(rng_for(680 + k), space.m, k, 20, distinct=False)
+    assert _mpm_enumerate(space, rows).tobytes() == _mpm_blossom(space, rows).tobytes()
+
+
+def test_mpm_screen_keeps_a_matching_whose_float_sum_ranks_it_second():
+    ulp = 2.0**-52
+    D = np.full((6, 6), 2.0)
+    np.fill_diagonal(D, 0.0)
+    # A = {01, 23, 45}: left to right 1 + 4 ulp, exactly 1 + 4.75 ulp
+    # B = {02, 14, 35}: left to right 1 + 5 ulp, exactly 1 + 4.25 ulp
+    for (p, q), w in {
+        (0, 1): 1.5 * ulp, (2, 3): 1 + 3 * ulp, (4, 5): 0.25 * ulp,
+        (0, 2): 1 + 3 * ulp, (1, 4): 0.5 * ulp, (3, 5): 0.75 * ulp,
+    }.items():
+        D[p, q] = D[q, p] = w
+    space = MetricSpace([f"p{i}" for i in range(6)], dist=D, validate=False)
+    rows = np.arange(6)[None, :]
+    assert _mpm_indices(space, rows)[0] == 1 + 4 * ulp == _mpm_blossom(space, rows)[0]
+
+
+def test_mpm_above_cutoff_runs_blossom(monkeypatch):
+    calls = []
+
+    def spy(space, idx):
+        calls.append(idx.shape)
+        return _mpm_blossom(space, idx)
+
+    monkeypatch.setattr(solvers, "_mpm_blossom", spy)
+    space = grid_space()
+    rows = random_rows(rng_for(690), space.m, 14, 2, distinct=False)
+    assert _mpm_indices(space, rows).tolist() == [mpm_by_subset_dp(space, r) for r in rows.tolist()]
+    assert calls == [(2, 14)]
+    _mpm_indices(space, rows[:, :12])
+    assert calls == [(2, 14)]
+
+
+@pytest.mark.parametrize("k", [0, 2, 4, 6, 8, 10, 12])
+def test_matchings_are_every_perfect_matching(k):
+    table = _matchings(k)
+    assert table.shape == (math.prod(range(k - 1, 0, -2)), k // 2)
+    a, b = np.triu_indices(k, 1)
+    covered = np.sort(np.concatenate([a[table], b[table]], axis=1), axis=1)
+    assert (covered == np.arange(k)).all()
+    assert len(np.unique(np.sort(table, axis=1), axis=0)) == len(table)
 
 
 def test_nn_longest_edge_ties_on_split_copies():
