@@ -19,7 +19,6 @@ tie-breaking order is refined, so solver values are unchanged.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -30,9 +29,6 @@ from .errors import DomainError, InternalAssertionError
 from .mc import (
     EstimateReport,
     TermReport,
-    apply_budget_scale,
-    check_run_settings,
-    combine_terms,
     estimate_conditional,
     run_conditional_mc,  # noqa: F401  (perfbench/tracer.py wraps this binding)
 )
@@ -287,15 +283,6 @@ def estimate_ecc(
     threads: int = 1,
 ) -> EstimateReport:
     """FPRAS estimate of the expected minimum cycle cover length."""
-    check_run_settings(epsilon=epsilon)
-    if g.n < 2:
-        raise DomainError("a cycle cover needs at least 2 nodes")
-    t0 = time.perf_counter()
-    sp = split_points(g)
-    work = sp.graph
-    full = pair_budget(g.n, work.m, epsilon)
-    used = apply_budget_scale(full, budget_scale, budget_cap)
-
     report = EstimateReport(
         estimator="cc",
         epsilon=epsilon,
@@ -304,6 +291,12 @@ def estimate_ecc(
         budget_cap=budget_cap,
         threads=threads,
     )
+    if g.n < 2:
+        raise DomainError("a cycle cover needs at least 2 nodes")
+    sp = split_points(g)
+    work = sp.graph
+    full = pair_budget(g.n, work.m, epsilon)
+    used = report.budget(full)
     report.extras["split_points"] = work.m
     report.extras["pair_budget"] = {"full": full, "used": used}
     if g.presence_mode != "certain":
@@ -342,6 +335,4 @@ def estimate_ecc(
                 )
             )
     report.extras["pairs"] = pairs
-    report.value = combine_terms(report.terms)
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return report.finish()

@@ -266,6 +266,8 @@ def _cmd_compare(args) -> int:
     for e in estimators:
         if e not in ESTIMATORS:
             raise ValidationError(f"unknown estimator {e!r}")
+    if args.seeds < 1:
+        raise ValidationError("seed count must be at least 1")
     _warn_budget(args)
     instances = [(path, load_instance(path)) for path in args.instances]
     result = run_campaign(

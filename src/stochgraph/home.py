@@ -26,12 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mc import (
-    EstimateReport,
-    TermReport,
-    check_run_settings,
-    combine_terms,
-    estimate_conditional,
-    term_budget,
+    EstimateReport, TermReport, chernoff_budget, check_run_settings, estimate_conditional
 )
 from .model import CERTAIN, Event, StochasticGraph
 from .oracle import Functional, FunctionalEvaluator
@@ -53,8 +48,7 @@ def estimate_by_homes(
     all_home: tuple[float, float],
     near: tuple[float, float],
 ) -> None:
-    """Append the all-home, near(v) and far(v) terms to ``report`` and set
-    its value.
+    """Append the all-home, near(v) and far(v) terms to ``report``.
 
     ``homes[v]`` holds node v's home point indices.  ``row_masses(mask)``
     returns every node v's probability mass on the points ``mask[v]``; the
@@ -96,14 +90,12 @@ def estimate_by_homes(
     def sampled(
         name: str, tag: str, prob: float, allowed: np.ndarray, bounds: tuple[float, float]
     ) -> TermReport:
-        used, full = term_budget(
-            *bounds, report.epsilon_mc, delta, report.budget_scale, report.budget_cap
-        )
+        full = chernoff_budget(*bounds, report.epsilon_mc, delta)
         mean, _, samples = estimate_conditional(
             g,
             Event(allowed, nobody_absent),
             evaluator.class_fn,
-            used,
+            report.budget(full),
             seed=report.seed,
             tag=f"{report.estimator}/{tag}",
             threads=report.threads,
@@ -147,5 +139,4 @@ def estimate_by_homes(
             if term > 0.0:
                 report.terms.append(TermReport(f"far({vname})", term, "far-field"))
 
-    report.value = combine_terms(report.terms)
     report.flags["epsilon_split"] = "half to sampling error, half to truncation"

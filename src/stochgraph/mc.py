@@ -12,9 +12,10 @@ sample order, so the result is bit-identical at any worker count.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -80,19 +81,6 @@ def apply_budget_scale(full_n: int, scale: float = 1.0, cap: Optional[int] = Non
     if not math.isfinite(n):
         raise DomainError("scaled sample budget is not finite; give a budget cap")
     return max(1, math.ceil(n))
-
-
-def term_budget(
-    u: float,
-    mu_lower: float,
-    epsilon: float,
-    delta: float,
-    scale: float = 1.0,
-    cap: Optional[int] = None,
-) -> tuple[int, int]:
-    """The scaled and capped Chernoff budget of one term, and the full count."""
-    full = chernoff_budget(u, mu_lower, epsilon, delta)
-    return apply_budget_scale(full, scale, cap), full
 
 
 def realization_classes(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +206,11 @@ class TermReport:
 
 @dataclass
 class EstimateReport:
-    """Estimator output: the value, its term breakdown, and run parameters."""
+    """Estimator output: the value, its term breakdown, and run parameters.
+
+    Every estimator builds its report first, which checks the run settings in
+    one order and starts the clock; ``finish`` totals the terms and stops it.
+    """
 
     estimator: str
     epsilon: float
@@ -234,7 +226,19 @@ class EstimateReport:
     elapsed: float = 0.0
 
     def __post_init__(self):
-        check_run_settings(self.budget_scale, self.budget_cap, self.threads)
+        check_run_settings(self.budget_scale, self.budget_cap, self.threads, self.epsilon)
+        self._t0 = time.perf_counter()
+
+    def budget(self, full_n: int) -> int:
+        """A term's sample count: its full budget scaled and capped."""
+        return apply_budget_scale(full_n, self.budget_scale, self.budget_cap)
+
+    def finish(self) -> "EstimateReport":
+        """Set the value to the exact (fsum) total of the term values and the
+        elapsed time; return the report."""
+        self.value = math.fsum(t.value for t in self.terms)
+        self.elapsed = time.perf_counter() - self._t0
+        return self
 
     def to_dict(self, include_timing: bool = False) -> dict:
         d = {
@@ -259,7 +263,3 @@ class EstimateReport:
             d["elapsed_seconds"] = self.elapsed
         return d
 
-
-def combine_terms(terms: Sequence[TermReport]) -> float:
-    """The estimate is the exact (fsum) total of its term values."""
-    return math.fsum(t.value for t in terms)

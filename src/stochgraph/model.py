@@ -322,6 +322,8 @@ class EventSpec:
             event.allowed[v] = False
             event.allowed[v, idx] = True
         for name, flag in self.allow_absent.items():
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ValidationError(f"node {name}: allow_absent must be true or false")
             event.absent[g.node_index(name)] &= bool(flag)
         return event
 

@@ -11,7 +11,6 @@ and D the largest cluster diameter.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -118,10 +117,6 @@ def estimate_empm(
     threads: int = 1,
 ) -> EstimateReport:
     """FPRAS estimate of the expected minimum perfect matching length."""
-    t0 = time.perf_counter()
-    clustering = find_home_clusters(g, epsilon)  # checks the inputs
-    D = clustering.max_diameter
-    n, m = g.n, g.m
     report = EstimateReport(
         estimator="mpm",
         epsilon=epsilon,
@@ -131,6 +126,9 @@ def estimate_empm(
         budget_cap=budget_cap,
         threads=threads,
     )
+    clustering = find_home_clusters(g, epsilon)  # checks the inputs
+    D = clustering.max_diameter
+    n, m = g.n, g.m
     report.extras["homes"] = clustering.to_dict(g)
     estimate_by_homes(
         report,
@@ -142,5 +140,4 @@ def estimate_empm(
         all_home=(n * D, epsilon * D / (64.0 * n * m**5)),
         near=((n / epsilon) * D + (n + 1) * D, epsilon * D / (128.0 * n * m**5)),
     )
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return report.finish()

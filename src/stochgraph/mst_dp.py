@@ -16,20 +16,12 @@ home-decomposition estimator.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
 
 from .cc import SplitSpace, split_points
-from .mc import (
-    EstimateReport,
-    TermReport,
-    check_run_settings,
-    combine_terms,
-    estimate_conditional,
-    term_budget,
-)
+from .mc import EstimateReport, TermReport, chernoff_budget, estimate_conditional
 from .model import StochasticGraph, mass_in, pinned_event
 from .oracle import Functional, FunctionalEvaluator
 
@@ -48,8 +40,6 @@ def estimate_emst_dp(
     Works in both presence modes; "inside the suffix" reads as "inside or
     absent" when nodes may be missing.
     """
-    check_run_settings(epsilon=epsilon)
-    t0 = time.perf_counter()
     report = EstimateReport(
         estimator="mst-dp",
         epsilon=epsilon,
@@ -61,8 +51,7 @@ def estimate_emst_dp(
     )
     if g.n == 1:
         report.terms.append(TermReport("trivial", 0.0, "exact", probability=1.0))
-        report.elapsed = time.perf_counter() - t0
-        return report
+        return report.finish()
 
     sp: SplitSpace = split_points(g)
     work = sp.graph
@@ -72,7 +61,6 @@ def estimate_emst_dp(
     order = sorted(range(m), key=lambda s: (-float(mass[s]), s))
     report.extras["point_order"] = [space.point_ids[s] for s in order]
 
-    eps_mc = epsilon / 2.0
     max_leaves = m * (m - 1) // 2
     delta_each = 1.0 / (8.0 * max(1, max_leaves))
     evaluator = FunctionalEvaluator(space, Functional.MST)
@@ -132,14 +120,12 @@ def estimate_emst_dp(
             event = pinned_event(work, prefix & support, vi, ui, wj, rj)
             if work.presence_mode == "certain" and not event.allowed.any(axis=1).all():
                 continue  # unreachable: the chain weight is 0 here
-            used, full = term_budget(
-                n * d_ij, d_ij, eps_mc, delta_each, budget_scale, budget_cap
-            )
+            full = chernoff_budget(n * d_ij, d_ij, report.epsilon_mc, delta_each)
             mean, _, samples = estimate_conditional(
                 work,
                 event,
                 evaluator.class_fn,
-                used,
+                report.budget(full),
                 seed=seed,
                 tag=f"mst-dp/{space.point_ids[ui]}/{space.point_ids[rj]}",
                 threads=threads,
@@ -158,6 +144,4 @@ def estimate_emst_dp(
 
     report.extras["outer_weights"] = outer_weights
     report.extras["residual_weight"] = outer_weight
-    report.value = combine_terms(report.terms)
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return report.finish()

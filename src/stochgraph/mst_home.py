@@ -8,7 +8,6 @@ is home.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -92,7 +91,6 @@ def estimate_emst(
     threads: int = 1,
 ) -> EstimateReport:
     """FPRAS estimate of the expected minimum spanning tree length."""
-    t0 = time.perf_counter()
     report = EstimateReport(
         estimator="mst-home",
         epsilon=epsilon,
@@ -119,5 +117,4 @@ def estimate_emst(
             all_home=(g.n * D, D * epsilon * epsilon / (32.0 * g.m * g.m)),
             near=((g.n / epsilon) * D + g.n * D, D * epsilon * epsilon / (64.0 * g.m * g.m)),
         )
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return report.finish()

@@ -74,7 +74,7 @@ class ConditionalSampler:
         out = np.empty((count, n), dtype=np.int64)
         for j in range(n):
             pos = np.searchsorted(self.cum[j], u[:, j], side="right")
-            np.clip(pos, 0, len(self.cum[j]) - 1, out=pos)
+            np.minimum(pos, len(self.cum[j]) - 1, out=pos)
             out[:, j] = self.outcomes[j][pos]
         return out
 

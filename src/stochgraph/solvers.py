@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-import networkx as nx
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -216,6 +215,8 @@ def _matching_weights(k: int, a: list[int], b: list[int], w: list[float]) -> lis
     by their common power-of-two denominator to exact integers: networkx then
     runs blossom in integer arithmetic and verifies the optimum.
     """
+    import networkx as nx  # loaded on first use: only blossom needs it
+
     ratios = [x.as_integer_ratio() for x in w]
     den = max(d for _, d in ratios)
     G = nx.Graph()

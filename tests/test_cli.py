@@ -110,6 +110,10 @@ def test_exact_subcommand(tmp_path, instance_path):
         "{not json",
         '{"allowed": {"v0": [true]}}',  # a number is not a point id
         '{"allowed": {"v0": [1]}}',
+        '{"allow_absent": {"v0": "no"}}',  # only true or false
+        '{"allow_absent": {"v0": []}}',
+        '{"allow_absent": {"v0": 0}}',
+        '{"allow_absent": {"v0": null}}',
     ],
 )
 def test_exact_rejects_malformed_event(instance_path, event):
@@ -253,6 +257,15 @@ def test_budget_cap_warning_on_stderr(instance_path, capsys):
 def test_compare_epsilon_outside_unit_interval_is_invalid(instance_path, epsilon):
     args = ["compare", str(instance_path), "--epsilon", epsilon, "--seeds", "1"]
     assert main(args) == 2
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_compare_seed_count_below_1_is_invalid(instance_path, seeds, capsys):
+    args = ["compare", str(instance_path), "--epsilon", "0.25", "--seeds", seeds]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "seed count must be at least 1" in captured.err
+    assert captured.out == ""
 
 
 def exit_code(args) -> int:

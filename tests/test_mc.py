@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,10 @@ from stochgraph import (
     StochasticGraph,
     chernoff_budget,
     estimate_conditional,
+    estimate_ecc,
+    estimate_emst,
+    estimate_emst_dp,
+    estimate_empm,
     exact_expectation,
     tree_sum,
 )
@@ -97,6 +103,8 @@ def test_cap_applies_before_rounding_so_a_huge_scale_does_not_overflow():
     assert apply_budget_scale(10**6, 1e308, 100) == 100
     assert apply_budget_scale(1000, 0.0123, 7) == min(math.ceil(1000 * 0.0123), 7)
     assert apply_budget_scale(1000, 0.0123, 100) == math.ceil(1000 * 0.0123)
+    report = EstimateReport("cc", 0.25, 1, budget_scale=0.0123, budget_cap=7)
+    assert report.budget(1000) == 7 and report.budget(100) == math.ceil(100 * 0.0123)
     with pytest.raises(DomainError):
         apply_budget_scale(10**6, 1e308)
 
@@ -290,3 +298,45 @@ def test_conditional_unbiased_at_sampler_level(rng):
     class_fn = FunctionalEvaluator(g.space, Functional.CC).class_fn
     mean, _, _ = estimate_conditional(g, None, class_fn, 60_000, seed=17, tag="unbiased")
     assert mean == pytest.approx(oracle, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# Estimator reports
+# ---------------------------------------------------------------------------
+
+ESTIMATORS = [estimate_emst, estimate_emst_dp, estimate_empm, estimate_ecc]
+
+
+@pytest.mark.parametrize("estimate", ESTIMATORS)
+def test_every_estimator_reports_run_setting_faults_in_one_order(estimate):
+    g = random_graph(rng_for(8), 2, 4)
+    with pytest.raises(DomainError, match=r"epsilon must be in \(0, 1\]"):
+        estimate(g, 0.0, 1, budget_cap=0)
+    with pytest.raises(DomainError, match="budget cap must be at least 1"):
+        estimate(g, 0.25, 1, budget_cap=0, threads=0)
+
+
+@pytest.mark.parametrize("estimate", ESTIMATORS)
+def test_every_estimator_report_is_timed_and_totals_its_terms(estimate):
+    report = estimate(random_graph(rng_for(9), 2, 4), 0.25, 1, budget_cap=50)
+    assert report.elapsed > 0.0
+    assert report.value == math.fsum(t.value for t in report.terms)
+
+
+def test_small_estimates_never_import_networkx():
+    # blossom, the only networkx user, serves matchings of 14 or more points
+    code = (
+        "import sys, stochgraph\n"
+        "from stochgraph.model import MetricSpace, StochasticGraph\n"
+        "space = MetricSpace(['a', 'b', 'c'], coords=[[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])\n"
+        "g = StochasticGraph(['u', 'v'], space, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])\n"
+        "for estimate in (stochgraph.estimate_emst, stochgraph.estimate_emst_dp,\n"
+        "                 stochgraph.estimate_empm, stochgraph.estimate_ecc):\n"
+        "    estimate(g, 0.25, 1, budget_cap=20)\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
