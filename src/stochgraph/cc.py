@@ -31,9 +31,10 @@ from .mc import (
     TermReport,
     estimate_conditional,
     run_conditional_mc,  # noqa: F401  (perfbench/tracer.py wraps this binding)
+    sample_count,
 )
 from .model import MetricSpace, StochasticGraph, mass_in, pinned_event
-from .solvers import EdgeKey, _cc_indices, _nn_indices, blocks_by_size, edge_order, present_sets
+from .solvers import _cc_indices, _nn_indices, edge_order, fill_memo
 
 _SLACK = 1e-9  # relative float slack in per-sample sandwich assertions
 
@@ -45,7 +46,6 @@ class SplitSpace:
     graph: StochasticGraph
     owner: tuple[int, ...]   # split point index -> node index (-1 unowned)
     origin: tuple[int, ...]  # split point index -> original point index
-    source: StochasticGraph
 
     @cached_property
     def rank(self) -> np.ndarray:
@@ -80,10 +80,7 @@ def split_points(g: StochasticGraph) -> SplitSpace:
                 owner.append(v)
     origin_arr = np.asarray(origin)
     dist = g.space.dist[np.ix_(origin_arr, origin_arr)].copy()
-    coords = g.space.coords[origin_arr] if g.space.coords is not None else None
-    space = MetricSpace(ids, dist=dist, coords=None, validate=False)
-    if coords is not None:
-        space.coords = coords
+    space = MetricSpace(ids, dist=dist, validate=False)
     probs = np.zeros((g.n, len(ids)))
     for sp_idx, (v, s) in enumerate(zip(owner, origin)):
         if v >= 0:
@@ -91,7 +88,7 @@ def split_points(g: StochasticGraph) -> SplitSpace:
     graph = StochasticGraph(
         g.node_ids, space, probs, presence_mode=g.presence_mode, validate=False
     )
-    return SplitSpace(graph, tuple(owner), tuple(origin), g)
+    return SplitSpace(graph, tuple(owner), tuple(origin))
 
 
 def _outside(sp: SplitSpace, si: int, ti: int, mutual: bool) -> np.ndarray:
@@ -156,8 +153,18 @@ class PairTerm:
         return dict(vars(self))
 
 
+def _check_rows(ok: np.ndarray, message: str, **values) -> None:
+    """Raise ``InternalAssertionError`` at the first False row of ``ok``, with
+    ``message`` formatted from that row of each array in ``values``."""
+    if not ok.all():
+        r = int(np.argmin(ok))
+        row = {k: v[r].item() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+        raise InternalAssertionError(message.format(**row))
+
+
 class _PairValues:
-    """Shared per-run cache: realized point set -> (CC, longest NN edge).
+    """Shared per-run cache: realized point set -> (CC, longest NN edge as
+    lo * m + hi).
 
     Also enforces the per-realization sandwiches: NN <= CC <= 2 NN and
     NN/k <= longest <= NN.
@@ -165,37 +172,34 @@ class _PairValues:
 
     def __init__(self, space: MetricSpace):
         self.space = space
-        self.cache: dict[tuple[int, ...], tuple[float, EdgeKey]] = {}
+        self.cache: dict[tuple[int, ...], tuple[float, int]] = {}
 
-    def get(self, rows: np.ndarray) -> list[tuple[float, EdgeKey]]:
-        """(CC, longest nearest-neighbor edge) of each row of a row-sorted
-        block (-1 for absent).
+    def get(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CC and longest nearest-neighbor edge (lo * m + hi) of each row of
+        a row-sorted block (-1 for absent).
 
         Uncached point sets are solved with one call of each kernel per
         present count.
         """
-        keys = present_sets(rows)
-        dist = self.space.dist
-        for sets, idx in blocks_by_size(key for key in keys if key not in self.cache):
-            nn = _nn_indices(self.space, idx)
-            cc = _cc_indices(self.space, idx)
-            k = idx.shape[1]
-            for key, c, total, (lo, hi) in zip(
-                sets, cc.tolist(), nn.total.tolist(), nn.longest.tolist()
-            ):
-                if not (
-                    total * (1.0 - _SLACK) <= c <= 2.0 * total * (1.0 + _SLACK) + 1e-300
-                ):
-                    raise InternalAssertionError(
-                        f"cycle-cover sandwich violated: NN={total}, CC={c}"
-                    )
-                lam = float(dist[lo, hi])
-                if not (total / k * (1.0 - _SLACK) <= lam <= total * (1.0 + _SLACK)):
-                    raise InternalAssertionError(
-                        f"longest-edge sandwich violated: NN={total}, longest={lam}, k={k}"
-                    )
-                self.cache[key] = (c, EdgeKey(lam, lo, hi))
-        return [self.cache[key] for key in keys]
+        keys = fill_memo(rows, self.cache, self._solve)
+        cc, edge = zip(*map(self.cache.__getitem__, keys))
+        return np.array(cc), np.array(edge)
+
+    def _solve(self, idx: np.ndarray):
+        nn = _nn_indices(self.space, idx)
+        cc = _cc_indices(self.space, idx)
+        total, (lo, hi), k = nn.total, nn.longest.T, idx.shape[1]
+        _check_rows(
+            (total * (1.0 - _SLACK) <= cc) & (cc <= 2.0 * total * (1.0 + _SLACK) + 1e-300),
+            "cycle-cover sandwich violated: NN={NN}, CC={CC}", NN=total, CC=cc,
+        )
+        lam = self.space.dist[lo, hi]
+        _check_rows(
+            (total / k * (1.0 - _SLACK) <= lam) & (lam <= total * (1.0 + _SLACK)),
+            "longest-edge sandwich violated: NN={NN}, longest={longest}, k={k}",
+            NN=total, longest=lam, k=k,
+        )
+        return zip(cc.tolist(), (lo * self.space.m + hi).tolist())
 
 
 def estimate_pair_term(
@@ -227,33 +231,24 @@ def estimate_pair_term(
         node_t=g.node_ids[u] if u >= 0 else "",
         kind=kind,
     )
-    prob = (
-        prob_mutual_nearest(sp, si, ti) if mutual else prob_nearest(sp, si, ti)
-    )
+    prob = prob_mutual_nearest(sp, si, ti) if mutual else prob_nearest(sp, si, ti)
     if prob <= 0.0:
         return term
     term.prob = prob
 
     values = values or _PairValues(g.space)
     lo, hi = (si, ti) if si < ti else (ti, si)
-    target = EdgeKey(float(g.space.dist[lo, hi]), lo, hi)
-    n_nodes = g.n
+    target, d = lo * g.m + hi, float(g.space.dist[lo, hi])
+    low, high = d * (1.0 - _SLACK), 2.0 * g.n * d * (1.0 + _SLACK) + 1e-300
 
     def class_fn(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vals = np.zeros(len(rows))
-        hits = np.zeros(len(rows), dtype=np.int64)
-        for r, (cc, longest) in enumerate(values.get(rows)):
-            if longest != target:
-                continue
-            d = target.length
-            if not (
-                d * (1.0 - _SLACK) <= cc <= 2.0 * n_nodes * d * (1.0 + _SLACK) + 1e-300
-            ):
-                raise InternalAssertionError(
-                    f"conditioned cycle-cover bound violated: d={d}, CC={cc}"
-                )
-            vals[r], hits[r] = cc, 1
-        return vals, hits
+        cc, longest = values.get(rows)
+        hit = longest == target
+        _check_rows(
+            ~hit | ((low <= cc) & (cc <= high)),
+            "conditioned cycle-cover bound violated: d={d}, CC={CC}", d=d, CC=cc,
+        )
+        return np.where(hit, cc, 0.0), hit.astype(np.int64)
 
     mean, term.indicator_hits, term.samples = estimate_conditional(
         g,
@@ -270,7 +265,7 @@ def estimate_pair_term(
 
 def pair_budget(n: int, m: int, epsilon: float) -> int:
     """Per-pair sample count: ceil(4 n^2 m^3 (ln n + ln m) / eps^3)."""
-    return max(1, math.ceil(4.0 * n * n * m**3 * (math.log(n) + math.log(m)) / epsilon**3))
+    return sample_count(4.0 * n * n * m**3 * (math.log(n) + math.log(m)), epsilon**3)
 
 
 def estimate_ecc(

@@ -50,7 +50,20 @@ def chernoff_budget(U: float, mu_lower: float, epsilon: float, delta: float) -> 
         raise DomainError("epsilon must be positive")
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must be in (0, 1)")
-    return max(1, math.ceil(4.0 * U * math.log(2.0 / delta) / (mu_lower * epsilon * epsilon)))
+    # U and mu_lower scaled by the same power of two: the budget is the same
+    # float, and a U near the float range does not overflow the numerator
+    _, e = math.frexp(U)
+    U, mu_lower = math.ldexp(U, -e), math.ldexp(mu_lower, -e)
+    return sample_count(4.0 * U * math.log(2.0 / delta), mu_lower * epsilon * epsilon)
+
+
+def sample_count(numerator: float, denominator: float) -> int:
+    """A full budget ``max(1, ceil(numerator / denominator))``; raises
+    ``DomainError`` when epsilon is so small that the denominator underflows
+    to 0 or the ratio overflows."""
+    if not (denominator > 0.0 and math.isfinite(numerator / denominator)):
+        raise DomainError("epsilon is too small: the full sample budget is not finite")
+    return max(1, math.ceil(numerator / denominator))
 
 
 def check_run_settings(
@@ -118,8 +131,12 @@ def run_conditional_mc(
     realization classes (point indices, -1 for absent) to (values,
     indicators), one of each per class; it is called once per block and may
     cache.  Returns (mean, indicator_hits).
+
+    Values are summed times ``scale``, a power of two below 1 / n_samples, so
+    no sum of finite values overflows; above the subnormal range that is exact.
     """
     n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
+    scale = 2.0 ** -int(n_samples).bit_length()
 
     def process(b: int) -> tuple[float, int]:
         start = b * BLOCK_SIZE
@@ -130,7 +147,7 @@ def run_conditional_mc(
         vals, hits = class_fn(classes)
         vals = np.asarray(vals, dtype=float)
         hits = np.asarray(hits, dtype=np.int64)
-        return tree_sum(vals[inverse]), int(hits[inverse].sum())
+        return tree_sum(vals[inverse] * scale), int(hits[inverse].sum())
 
     if threads > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -140,7 +157,7 @@ def run_conditional_mc(
 
     total = tree_sum(np.array([s for s, _ in results]))
     hits = sum(h for _, h in results)
-    return total / n_samples, hits
+    return total / n_samples / scale, hits
 
 
 def estimate_conditional(

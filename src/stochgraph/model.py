@@ -85,9 +85,11 @@ class MetricSpace:
             raise ValidationError("dist(a, a) must be 0")
         if np.any(d != d.T):
             raise ValidationError("distance matrix must be symmetric")
-        # d[a, c] <= d[a, b] + d[b, c], up to relative tolerance.
+        # d[a, c] <= d[a, b] + d[b, c], up to relative tolerance; a path
+        # whose sum overflows to inf is longer than any distance.
         for b in range(m):
-            via_b = d[:, b:b + 1] + d[b:b + 1, :]
+            with np.errstate(over="ignore"):
+                via_b = d[:, b:b + 1] + d[b:b + 1, :]
             bad = d > via_b * (1.0 + TRIANGLE_TOL) + 0.0
             if np.any(bad):
                 a, c = np.argwhere(bad)[0]
@@ -158,7 +160,8 @@ class StochasticGraph:
     ``probs[v, s]`` is the probability that node ``v`` realizes at point
     ``s``.  In ``certain`` mode every row sums to 1; in ``existential`` mode a
     row may sum to less than 1, the deficit being the probability that the
-    node is absent.
+    node is absent.  ``outcome_probs`` is ``probs`` with that absence mass
+    appended as column m (0 in certain mode), computed once per graph.
     """
 
     def __init__(
@@ -196,8 +199,20 @@ class StochasticGraph:
         self.probs.setflags(write=False)
         if validate:
             self._validate()
+        existential = presence_mode == EXISTENTIAL
+        absent = [max(0.0, 1.0 - float(row.sum())) if existential else 0.0 for row in P]
+        self.outcome_probs: np.ndarray = np.column_stack([P, absent])
+        self.outcome_probs.setflags(write=False)
 
     def _validate(self) -> None:
+        # The solvers' largest sums of distances: a cycle cover's assignment over
+        # up to n points, fixed points costing n * (max + 1); others add <= n edges.
+        dmax = float(self.space.dist.max())
+        if not math.isfinite(self.n * self.n * (dmax + 1.0)):
+            raise ValidationError(
+                f"largest distance {dmax} is too large for {self.n} nodes: "
+                "n^2 * (largest distance + 1) must stay below the largest float, 1.8e308"
+            )
         P = self.probs
         if np.any(~np.isfinite(P)) or np.any(P < 0):
             raise ValidationError("location probabilities must be finite and >= 0")
@@ -236,9 +251,7 @@ class StochasticGraph:
 
     def absent_mass(self, node: Union[str, int]) -> float:
         """Probability that the node is not present (0 in certain mode)."""
-        if self.presence_mode == CERTAIN:
-            return 0.0
-        return max(0.0, 1.0 - float(self.probs[self.node_index(node)].sum()))
+        return float(self.outcome_probs[self.node_index(node), -1])
 
 
 @dataclass(frozen=True)
@@ -369,9 +382,7 @@ def mass_in(g: StochasticGraph, w: int, points, absent: bool = True) -> float:
     boolean mask over the points), plus its absence mass when ``absent`` and
     the presence mode allow it.  The point masses are summed by numpy first."""
     mass = float(g.probs[w, points].sum())
-    if absent and g.presence_mode == EXISTENTIAL:
-        mass += g.absent_mass(w)
-    return mass
+    return mass + float(g.outcome_probs[w, -1]) if absent else mass
 
 
 def realization_probability(g: StochasticGraph, r: Realization) -> float:
@@ -380,14 +391,11 @@ def realization_probability(g: StochasticGraph, r: Realization) -> float:
         raise ValidationError("realization does not match graph size")
     prob = 1.0
     for ni, pi in enumerate(r.indices):
-        if pi < 0:
-            if g.presence_mode != EXISTENTIAL:
-                raise ValidationError("absent node in certain mode")
-            prob *= g.absent_mass(ni)
-        else:
-            if not 0 <= pi < g.m:
-                raise ValidationError(f"point index {pi} out of range")
-            prob *= float(g.probs[ni, pi])
+        if pi < 0 and g.presence_mode != EXISTENTIAL:
+            raise ValidationError("absent node in certain mode")
+        if not -1 <= pi < g.m:
+            raise ValidationError(f"point index {pi} out of range")
+        prob *= float(g.outcome_probs[ni, pi])  # column -1 is the absence mass
     return prob
 
 

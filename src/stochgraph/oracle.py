@@ -17,14 +17,7 @@ import numpy as np
 from .errors import DomainError, EnumerationCapError
 from .model import Event, EventSpec, StochasticGraph, as_event, event_probability
 from .sampling import node_outcomes
-from .solvers import (
-    _cc_indices,
-    _mpm_indices,
-    _mst_indices,
-    _nn_indices,
-    blocks_by_size,
-    present_sets,
-)
+from .solvers import _cc_indices, _mpm_indices, _mst_indices, _nn_indices, fill_memo
 
 DEFAULT_CAP = 10_000_000
 CHUNK = 4096  # realizations per values() call in enumerate_term
@@ -61,10 +54,7 @@ class FunctionalEvaluator:
         Uncached point sets are solved with one kernel call per present
         count; rows sharing a point set share its value.
         """
-        keys = present_sets(rows)
-        missing = [key for key in keys if key not in self._cache]
-        for sets, idx in blocks_by_size(missing):
-            self._cache.update(zip(sets, self._compute(idx).tolist()))
+        keys = fill_memo(rows, self._cache, lambda idx: self._compute(idx).tolist())
         # one memo read for every caller: perfbench's tracer times value()
         return np.array([self.value(key) for key in keys], dtype=float)
 
@@ -126,22 +116,13 @@ def enumerate_term(
         return 0.0, 0
 
     evaluator = FunctionalEvaluator(g.space, functional)
-    outs = [np.array(o, dtype=np.int64) for o, _ in table]
-    weights = [np.array(w, dtype=float) for _, w in table]
     total = comp = 0.0
     for start in range(0, count, CHUNK):
-        r = np.arange(start, min(start + CHUNK, count))
-        digits = []
-        for radix in reversed(radices):
-            digits.append(r % radix)
-            r //= radix
-        digits.reverse()
-        prob = np.ones(len(r))
-        rows = np.empty((len(r), g.n), dtype=np.int64)
-        for j, d in enumerate(digits):
-            prob *= weights[j][d]
-            rows[:, j] = outs[j][d]
-        rows.sort(axis=1)
+        digits = np.unravel_index(np.arange(start, min(start + CHUNK, count)), radices)
+        prob = np.ones(len(digits[0]))
+        for (_, weights), d in zip(table, digits):
+            prob *= weights[d]
+        rows = np.sort(np.column_stack([outs[d] for (outs, _), d in zip(table, digits)]), axis=1)
         for x in (prob * evaluator.values(rows)).tolist():
             y = x - comp
             t = total + y

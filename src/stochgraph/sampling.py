@@ -20,21 +20,14 @@ ABSENT_IDX = -1
 
 def node_outcomes(
     g: StochasticGraph, event: EventSpec | Event | None
-) -> list[tuple[list[int], list[float]]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per node: the outcomes the event allows that have positive probability
-    (point indices ascending, then ``ABSENT_IDX``) and their probabilities."""
+    (point indices ascending, then ``ABSENT_IDX``) and their probabilities,
+    sliced from ``g.outcome_probs``."""
     event = as_event(g, event)
-    table = []
-    for v in range(g.n):
-        outs = [int(s) for s in np.flatnonzero(event.allowed[v] & (g.probs[v] > 0.0))]
-        weights = [float(g.probs[v, s]) for s in outs]
-        if event.absent[v]:
-            a = g.absent_mass(v)
-            if a > 0.0:
-                outs.append(ABSENT_IDX)
-                weights.append(a)
-        table.append((outs, weights))
-    return table
+    mask = np.column_stack([event.allowed, event.absent]) & (g.outcome_probs > 0.0)
+    outcomes = np.append(np.arange(g.m), ABSENT_IDX)
+    return [(outcomes[row], probs[row]) for row, probs in zip(mask, g.outcome_probs)]
 
 
 class ConditionalSampler:
@@ -51,12 +44,13 @@ class ConditionalSampler:
         self.outcomes: list[np.ndarray] = []
         self.cum: list[np.ndarray] = []
         for name, (outs, weights) in zip(g.node_ids, node_outcomes(g, event)):
-            if not weights:
+            if not weights.size:
                 raise DomainError(
                     f"node {name}: zero probability mass under the conditioning event"
                 )
-            self.outcomes.append(np.asarray(outs, dtype=np.int64))
-            self.cum.append(np.cumsum(weights) / float(sum(weights)))
+            cum = np.cumsum(weights)
+            self.outcomes.append(outs)
+            self.cum.append(cum / cum[-1])
 
     @property
     def is_deterministic(self) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -62,24 +62,27 @@ def edge_order(space: MetricSpace) -> tuple[np.ndarray, np.ndarray]:
 # Blocks of realization classes
 # ---------------------------------------------------------------------------
 
-def present_sets(rows: np.ndarray) -> list[tuple[int, ...]]:
-    """Present point indices of each row of a row-sorted block.
+def fill_memo(
+    rows: np.ndarray, memo: dict, solve: Callable[[np.ndarray], Iterable]
+) -> list[tuple[int, ...]]:
+    """Present point indices of each row of a row-sorted block, after adding
+    to ``memo`` the point sets it lacks.
 
-    Absent nodes are -1, so they sort to the front of their row.
+    Absent nodes are -1, so they sort to the front of their row.  ``solve``
+    maps a (B, k) block of distinct k-point sets to their values; it is
+    called once per present count, ascending.
     """
     rows = np.asarray(rows)
     absent = (rows < 0).sum(axis=1).tolist()
-    return [tuple(row[a:]) for row, a in zip(rows.tolist(), absent)]
-
-
-def blocks_by_size(keys: Iterable[tuple[int, ...]]) -> Iterator[tuple[list, np.ndarray]]:
-    """Distinct point sets grouped by size: (sets, their (B, k) index array)."""
+    keys = [tuple(row[a:]) for row, a in zip(rows.tolist(), absent)]
     groups: dict[int, dict[tuple[int, ...], None]] = {}
     for key in keys:
-        groups.setdefault(len(key), {})[key] = None
+        if key not in memo:
+            groups.setdefault(len(key), {})[key] = None
     for k in sorted(groups):
         sets = list(groups[k])
-        yield sets, np.array(sets, dtype=np.intp).reshape(len(sets), k)
+        memo.update(zip(sets, solve(np.array(sets, dtype=np.intp).reshape(len(sets), k))))
+    return keys
 
 
 def _one_row(space: MetricSpace, points: Sequence) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 from stochgraph import (
     DomainError,
     Functional,
+    InternalAssertionError,
     MetricSpace,
     StochasticGraph,
     cc_length,
@@ -22,7 +23,8 @@ from stochgraph import (
     prob_nearest,
     split_points,
 )
-from stochgraph.cc import pair_budget
+import stochgraph.cc as cc_module
+from stochgraph.cc import _SLACK, _PairValues, pair_budget
 
 from conftest import NNEventStats, random_graph, rng_for
 
@@ -327,3 +329,59 @@ def test_pair_budget_formula():
     n, m, eps = 3, 4, 0.25
     expected = math.ceil(4 * n * n * m**3 * (math.log(n) + math.log(m)) / eps**3)
     assert pair_budget(n, m, eps) == expected
+
+
+# ---------------------------------------------------------------------------
+# runtime assertions: each check is broken by patching cc's kernel bindings
+# ---------------------------------------------------------------------------
+# Four forced nodes on a line at 0, 1, 3, 10: the nearest-neighbor edges are
+# (p0,p1) = 1, (p1,p2) = 2 and (p2,p3) = 7, so NN = 10 and the longest is 7.
+
+def forced_line_graph():
+    space = line_space(0.0, 1.0, 3.0, 10.0)
+    return StochasticGraph(
+        [f"v{i}" for i in range(4)], space, {f"v{i}": {f"p{i}": 1.0} for i in range(4)}
+    )
+
+
+def test_cycle_cover_sandwich_violation_is_reported(monkeypatch):
+    monkeypatch.setattr(cc_module, "_cc_indices", lambda space, idx: np.full(len(idx), 25.0))
+    values = _PairValues(forced_line_graph().space)
+    with pytest.raises(InternalAssertionError, match=r"cycle-cover sandwich violated: NN=10\.0, CC=25\.0$"):
+        values.get(np.array([[0, 1, 2, 3]]))
+
+
+def test_longest_edge_sandwich_violation_is_reported(monkeypatch):
+    nn_indices = cc_module._nn_indices
+    monkeypatch.setattr(
+        cc_module,
+        "_nn_indices",
+        lambda space, idx: nn_indices(space, idx)._replace(longest=np.array([[0, 1]])),
+    )
+    values = _PairValues(forced_line_graph().space)
+    with pytest.raises(
+        InternalAssertionError,
+        match=r"longest-edge sandwich violated: NN=10\.0, longest=1\.0, k=4$",
+    ):
+        values.get(np.array([[0, 1, 2, 3]]))
+
+
+def test_conditioned_cycle_cover_bound_violation_is_reported(monkeypatch):
+    # Both sandwiches hold within their slack, but CC falls below
+    # d * (1 - slack) on the realization whose longest edge is (p2, p3).
+    nn_indices = cc_module._nn_indices
+
+    def nn_shrunk(space, idx):
+        nn = nn_indices(space, idx)
+        lam = space.dist[nn.longest[:, 0], nn.longest[:, 1]]
+        return nn._replace(total=lam * (1.0 - _SLACK / 2))
+
+    monkeypatch.setattr(cc_module, "_nn_indices", nn_shrunk)
+    monkeypatch.setattr(
+        cc_module, "_cc_indices", lambda space, idx: nn_shrunk(space, idx).total * (1.0 - _SLACK)
+    )
+    cc = 7.0 * (1.0 - _SLACK / 2) * (1.0 - _SLACK)
+    sp = split_points(forced_line_graph())
+    with pytest.raises(InternalAssertionError) as err:
+        estimate_pair_term(sp, "p3", "p2", 10, seed=1)
+    assert str(err.value) == f"conditioned cycle-cover bound violated: d=7.0, CC={cc}"

@@ -357,3 +357,51 @@ def test_console_entry_point(instance_path):
     proc = run_cli(["validate", str(instance_path)])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
+
+
+@pytest.fixture
+def instance_4x5(tmp_path):
+    path = tmp_path / "inst45.json"
+    assert main(["gen", "euclidean-uniform", "4", "5", "--seed", "3", "-o", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "epsilon, method",
+    [
+        ("1e-100", ["mst"]),
+        *(("1e-160", m) for m in (["mst"], ["mst", "--method", "dp"], ["mpm"], ["cc"])),
+        *(("1e-200", m) for m in (["mst"], ["mst", "--method", "dp"], ["mpm"], ["cc"])),
+    ],
+)
+def test_epsilon_too_small_for_a_finite_budget_is_invalid(instance_4x5, capsys, epsilon, method):
+    args = ["estimate", *method, str(instance_4x5), "--epsilon", epsilon, "--seed", "1"]
+    assert main(args + ["--budget-cap", "10"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("invalid: ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate", "INST"],
+        ["solve", "INST", "--functional", "mst", "--realization", '{"v0": "a", "v1": "b", "v2": "c"}'],
+        ["exact", "INST", "--functional", "mst"],
+        ["estimate", "mst", "INST", "--epsilon", "0.25", "--seed", "1"],
+        ["estimate", "mst", "INST", "--method", "dp", "--epsilon", "0.25", "--seed", "1"],
+        ["estimate", "cc", "INST", "--epsilon", "0.25", "--seed", "1"],
+    ],
+)
+def test_distances_overflowing_solver_sums_are_invalid(tmp_path, capsys, command):
+    path = tmp_path / "big.json"
+    d = 1e308
+    path.write_text(json.dumps({
+        "points": ["a", "b", "c"],
+        "distance_matrix": [[0.0, d, d], [d, 0.0, d], [d, d, 0.0]],
+        "nodes": [{"id": "v0", "dist": {"a": 1.0}}, {"id": "v1", "dist": {"b": 1.0}},
+                  {"id": "v2", "dist": {"c": 1.0}}],
+    }))
+    assert main([str(path) if arg == "INST" else arg for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "n^2 * (largest distance + 1)" in err

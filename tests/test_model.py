@@ -16,6 +16,7 @@ from stochgraph import (
     ConditionalSampler,
     DomainError,
     EventSpec,
+    Functional,
     MetricSpace,
     Realization,
     SampleStream,
@@ -23,7 +24,12 @@ from stochgraph import (
     StochgraphError,
     ValidationError,
     diam,
+    estimate_ecc,
+    estimate_emst,
+    estimate_emst_dp,
+    estimate_empm,
     event_probability,
+    exact_expectation,
     expected_mass,
     instance_from_dict,
     instance_to_dict,
@@ -33,6 +39,8 @@ from stochgraph import (
     set_distance,
     set_set_distance,
 )
+from stochgraph.generate import gen_instance
+from stochgraph.sampling import ABSENT_IDX, node_outcomes
 
 from conftest import enumerate_realizations, random_graph, rng_for
 
@@ -315,6 +323,27 @@ def test_existential_sampling_and_probability():
     assert event_probability(g, ev) == pytest.approx(0.6, abs=1e-15)
 
 
+def test_outcome_table_and_node_outcomes():
+    space = line_space(0.0, 1.0, 2.0)
+    g = StochasticGraph(
+        ["v", "w"], space, {"v": {"p0": 0.3, "p2": 0.3}, "w": {"p1": 1.0}},
+        presence_mode="existential",
+    )
+    assert g.outcome_probs.shape == (2, 4)
+    assert not g.outcome_probs.flags.writeable
+    assert g.outcome_probs[:, -1].tolist() == [g.absent_mass("v"), g.absent_mass("w")]
+    assert g.absent_mass("v") == max(0.0, 1.0 - (0.3 + 0.3))
+    assert g.absent_mass("w") == 0.0
+    (v_out, v_w), (w_out, w_w) = node_outcomes(g, EventSpec(allowed={"v": ["p2", "p1"]}))
+    assert v_out.tolist() == [2, ABSENT_IDX]
+    assert v_w.tolist() == [0.3, g.absent_mass("v")]
+    assert (w_out.tolist(), w_w.tolist()) == ([1], [1.0])
+    certain = StochasticGraph(["v"], space, {"v": {"p0": 0.25, "p1": 0.75}})
+    assert certain.outcome_probs[:, -1].tolist() == [0.0]
+    cum = ConditionalSampler(certain, None).cum[0]
+    assert cum[-1] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # instance round-trip
 # ---------------------------------------------------------------------------
@@ -327,6 +356,31 @@ def test_instance_round_trip(rng):
     assert g2.space.point_ids == g.space.point_ids
     assert np.array_equal(g2.probs, g.probs)
     assert np.allclose(g2.space.dist, g.space.dist)
+
+
+def test_distances_just_inside_the_float_bound_solve_and_estimate():
+    # The largest power-of-two scaling of a generated instance that passes
+    # n^2 * (max distance + 1) < float max; one doubling more is rejected.
+    g = instance_from_dict(gen_instance("euclidean-uniform", 4, 5, seed=3))
+    top = float(g.space.dist.max())
+    k = 0
+    while math.isfinite(g.n**2 * (math.ldexp(top, k + 1) + 1.0)):
+        k += 1
+
+    def scaled(power):
+        space = MetricSpace(g.space.point_ids, dist=g.space.dist * 2.0**power)
+        return StochasticGraph(g.node_ids, space, g.probs)
+
+    with pytest.raises(ValidationError, match=r"n\^2 \* \(largest distance \+ 1\)"):
+        scaled(k + 1)
+    big = scaled(k)
+    assert k > 1000
+    # scaling every distance by a power of two scales every value exactly
+    for functional in (Functional.MST, Functional.MPM, Functional.CC):
+        assert exact_expectation(big, functional) == exact_expectation(g, functional) * 2.0**k
+    for estimate in (estimate_emst, estimate_emst_dp, estimate_empm, estimate_ecc):
+        want = estimate(g, 0.25, 1, budget_cap=200).value * 2.0**k
+        assert estimate(big, 0.25, 1, budget_cap=200).value == want
 
 
 def test_instance_validation_errors():
