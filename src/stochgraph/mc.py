@@ -22,9 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .model import Event, EventSpec, StochasticGraph
 from .rng import STREAM_VERSION, SampleStream
-from .sampling import ConditionalSampler
-
-BLOCK_SIZE = 4096
+from .sampling import BLOCK_SIZE, ConditionalSampler
 
 
 def tree_sum(values) -> float:
@@ -41,9 +39,10 @@ def tree_sum(values) -> float:
 
 def chernoff_budget(U: float, mu_lower: float, epsilon: float, delta: float) -> int:
     """Smallest N making the Chernoff failure bound <= delta, with the mean
-    replaced by its lower bound."""
-    if mu_lower <= 0.0:
-        raise DomainError("mu_lower must be positive")
+    replaced by its lower bound.  A lower bound of 0 (an epsilon-scaled bound
+    underflows to it at a tiny epsilon) leaves no finite budget."""
+    if not mu_lower >= 0.0:
+        raise DomainError("mu_lower must not be negative")
     if U < mu_lower:
         raise DomainError("U must be at least mu_lower")
     if epsilon <= 0.0:
@@ -107,15 +106,33 @@ def realization_classes(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarra
     """
     n = rows.shape[1]
     if (m + 1) ** n < 2**63:
-        keys = np.zeros(len(rows), dtype=np.int64)
-        for j in range(n):
-            keys *= m + 1
-            keys += rows[:, j] + 1
+        keys = (rows + 1) @ ((m + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64))
     else:
         rows = np.ascontiguousarray(rows)
         keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return rows[first], inverse
+
+
+def block_classes(sampler: ConditionalSampler, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``realization_classes`` of a drawn block's row-sorted rows.
+
+    With ``sampler.lookups``, rows are keyed by outcome position, and one row
+    per present key is row-sorted and merged (two position tuples may hold
+    one point set); otherwise ``rows`` is row-sorted in place.
+    """
+    if sampler.lookups is None:
+        rows.sort(axis=1)
+        return realization_classes(rows, sampler.g.m)
+    keys = sampler.position_keys(rows)
+    present = np.flatnonzero(np.bincount(keys, minlength=sampler.support))
+    slot = np.empty(sampler.support, dtype=np.intp)
+    slot[keys] = np.arange(len(keys))  # any row of a key will do
+    distinct = rows[slot[present]]
+    distinct.sort(axis=1)
+    classes, merged = realization_classes(distinct, sampler.g.m)
+    slot[present] = merged
+    return classes, slot[keys]
 
 
 def run_conditional_mc(
@@ -127,10 +144,12 @@ def run_conditional_mc(
 ) -> tuple[float, int]:
     """Mean of a per-realization value over n_samples conditional draws.
 
-    ``class_fn`` maps a block's (B, n) array of distinct row-sorted
-    realization classes (point indices, -1 for absent) to (values,
-    indicators), one of each per class; it is called once per block and may
-    cache.  Returns (mean, indicator_hits).
+    ``class_fn`` maps a ``BLOCK_SIZE`` block's (B, n) array of distinct
+    row-sorted realization classes (point indices, -1 for absent), in
+    ``realization_classes`` order whether or not ``block_classes`` keyed the
+    block by outcome position, to (values, indicators), one of each per
+    class; it is called once per block and may cache.  Values are summed in
+    sample order.  Returns (mean, indicator_hits).
 
     Values are summed times ``scale``, a power of two below 1 / n_samples, so
     no sum of finite values overflows; above the subnormal range that is exact.
@@ -141,9 +160,7 @@ def run_conditional_mc(
     def process(b: int) -> tuple[float, int]:
         start = b * BLOCK_SIZE
         count = min(BLOCK_SIZE, n_samples - start)
-        rows = sampler.draw_block(stream, start, count)
-        rows.sort(axis=1)
-        classes, inverse = realization_classes(rows, sampler.g.m)
+        classes, inverse = block_classes(sampler, sampler.draw_block(stream, start, count))
         vals, hits = class_fn(classes)
         vals = np.asarray(vals, dtype=float)
         hits = np.asarray(hits, dtype=np.int64)

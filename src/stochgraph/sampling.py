@@ -9,6 +9,8 @@ is tiny.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -16,6 +18,7 @@ from .model import Event, EventSpec, Realization, StochasticGraph, as_event
 from .rng import SampleStream
 
 ABSENT_IDX = -1
+BLOCK_SIZE = 4096  # samples per Monte Carlo engine block
 
 
 def node_outcomes(
@@ -35,8 +38,12 @@ class ConditionalSampler:
 
     ``outcomes[j]`` lists the point indices node ``j`` may take (-1 for
     absent), ``cum[j]`` the matching cumulative probabilities after
-    renormalization.  Raises ``DomainError`` if any node has zero mass under
-    its restriction.
+    renormalization, and ``support`` the number of outcome tuples.  When that
+    is at most ``BLOCK_SIZE``, ``lookups`` holds ``(j, lookup)`` per node
+    with several outcomes: ``lookup`` maps a point index (-1 reads the last
+    entry) to its outcome position times the node's C-order stride, and
+    ``position_keys`` sums them; otherwise it is None.  Raises
+    ``DomainError`` if any node has zero mass under its restriction.
     """
 
     def __init__(self, g: StochasticGraph, event: EventSpec | Event | None = None):
@@ -51,11 +58,30 @@ class ConditionalSampler:
             cum = np.cumsum(weights)
             self.outcomes.append(outs)
             self.cum.append(cum / cum[-1])
+        self.support = math.prod(len(outs) for outs in self.outcomes)
+        self.lookups: list[tuple[int, np.ndarray]] | None = None
+        if self.support <= BLOCK_SIZE:
+            self.lookups = []
+            stride, width = self.support, g.m + 1
+            for j, outs in enumerate(self.outcomes):
+                r = len(outs)
+                stride //= r
+                if r > 1:
+                    lookup = np.zeros(width, dtype=np.int64)
+                    lookup[outs] = np.arange(0, r * stride, stride)
+                    self.lookups.append((j, lookup))
 
     @property
     def is_deterministic(self) -> bool:
         """True when every node has exactly one possible outcome."""
-        return all(len(o) == 1 for o in self.outcomes)
+        return self.support == 1
+
+    def position_keys(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's position key in ``[0, support)``; needs ``lookups``."""
+        keys = np.zeros(len(rows), dtype=np.int64)
+        for j, lookup in self.lookups:
+            keys += lookup[rows[:, j]]
+        return keys
 
     def draw_block(self, stream: SampleStream, start: int, count: int) -> np.ndarray:
         """(count, n) matrix of point indices for sample indices start..start+count-1."""
@@ -67,6 +93,9 @@ class ConditionalSampler:
         u = stream.uniforms(start, count)
         out = np.empty((count, n), dtype=np.int64)
         for j in range(n):
+            if len(self.cum[j]) == 1:  # cum is [1.0] and u < 1: no search
+                out[:, j] = self.outcomes[j][0]
+                continue
             pos = np.searchsorted(self.cum[j], u[:, j], side="right")
             np.minimum(pos, len(self.cum[j]) - 1, out=pos)
             out[:, j] = self.outcomes[j][pos]

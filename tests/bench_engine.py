@@ -1,0 +1,66 @@
+"""Micro-benchmarks of the Monte Carlo engine's layers, one block at a time.
+
+    PYTHONPATH=src python -m pytest tests/bench_engine.py --benchmark-only
+
+Two terms of a generated n = 8, m = 12 Euclidean instance: ``small``
+conditions every node on its most likely point except three nodes on two
+points each (support 8, so blocks are keyed by outcome position), and
+``large`` is unconditioned (support far above ``BLOCK_SIZE``, so blocks are
+row-sorted and deduplicated whole).  Each case times one call:
+
+- ``build``: ``ConditionalSampler(g, event)``;
+- ``draw``: ``draw_block`` of one full block;
+- ``classes``: ``block_classes`` of that block;
+- ``block``: ``run_conditional_mc`` over one block with a constant
+  ``class_fn``, so no solver runs.
+
+The file name keeps it out of the default ``test_*.py`` collection.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from stochgraph.generate import gen_graph
+from stochgraph.mc import BLOCK_SIZE, block_classes, run_conditional_mc
+from stochgraph.model import Event
+from stochgraph.rng import SampleStream
+from stochgraph.sampling import ConditionalSampler
+
+G = gen_graph("euclidean-uniform", 8, 12, 1)
+
+
+def small_event() -> Event:
+    allowed = np.zeros((G.n, G.m), dtype=bool)
+    order = np.argsort(-G.probs, axis=1, kind="stable")
+    allowed[np.arange(G.n), order[:, 0]] = True
+    allowed[np.arange(3), order[:3, 1]] = True
+    return Event(allowed, np.zeros(G.n, dtype=bool))
+
+
+EVENTS = {"small": small_event(), "large": None}
+
+
+def constant_class_fn(rows):
+    return np.ones(len(rows)), np.zeros(len(rows), dtype=np.int64)
+
+
+@pytest.mark.parametrize("term", EVENTS)
+@pytest.mark.parametrize("layer", ["build", "draw", "classes", "block"])
+def test_engine_layer(benchmark, term, layer):
+    sampler = ConditionalSampler(G, EVENTS[term])
+    assert (sampler.support <= 8) == (term == "small")
+    assert (sampler.lookups is None) == (sampler.support > BLOCK_SIZE)
+    stream = SampleStream(1, "bench", G.n)
+    rows = sampler.draw_block(stream, 0, BLOCK_SIZE)
+    benchmark.group = layer
+    if layer == "build":
+        benchmark(ConditionalSampler, G, EVENTS[term])
+    elif layer == "draw":
+        benchmark(sampler.draw_block, stream, 0, BLOCK_SIZE)
+    elif layer == "classes":
+        benchmark(lambda: block_classes(sampler, rows.copy()))
+    else:
+        mean, _ = benchmark(run_conditional_mc, sampler, constant_class_fn, BLOCK_SIZE, stream)
+        assert mean == 1.0

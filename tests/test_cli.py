@@ -377,7 +377,9 @@ def instance_4x5(tmp_path):
 def test_epsilon_too_small_for_a_finite_budget_is_invalid(instance_4x5, capsys, epsilon, method):
     args = ["estimate", *method, str(instance_4x5), "--epsilon", epsilon, "--seed", "1"]
     assert main(args + ["--budget-cap", "10"]) == 2
-    assert capsys.readouterr().err.splitlines()[-1].startswith("invalid: ")
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "invalid: epsilon is too small: the full sample budget is not finite"
+    )
 
 
 @pytest.mark.filterwarnings("error")

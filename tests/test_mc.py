@@ -25,13 +25,19 @@ from stochgraph import (
     exact_expectation,
     tree_sum,
 )
-from stochgraph.mc import BLOCK_SIZE, apply_budget_scale, realization_classes, run_conditional_mc
+from stochgraph.mc import (
+    BLOCK_SIZE,
+    apply_budget_scale,
+    block_classes,
+    realization_classes,
+    run_conditional_mc,
+)
 from stochgraph.model import Event
 from stochgraph.oracle import FunctionalEvaluator
 from stochgraph.rng import SampleStream
 from stochgraph.sampling import ConditionalSampler
 
-from conftest import random_graph, rng_for
+from conftest import euclidean_space, random_graph, rng_for
 
 
 def line_space(*xs):
@@ -179,6 +185,110 @@ def test_class_fn_gets_each_block_distinct_sorted_classes(rng):
         assert block.shape[1] == g.n
         assert np.all(block[:, 1:] >= block[:, :-1])
         assert len(np.unique(block, axis=0)) == len(block)
+
+
+# ---------------------------------------------------------------------------
+# block_classes: position keys when the support fits in one block
+# ---------------------------------------------------------------------------
+
+def support_graph(rng, sizes, m, existential=False):
+    """Node j has exactly sizes[j] outcomes, its points drawn from m points
+    so that nodes share them; existential nodes also count absent."""
+    P = np.zeros((len(sizes), m))
+    for v, size in enumerate(sizes):
+        k = size - existential
+        if k:  # an existential node with no point is pinned absent
+            P[v, rng.choice(m, size=k, replace=False)] = rng.random(k) + 0.05
+            P[v] /= P[v].sum() * (2.0 if existential else 1.0)
+    g = StochasticGraph(
+        [f"v{v}" for v in range(len(sizes))],
+        euclidean_space(rng, m),
+        P,
+        presence_mode="existential" if existential else "certain",
+    )
+    assert ConditionalSampler(g).support == math.prod(sizes)
+    return g
+
+
+SUPPORT_CASES = {
+    "pinned": ((1, 3, 1, 2, 1), 4, False),
+    "existential": ((2, 3, 2, 1, 3), 4, True),
+    "shared-points": ((4, 4, 4, 4), 5, False),
+    "block-size": ((8, 8, 8, 8), 9, False),
+    "block-size-existential": ((8, 8, 8, 8), 9, True),
+    "block-size-plus-1": ((17, 241), 241, False),
+}
+
+
+@pytest.mark.parametrize("case", SUPPORT_CASES)
+def test_position_keys_give_the_classes_of_sorted_rows(case):
+    sizes, m, existential = SUPPORT_CASES[case]
+    for seed in range(4):
+        g = support_graph(rng_for(seed), sizes, m, existential)
+        sampler = ConditionalSampler(g)
+        if sampler.support > BLOCK_SIZE:
+            assert sampler.lookups is None
+        else:
+            assert [j for j, _ in sampler.lookups] == [j for j, r in enumerate(sizes) if r > 1]
+        rows = sampler.draw_block(SampleStream(seed, case, g.n), 0, BLOCK_SIZE)
+        classes, inverse = block_classes(sampler, rows.copy())
+        ref_classes, ref_inverse = realization_classes(np.sort(rows, axis=1), m)
+        assert classes.dtype == ref_classes.dtype and inverse.dtype == ref_inverse.dtype
+        np.testing.assert_array_equal(classes, ref_classes)
+        np.testing.assert_array_equal(inverse, ref_inverse)
+        if case == "shared-points":  # distinct position tuples, one point set
+            assert len(classes) < len(np.unique(rows, axis=0))
+        if existential:
+            assert (rows == -1).any()
+
+
+def test_position_keys_number_outcome_tuples_in_c_order():
+    g = support_graph(rng_for(3), (2, 1, 3, 2), 4, existential=True)
+    sampler = ConditionalSampler(g)
+    # every outcome tuple once, last node fastest
+    rows = np.array(np.meshgrid(*sampler.outcomes, indexing="ij")).reshape(g.n, -1).T
+    np.testing.assert_array_equal(sampler.position_keys(rows), np.arange(sampler.support))
+
+
+def test_position_keyed_term_is_thread_invariant_and_matches_sorted_rows():
+    g = support_graph(rng_for(5), (3, 1, 4, 2, 3), 6, existential=True)
+    sampler = ConditionalSampler(g)
+    assert sampler.lookups is not None
+    class_fn = mst_class_fn(g)
+    n = 2 * BLOCK_SIZE + 100  # three blocks
+    runs = [
+        run_conditional_mc(sampler, class_fn, n, SampleStream(2, "keyed", g.n), threads)
+        for threads in (1, 2)
+    ]
+    sampler.lookups = None  # the whole-block path
+    ref = run_conditional_mc(sampler, class_fn, n, SampleStream(2, "keyed", g.n), 1)
+    assert runs[0] == runs[1] == ref
+    assert 0.0 < ref[0]
+
+
+def test_pinned_columns_equal_a_search_on_every_node():
+    g = support_graph(rng_for(6), (1, 3, 1, 1, 2), 4, existential=True)
+    sampler = ConditionalSampler(g)
+    stream = SampleStream(8, "pinned", g.n)
+    u = stream.uniforms(5, 500)
+    ref = np.column_stack([
+        outs[np.minimum(np.searchsorted(cum, u[:, j], side="right"), len(cum) - 1)]
+        for j, (outs, cum) in enumerate(zip(sampler.outcomes, sampler.cum))
+    ])
+    np.testing.assert_array_equal(sampler.draw_block(stream, 5, 500), ref)
+
+
+def test_is_deterministic_means_support_1(rng):
+    seen = set()
+    for _ in range(30):
+        g = random_graph(rng, 3, 4, max_support=2, presence_mode="existential")
+        allowed = rng.random((g.n, g.m)) < 0.5
+        allowed[np.arange(g.n), g.probs.argmax(axis=1)] = True
+        sampler = ConditionalSampler(g, Event(allowed, rng.random(g.n) < 0.3))
+        assert sampler.support == math.prod(len(o) for o in sampler.outcomes)
+        assert sampler.is_deterministic == (sampler.support == 1)
+        seen.add(sampler.is_deterministic)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
