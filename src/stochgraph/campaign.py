@@ -69,16 +69,8 @@ class CampaignRow:
     reason: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "estimator": self.estimator,
-            "seed": self.seed,
-            "estimate": self.estimate,
-            "oracle": self.oracle,
-            "rel_err": self.rel_err,
-            "pass": self.passed,
-            "reason": self.reason,
-        }
+        """The fields, with ``passed`` under the key ``pass``."""
+        return {("pass" if k == "passed" else k): v for k, v in vars(self).items()}
 
 
 @dataclass

@@ -62,22 +62,37 @@ def split_points(g: StochasticGraph) -> SplitSpace:
 
     Copies are co-located (zero distance); the canonical point order of the
     new space is the deterministic tie-breaker standing in for the usual
-    "no two edges have equal length" assumption.
+    "no two edges have equal length" assumption.  A copy of point ``a`` for
+    node ``v`` is named ``a~v``; if an unsplit point or an earlier copy holds
+    that name already, the copy takes the first free ``a~v#k`` (k = 1, 2, ...).
     """
     ids: list[str] = []
     origin: list[int] = []
     owner: list[int] = []
+    copies: list[int] = []
+    held: set[str] = set()  # names taken so far: unsplit points, then copies
     for s in range(g.m):
         owners = [v for v in range(g.n) if g.probs[v, s] > 0.0]
         if len(owners) <= 1:
+            held.add(g.space.point_ids[s])
             ids.append(g.space.point_ids[s])
             origin.append(s)
             owner.append(owners[0] if owners else -1)
         else:
             for v in owners:
+                copies.append(len(ids))
                 ids.append(f"{g.space.point_ids[s]}~{g.node_ids[v]}")
                 origin.append(s)
                 owner.append(v)
+    used = set(ids)
+    for i in copies:
+        if ids[i] in held:
+            k = 1
+            while f"{ids[i]}#{k}" in used:
+                k += 1
+            ids[i] = f"{ids[i]}#{k}"
+            used.add(ids[i])
+        held.add(ids[i])
     origin_arr = np.asarray(origin)
     dist = g.space.dist[np.ix_(origin_arr, origin_arr)].copy()
     space = MetricSpace(ids, dist=dist, validate=False)

@@ -22,13 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .generate import KINDS, gen_instance
-from .model import (
-    EventSpec,
-    Realization,
-    event_probability,
-    instance_from_dict,
-    load_instance,
-)
+from .model import EventSpec, Realization, event_probability, load_instance
 from .oracle import DEFAULT_CAP, Functional, enumerate_term, FunctionalEvaluator
 
 EXIT_VALIDATION = 2
@@ -142,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--method", choices=["home", "dp"], default="home",
-                   help="mst only: decomposition to use")
+    p.add_argument("--method", choices=["home", "dp"],
+                   help="mst only: decomposition to use (default home)")
     _add_run_settings(p)
     p.add_argument("--dump-homes", action="store_true",
                    help="include the home structure in the report")
@@ -182,9 +176,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    doc = gen_instance(args.kind, args.n, args.m, args.seed)
-    instance_from_dict(doc)  # self-check before writing
-    _emit(doc, args.output)
+    _emit(gen_instance(args.kind, args.n, args.m, args.seed), args.output)
     return 0
 
 
@@ -221,10 +213,12 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.method is not None and args.target != "mst":
+        raise ValidationError("--method applies to estimate mst only")
     g = load_instance(args.instance)
     _warn_budget(args)
     name = args.target if args.target != "mst" else (
-        "mst-home" if args.method == "home" else "mst-dp"
+        "mst-dp" if args.method == "dp" else "mst-home"
     )
     report = run_estimator(
         name,

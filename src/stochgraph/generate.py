@@ -8,7 +8,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DomainError
-from .model import StochasticGraph, instance_from_dict
+from .model import MetricSpace, StochasticGraph, instance_from_dict, instance_to_dict
 
 KINDS = ("euclidean-uniform", "random-metric", "home-separated", "colocated-mass")
 
@@ -18,17 +18,19 @@ def _rng(seed: int, salt: str) -> Generator:
     return Generator(Philox(key=int.from_bytes(digest[:16], "little")))
 
 
-def _random_rows(rng: Generator, n: int, m: int, max_support: int = 4) -> list[dict]:
-    nodes = []
+def _random_rows(
+    rng: Generator, n: int, m: int, max_support: int = 4, overlap: bool = False
+) -> np.ndarray:
+    """(n, m) probabilities: each node spreads random weights over k distinct
+    random points, 2 <= k <= max_support (k = 1 when m = 1), drawn from the
+    lowest k + 1 points when ``overlap`` and from all m otherwise."""
+    probs = np.zeros((n, m))
     for v in range(n):
         k = int(rng.integers(2, min(m, max_support) + 1)) if m > 1 else 1
-        pts = rng.choice(m, size=k, replace=False)
+        pts = rng.choice(min(m, k + 1) if overlap else m, size=k, replace=False)
         w = rng.random(k) + 0.1
-        w = w / w.sum()
-        nodes.append(
-            {"id": f"v{v}", "dist": {f"p{int(s)}": float(p) for s, p in zip(pts, w)}}
-        )
-    return nodes
+        probs[v, pts] = w / w.sum()
+    return probs
 
 
 def gen_instance(kind: str, n: int, m: int, seed: int) -> dict:
@@ -40,82 +42,44 @@ def gen_instance(kind: str, n: int, m: int, seed: int) -> dict:
       carrying a sliver of mass per node; stresses the far-field terms.
     * colocated-mass: several points share coordinates and several nodes
       share support points; stresses point splitting and zero-length edges.
+
+    Points are ``p0 .. p{m-1}`` and nodes ``v0 .. v{n-1}``; the graph is
+    validated and written by ``instance_to_dict``.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown generator kind {kind!r}; choose from {KINDS}")
     if n < 1 or m < 2:
         raise DomainError("need n >= 1 nodes and m >= 2 points")
     rng = _rng(seed, kind)
-
-    if kind == "euclidean-uniform":
-        coords = rng.random((m, 2))
-        doc = {
-            "points": [
-                {"id": f"p{s}", "coords": [float(x) for x in coords[s]]}
-                for s in range(m)
-            ],
-            "nodes": _random_rows(rng, n, m),
-            "presence_mode": "certain",
-        }
-        return doc
-
+    coords = dist = None
     if kind == "random-metric":
         raw = rng.uniform(0.5, 1.5, size=(m, m))
         raw = (raw + raw.T) / 2.0
         np.fill_diagonal(raw, 0.0)
         # Floyd-Warshall closure turns arbitrary lengths into a metric.
-        d = raw.copy()
+        dist = raw.copy()
         for k in range(m):
-            d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
-        doc = {
-            "points": [{"id": f"p{s}"} for s in range(m)],
-            "distance_matrix": [[float(x) for x in row] for row in d],
-            "nodes": _random_rows(rng, n, m),
-            "presence_mode": "certain",
-        }
-        return doc
-
-    if kind == "home-separated":
+            dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
+        probs = _random_rows(rng, n, m)
+    elif kind == "colocated-mass":
+        # fewer sites than points, overlapping node supports (on low ids)
+        sites = max(2, (m + 1) // 2)
+        coords = rng.random((sites, 2))[np.arange(m) % sites]
+        probs = _random_rows(rng, n, m, max_support=3, overlap=True)
+    else:
         coords = rng.random((m, 2))
-        coords[m - 1] = (1e6, 0.0)  # escape point far beyond the cluster
-        # small enough to stay outside every home construction at eps >= 0.1
-        # (below eps/(16 n m^3), the per-node cluster escape tolerance)
-        escape = 1e-5
-        nodes = _random_rows(rng, n, m - 1, max_support=3)
-        for row in nodes:
-            dist = {p: (1.0 - escape) * w for p, w in row["dist"].items()}
-            dist[f"p{m - 1}"] = escape
-            row["dist"] = dist
-        return {
-            "points": [
-                {"id": f"p{s}", "coords": [float(x) for x in coords[s]]}
-                for s in range(m)
-            ],
-            "nodes": nodes,
-            "presence_mode": "certain",
-        }
-
-    # colocated-mass: fewer sites than points, overlapping node supports.
-    sites = max(2, (m + 1) // 2)
-    site_coords = rng.random((sites, 2))
-    assignment = [s % sites for s in range(m)]
-    coords = np.array([site_coords[a] for a in assignment])
-    nodes = []
-    for v in range(n):
-        k = int(rng.integers(2, min(m, 3) + 1))
-        pts = rng.choice(min(m, k + 1), size=k, replace=False)  # overlap on low ids
-        w = rng.random(k) + 0.1
-        w = w / w.sum()
-        nodes.append(
-            {"id": f"v{v}", "dist": {f"p{int(s)}": float(p) for s, p in zip(pts, w)}}
-        )
-    return {
-        "points": [
-            {"id": f"p{s}", "coords": [float(x) for x in coords[s]]} for s in range(m)
-        ],
-        "nodes": nodes,
-        "presence_mode": "certain",
-    }
+        if kind == "euclidean-uniform":
+            probs = _random_rows(rng, n, m)
+        else:  # home-separated
+            coords[m - 1] = (1e6, 0.0)  # escape point far beyond the cluster
+            # small enough to stay outside every home construction at eps >= 0.1
+            # (below eps/(16 n m^3), the per-node cluster escape tolerance)
+            escape = 1e-5
+            probs = np.zeros((n, m))
+            probs[:, :-1] = (1.0 - escape) * _random_rows(rng, n, m - 1, max_support=3)
+            probs[:, -1] = escape
+    space = MetricSpace([f"p{s}" for s in range(m)], dist=dist, coords=coords)
+    return instance_to_dict(StochasticGraph([f"v{v}" for v in range(n)], space, probs))
 
 
 def gen_graph(kind: str, n: int, m: int, seed: int) -> StochasticGraph:

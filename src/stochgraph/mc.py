@@ -221,21 +221,8 @@ class TermReport:
     possibly_negligible: bool = False
 
     def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "value": self.value,
-            "method": self.method,
-            "samples": self.samples,
-        }
-        if self.probability is not None:
-            d["probability"] = self.probability
-        if self.mean is not None:
-            d["mean"] = self.mean
-        if self.full_budget is not None:
-            d["full_budget"] = self.full_budget
-        if self.possibly_negligible:
-            d["possibly_negligible"] = True
-        return d
+        """Every field but those left at None or False; 0 and 0.0 stay."""
+        return {k: v for k, v in vars(self).items() if v is not None and v is not False}
 
 
 @dataclass

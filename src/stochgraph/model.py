@@ -30,6 +30,20 @@ EXISTENTIAL = "existential"
 ABSENT = None  # public marker for "node not present" in a realization
 
 
+def _lookup(index: Mapping, key, kind: str) -> int:
+    """Position of ``key`` in ``index`` (id -> position): an int is a position
+    itself, checked against the range; an unknown or unhashable id raises
+    ``ValidationError``."""
+    if isinstance(key, (int, np.integer)):
+        if not 0 <= key < len(index):
+            raise ValidationError(f"{kind} index {key} out of range")
+        return int(key)
+    try:
+        return index[key]
+    except (KeyError, TypeError):
+        raise ValidationError(f"unknown {kind} identifier {key!r}") from None
+
+
 class MetricSpace:
     """Finite metric space: point identifiers plus a distance matrix.
 
@@ -103,14 +117,7 @@ class MetricSpace:
         return len(self.point_ids)
 
     def index(self, point: Union[str, int]) -> int:
-        if isinstance(point, (int, np.integer)):
-            if not 0 <= point < self.m:
-                raise ValidationError(f"point index {point} out of range")
-            return int(point)
-        try:
-            return self._index[point]
-        except (KeyError, TypeError):
-            raise ValidationError(f"unknown point identifier {point!r}") from None
+        return _lookup(self._index, point, "point")
 
     def indices(self, points: Iterable[Union[str, int]]) -> list[int]:
         return [self.index(p) for p in points]
@@ -240,14 +247,7 @@ class StochasticGraph:
         return self.space.m
 
     def node_index(self, node: Union[str, int]) -> int:
-        if isinstance(node, (int, np.integer)):
-            if not 0 <= node < self.n:
-                raise ValidationError(f"node index {node} out of range")
-            return int(node)
-        try:
-            return self._index[node]
-        except KeyError:
-            raise ValidationError(f"unknown node identifier {node!r}") from None
+        return _lookup(self._index, node, "node")
 
     def absent_mass(self, node: Union[str, int]) -> float:
         """Probability that the node is not present (0 in certain mode)."""

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, InternalAssertionError
 from .home import check_inputs, estimate_by_homes
 from .mc import EstimateReport
-from .model import StochasticGraph
+from .model import StochasticGraph, diam
 from .oracle import Functional
 from .solvers import edge_order
 
@@ -102,7 +102,7 @@ def find_home_clusters(g: StochasticGraph, epsilon: float) -> HomeClustering:
         clusters=clusters,
         home_of=tuple(np.searchsorted(roots, label[heaviest]).tolist()),
         merge_radius=length / 2.0,
-        max_diameter=max(float(g.space.dist[np.ix_(c, c)].max()) for c in clusters),
+        max_diameter=max(diam(g.space, c) for c in clusters),
         theta=theta,
     )
 

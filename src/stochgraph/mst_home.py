@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InternalAssertionError
 from .home import check_inputs, estimate_by_homes
 from .mc import EstimateReport, TermReport
-from .model import StochasticGraph
+from .model import StochasticGraph, diam, expected_mass
 from .oracle import Functional
 from .solvers import edge_order
 
@@ -66,12 +66,8 @@ def find_home(g: StochasticGraph, epsilon: float) -> HomeSet:
     else:
         e = heavy_edges[-1]
         center, radius = int(lo[e]), float(g.space.dist[lo[e], hi[e]])
-    members = tuple(
-        int(s) for s in range(g.m) if g.space.dist[center, s] <= radius
-    )
-    sub = g.space.dist[np.ix_(members, members)]
-    diameter = float(sub.max())
-    p_of_H = float(g.probs[:, list(members)].sum())
+    members = tuple(np.flatnonzero(g.space.dist[center] <= radius).tolist())
+    diameter, p_of_H = diam(g.space, members), expected_mass(g, members)
     if p_of_H < g.n - epsilon / 16.0 - 1e-9:
         raise InternalAssertionError(
             f"home mass {p_of_H} below n - eps/16 = {g.n - epsilon / 16.0}"

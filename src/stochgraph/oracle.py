@@ -2,8 +2,9 @@
 
 Exponential by design: every estimator in this package is validated against
 these sums at small scale.  Enumeration walks realizations in mixed-radix
-order over nodes (node order, last node fastest) and accumulates with Kahan
-compensation so results are reproducible bit-for-bit.
+order over nodes (node order, last node fastest) and sums the products
+Pr[r] * f(r) with ``math.fsum``: each total is the correctly rounded sum,
+reproducible bit for bit and independent of the order.
 """
 
 from __future__ import annotations
@@ -105,7 +106,9 @@ def enumerate_term(
 
     Realizations are walked in chunks of ``CHUNK`` consecutive mixed-radix
     indices; each probability is the left-to-right product of its nodes'
-    outcome probabilities, and the terms are Kahan-summed in order.
+    outcome probabilities.  The products Pr[r] * f(r) are summed by one
+    ``math.fsum``, so the term is their correctly rounded sum, whatever the
+    chunking.
     """
     table = node_outcomes(g, event)
     radices = [len(outs) for outs, _ in table]
@@ -116,19 +119,17 @@ def enumerate_term(
         return 0.0, 0
 
     evaluator = FunctionalEvaluator(g.space, functional)
-    total = comp = 0.0
-    for start in range(0, count, CHUNK):
-        digits = np.unravel_index(np.arange(start, min(start + CHUNK, count)), radices)
-        prob = np.ones(len(digits[0]))
-        for (_, weights), d in zip(table, digits):
-            prob *= weights[d]
-        rows = np.sort(np.column_stack([outs[d] for (outs, _), d in zip(table, digits)]), axis=1)
-        for x in (prob * evaluator.values(rows)).tolist():
-            y = x - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    return total, count
+
+    def products():
+        for start in range(0, count, CHUNK):
+            digits = np.unravel_index(np.arange(start, min(start + CHUNK, count)), radices)
+            prob = np.ones(len(digits[0]))
+            for (_, weights), d in zip(table, digits):
+                prob *= weights[d]
+            rows = np.sort(np.column_stack([outs[d] for (outs, _), d in zip(table, digits)]), axis=1)
+            yield from (prob * evaluator.values(rows)).tolist()
+
+    return math.fsum(products()), count
 
 
 def exact_term(

@@ -51,6 +51,41 @@ def test_split_identity_when_owners_unique():
     assert sp.origin == (0, 1)
 
 
+def collision_graph(point: str = "a~v1") -> StochasticGraph:
+    """Point a shared by v0 and v1, next to a point whose id is that of
+    a's copy for v1 (unless ``point`` renames it)."""
+    space = MetricSpace(["a", point, "b"], coords=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
+    dist = {"v0": {"a": 0.5, "b": 0.5}, "v1": {"a": 0.4, point: 0.6}}
+    return StochasticGraph(["v0", "v1"], space, dist)
+
+
+@pytest.mark.parametrize(
+    "points, dist",
+    [
+        (["a~b", "a"], {"c": {"a~b": 0.5, "a": 0.5}, "d": {"a~b": 1.0}, "b~c": {"a": 1.0}}),
+        (["a~b", "a"], {"c": {"a~b": 1.0}, "d": {"a~b": 1.0}, "b~c": {"a": 1.0}, "e": {"a": 1.0}}),
+    ],
+    ids=["a-owned-by-c-and-b~c", "a-owned-by-b~c-and-e"],
+)
+def test_split_copy_ids_of_two_points_are_distinct(points, dist):
+    # a~b's copy for c and a's copy for b~c are both named a~b~c
+    space = MetricSpace(points, dist=np.ones((len(points),) * 2) - np.eye(len(points)))
+    g = StochasticGraph(list(dist), space, dist)
+    ids = split_points(g).graph.space.point_ids
+    assert len(set(ids)) == len(ids) == sum(len(row) for row in dist.values())
+
+
+def test_split_ids_leave_uncontested_names_and_probabilities_alone():
+    sp = split_points(collision_graph())
+    assert sp.graph.space.point_ids == ("a~v0", "a~v1#1", "a~v1", "b")
+    reports = [
+        estimate_ecc(collision_graph(point), 0.25, 1, budget_cap=20)
+        for point in ("a~v1", "c")
+    ]
+    probs = [[p["prob"] for p in r.extras["pairs"]] for r in reports]
+    assert probs[0] and probs[0] == probs[1]
+
+
 def test_split_creates_colocated_copies():
     space = line_space(0.0, 1.0)
     g = StochasticGraph(

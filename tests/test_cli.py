@@ -5,12 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from stochgraph.cli import main
+from stochgraph.cli import build_parser, main
 
 RUN = [sys.executable, "-m", "stochgraph.cli"]
 
@@ -156,6 +158,26 @@ def test_estimate_dp_method(tmp_path, instance_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["estimator"] == "mst-dp"
+
+
+@pytest.mark.parametrize("target", ["cc", "mpm"])
+def test_method_off_mst_is_invalid(instance_path, capsys, target):
+    args = ["estimate", target, str(instance_path), "--epsilon", "0.25", "--seed", "1"]
+    assert main(args + ["--method", "dp"]) == 2
+    assert capsys.readouterr().err == "invalid: --method applies to estimate mst only\n"
+
+
+@pytest.mark.parametrize("method", [["cc"], ["mst", "--method", "dp"]])
+def test_point_id_equal_to_a_split_copy_name_estimates(tmp_path, method):
+    # splitting a (shared by v0 and v1) would name its copy for v1 "a~v1"
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "points": [{"id": p, "coords": [x, 0.0]} for p, x in (("a", 0.0), ("a~v1", 1.0), ("b", 3.0))],
+        "nodes": [{"id": "v0", "dist": {"a": 0.5, "b": 0.5}},
+                  {"id": "v1", "dist": {"a": 0.4, "a~v1": 0.6}}],
+    }))
+    args = ["estimate", *method, str(path), "--epsilon", "0.25", "--seed", "1"]
+    assert main(args + ["--budget-cap", "20", "-o", str(tmp_path / "r.json")]) == 0
 
 
 def test_estimate_byte_identical_across_runs_and_threads(tmp_path, instance_path):
@@ -407,3 +429,32 @@ def test_distances_overflowing_solver_sums_are_invalid(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "n^2 * (largest distance + 1)" in err
+
+
+def _drop_optional_groups(line: str) -> str:
+    """``line`` without its ``[...]`` groups; brackets inside quotes stay."""
+    out, depth, quote = [], 0, None
+    for ch in line:
+        if quote:
+            quote = None if ch == quote else quote
+        elif ch in "'\"":
+            quote = ch
+        elif ch in "[]":
+            depth += 1 if ch == "[" else -1
+            continue
+        if depth == 0:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(_drop_optional_groups(line), comments=True)
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["stochgraph"]]
+    assert {words[0] for words in commands} == {
+        "gen", "validate", "solve", "exact", "estimate", "compare"
+    }
+    for words in commands:
+        build_parser().parse_args(words)

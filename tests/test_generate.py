@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from stochgraph import DomainError, MetricSpace, StochasticGraph, find_home, split_points
-from stochgraph.campaign import run_campaign
+from stochgraph.campaign import CampaignRow, run_campaign
 from stochgraph.generate import KINDS, gen_graph, gen_instance
 from stochgraph.model import instance_from_dict
 
@@ -28,6 +29,28 @@ def test_generation_is_deterministic(kind):
     assert a == b
     c = json.dumps(gen_instance(kind, 4, 5, 10), sort_keys=True)
     assert a != c
+
+
+# SHA-256 of each kind's documents on the grid below, one sorted-key JSON
+# document per line.  The golden reports and perfbench's stored counts are
+# computed on generated instances, so these must not move.
+GRID_DIGESTS = {
+    "euclidean-uniform": "a1633ab7170265af29389a17c12121bfd7ab46f963d51a4e988576183b957c38",
+    "random-metric": "75dcfdf4a60ba6cb644ad18803811603d558d1eb41d6efdc9a4f6041b52b90ca",
+    "home-separated": "c64fb3c02a4e5db5b23a783f3220a9b35eab84736910564d70eab652dc3ba962",
+    "colocated-mass": "6de9c4bca32120f19390d387d07cac2e37fb3f1437f73ee3852f462c0eea6350",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generated_documents_are_pinned(kind):
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 4, 5, 8, 12, 16):
+        for m in (2, 3, 4, 6, 10, 16, 24):
+            for seed in range(5):
+                doc = json.dumps(gen_instance(kind, n, m, seed), sort_keys=True)
+                digest.update(doc.encode() + b"\n")
+    assert digest.hexdigest() == GRID_DIGESTS[kind]
 
 
 def test_gen_rejects_bad_sizes():
@@ -86,6 +109,14 @@ def test_campaign_deterministic_instance_zero_error():
         assert row.rel_err == 0.0
         assert row.passed
     assert set(result.aggregate().values()) == {1.0}
+
+
+def test_campaign_row_dict_names_passed_pass():
+    row = CampaignRow("inst", "mpm", 3, 1.0, 1.1, 0.1, True)
+    assert row.to_dict() == {
+        "instance": "inst", "estimator": "mpm", "seed": 3, "estimate": 1.0, "oracle": 1.1,
+        "rel_err": 0.1, "pass": True, "reason": "",
+    }
 
 
 def test_campaign_skips_oracle_cap_with_reason():

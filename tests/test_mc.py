@@ -16,6 +16,7 @@ from stochgraph import (
     Functional,
     MetricSpace,
     StochasticGraph,
+    TermReport,
     chernoff_budget,
     estimate_conditional,
     estimate_ecc,
@@ -450,3 +451,16 @@ def test_small_estimates_never_import_networkx():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_term_report_dict_drops_unset_fields_and_keeps_zeros():
+    exact = TermReport("all-home", 0.0, "exact", probability=0.0)
+    assert exact.to_dict() == {
+        "name": "all-home", "value": 0.0, "method": "exact", "probability": 0.0, "samples": 0
+    }
+    sampled = TermReport("near(v0)", 1.5, "monte-carlo", probability=0.5, mean=3.0,
+                         samples=10, full_budget=100, possibly_negligible=True)
+    assert sampled.to_dict() == {
+        "name": "near(v0)", "value": 1.5, "method": "monte-carlo", "probability": 0.5,
+        "mean": 3.0, "samples": 10, "full_budget": 100, "possibly_negligible": True,
+    }

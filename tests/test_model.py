@@ -495,3 +495,12 @@ def test_fuzzed_realizations_raise_only_stochgraph_errors(g, assignment):
         Realization.from_mapping(g, assignment)
     except StochgraphError:
         pass
+
+
+@pytest.mark.parametrize("key", [["v0"], {"v0": 1}])
+def test_unhashable_node_or_point_key_is_a_validation_error(key):
+    g = StochasticGraph(["v0"], line_space(0.0, 1.0), {"v0": {"p0": 1.0}})
+    with pytest.raises(ValidationError, match="unknown node identifier"):
+        g.node_index(key)
+    with pytest.raises(ValidationError, match="unknown point identifier"):
+        g.space.index(key)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from stochgraph import (
     exact_term,
 )
 from stochgraph import oracle
+from stochgraph.generate import gen_instance
+from stochgraph.model import instance_from_dict
 from stochgraph.oracle import FunctionalEvaluator, enumerate_term
 
 from conftest import (
@@ -168,6 +171,28 @@ def test_enumerate_term_reports_count(rng):
     g = random_graph(rng, 3, 3)
     _, count = enumerate_term(g, Functional.MST)
     assert count == int(np.prod([(g.probs[v] > 0).sum() for v in range(3)]))
+
+
+@pytest.mark.parametrize(
+    "kind, n, m, seed, existential, functional",
+    [("random-metric", 3, 4, 2, False, Functional.MST),
+     ("euclidean-uniform", 5, 6, 0, True, Functional.CC)],
+)
+def test_enumerate_term_is_the_correctly_rounded_sum(kind, n, m, seed, existential, functional):
+    # instances where a compensated running sum lands one ulp off
+    doc = gen_instance(kind, n, m, seed)
+    if existential:
+        doc["presence_mode"] = "existential"
+        for node in doc["nodes"]:
+            node["dist"] = {p: 0.85 * w for p, w in node["dist"].items()}
+    g = instance_from_dict(doc)
+    evaluator = FunctionalEvaluator(g.space, functional)
+    products = [
+        prob * evaluator.value_of_assignment(r) for r, prob in enumerate_realizations(g)
+    ]
+    term, count = enumerate_term(g, functional)
+    assert count == len(products)
+    assert term == float(sum(map(Fraction, products)))
 
 
 def test_enumerate_term_frees_its_evaluator_without_gc(rng, monkeypatch):
