@@ -56,6 +56,18 @@ class SplitSpace:
         rank[lo, hi] = rank[hi, lo] = np.arange(lo.size)
         return rank
 
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """(m, n) largest ``rank[a]`` entry over the points node w may take,
+        past every edge if w may be absent.  So w has no mass outside the
+        ball of points nearer to a than b exactly when
+        ``reach[a, w] < rank[a, b]``; the owners of a and b never do."""
+        g, rank = self.graph, self.rank
+        cube = np.broadcast_to(rank[:, None, :], (g.m, g.n, g.m))
+        reach = np.max(cube, axis=2, where=g.probs > 0.0, initial=-1)
+        reach[:, g.outcome_probs[:, -1] > 0.0] = rank.size
+        return reach
+
 
 def split_points(g: StochasticGraph) -> SplitSpace:
     """Copy each point once per node that may realize there.
@@ -136,8 +148,18 @@ def _pair_prob(sp: SplitSpace, s, t, mutual: bool) -> float:
     prob = float(g.probs[v, si]) * float(g.probs[u, ti])
     for w in range(g.n):
         if w not in (v, u):
-            prob *= mass_in(g, w, outside)
+            mass = mass_in(g, w, outside)
+            if mass == 0.0:
+                return 0.0
+            prob *= mass
     return prob
+
+
+def _impossible(sp: SplitSpace, a: int, b: int) -> bool:
+    """True when a node has no mass outside the ball of a or of b.  One
+    directional product then has an exact 0.0 factor, and so has the mutual
+    one: its event lies inside both directional events."""
+    return bool((sp.reach[[a, b]] < sp.rank[a, b]).any())
 
 
 def prob_nearest(sp: SplitSpace, s: Union[str, int], t: Union[str, int]) -> float:
@@ -178,43 +200,55 @@ def _check_rows(ok: np.ndarray, message: str, **values) -> None:
 
 
 class _PairValues:
-    """Shared per-run cache: realized point set -> (CC, longest NN edge as
-    lo * m + hi).
+    """Shared per-run caches of realized point sets.
 
-    Also enforces the per-realization sandwiches: NN <= CC <= 2 NN and
-    NN/k <= longest <= NN.
+    ``nn`` maps a set to (NN total, longest nearest-neighbor edge as
+    lo * m + hi) and is filled for every sampled set; ``cc`` maps a set to
+    its cycle cover and is filled only for the sets a pair term asks for,
+    those whose longest edge is the term's pair.  Enforces the
+    per-realization sandwiches: NN/k <= longest <= NN on every solved set,
+    and NN <= CC <= 2 NN on every solved cycle cover.
     """
 
     def __init__(self, space: MetricSpace):
         self.space = space
-        self.cache: dict[tuple[int, ...], tuple[float, int]] = {}
+        self.nn: dict[tuple[int, ...], tuple[float, int]] = {}
+        self.cc: dict[tuple[int, ...], float] = {}
 
-    def get(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """CC and longest nearest-neighbor edge (lo * m + hi) of each row of
-        a row-sorted block (-1 for absent).
+    def get(self, rows: np.ndarray) -> np.ndarray:
+        """Longest nearest-neighbor edge (lo * m + hi) of each row of a
+        row-sorted block (-1 for absent).
 
-        Uncached point sets are solved with one call of each kernel per
+        Uncached point sets are solved with one call of the kernel per
         present count.
         """
-        keys = fill_memo(rows, self.cache, self._solve)
-        cc, edge = zip(*map(self.cache.__getitem__, keys))
-        return np.array(cc), np.array(edge)
+        keys = fill_memo(rows, self.nn, self._solve_nn)
+        return np.array([self.nn[key][1] for key in keys])
 
-    def _solve(self, idx: np.ndarray):
+    def cycle_covers(self, rows: np.ndarray) -> np.ndarray:
+        """CC of each row of a row-sorted block already passed to ``get``."""
+        keys = fill_memo(rows, self.cc, self._solve_cc)
+        return np.array([self.cc[key] for key in keys])
+
+    def _solve_nn(self, idx: np.ndarray):
         nn = _nn_indices(self.space, idx)
-        cc = _cc_indices(self.space, idx)
         total, (lo, hi), k = nn.total, nn.longest.T, idx.shape[1]
-        _check_rows(
-            (total * (1.0 - _SLACK) <= cc) & (cc <= 2.0 * total * (1.0 + _SLACK) + 1e-300),
-            "cycle-cover sandwich violated: NN={NN}, CC={CC}", NN=total, CC=cc,
-        )
         lam = self.space.dist[lo, hi]
         _check_rows(
             (total / k * (1.0 - _SLACK) <= lam) & (lam <= total * (1.0 + _SLACK)),
             "longest-edge sandwich violated: NN={NN}, longest={longest}, k={k}",
             NN=total, longest=lam, k=k,
         )
-        return zip(cc.tolist(), (lo * self.space.m + hi).tolist())
+        return zip(total.tolist(), (lo * self.space.m + hi).tolist())
+
+    def _solve_cc(self, idx: np.ndarray):
+        cc = _cc_indices(self.space, idx)
+        total = np.array([self.nn[key][0] for key in map(tuple, idx.tolist())])
+        _check_rows(
+            (total * (1.0 - _SLACK) <= cc) & (cc <= 2.0 * total * (1.0 + _SLACK) + 1e-300),
+            "cycle-cover sandwich violated: NN={NN}, CC={CC}", NN=total, CC=cc,
+        )
+        return cc.tolist()
 
 
 def estimate_pair_term(
@@ -257,13 +291,16 @@ def estimate_pair_term(
     low, high = d * (1.0 - _SLACK), 2.0 * g.n * d * (1.0 + _SLACK) + 1e-300
 
     def class_fn(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cc, longest = values.get(rows)
-        hit = longest == target
-        _check_rows(
-            ~hit | ((low <= cc) & (cc <= high)),
-            "conditioned cycle-cover bound violated: d={d}, CC={CC}", d=d, CC=cc,
-        )
-        return np.where(hit, cc, 0.0), hit.astype(np.int64)
+        hit = values.get(rows) == target
+        out = np.zeros(len(rows))
+        if hit.any():
+            cc = values.cycle_covers(rows[hit])
+            _check_rows(
+                (low <= cc) & (cc <= high),
+                "conditioned cycle-cover bound violated: d={d}, CC={CC}", d=d, CC=cc,
+            )
+            out[hit] = cc
+        return out, hit.astype(np.int64)
 
     mean, term.indicator_hits, term.samples = estimate_conditional(
         g,
@@ -326,9 +363,12 @@ def estimate_ecc(
             t_ba = estimate_pair_term(
                 sp, b, a, used, seed, threads=threads, values=values
             )
-            t_mut = estimate_pair_term(
-                sp, a, b, used, seed, mutual=True, threads=threads, values=values
-            )
+            if _impossible(sp, a, b):
+                t_mut = PairTerm(t_ab.s, t_ab.t, t_ab.node_s, t_ab.node_t, "mutual")
+            else:
+                t_mut = estimate_pair_term(
+                    sp, a, b, used, seed, mutual=True, threads=threads, values=values
+                )
             contribution = t_ab.estimate + t_ba.estimate - t_mut.estimate
             union_prob = t_ab.prob + t_ba.prob - t_mut.prob
             if union_prob <= 0.0:

@@ -215,11 +215,16 @@ def _cmd_exact(args) -> int:
 def _cmd_estimate(args) -> int:
     if args.method is not None and args.target != "mst":
         raise ValidationError("--method applies to estimate mst only")
-    g = load_instance(args.instance)
-    _warn_budget(args)
     name = args.target if args.target != "mst" else (
         "mst-dp" if args.method == "dp" else "mst-home"
     )
+    if args.dump_homes and name not in ("mst-home", "mpm"):
+        raise ValidationError("--dump-homes applies to estimate mst --method home and mpm only")
+    for flag, given in (("--dump-homes", args.dump_homes), ("--with-timing", args.with_timing)):
+        if given and args.format == "csv":
+            raise ValidationError(f"{flag} applies to JSON output only")
+    g = load_instance(args.instance)
+    _warn_budget(args)
     report = run_estimator(
         name,
         g,

@@ -21,15 +21,22 @@ ABSENT_IDX = -1
 BLOCK_SIZE = 4096  # samples per Monte Carlo engine block
 
 
+def _allowed(g: StochasticGraph, event: EventSpec | Event | None) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome indices (points ascending, then ``ABSENT_IDX``) and the (n,
+    m + 1) mask of those the event allows with positive probability in
+    ``g.outcome_probs``."""
+    event = as_event(g, event)
+    mask = np.column_stack([event.allowed, event.absent]) & (g.outcome_probs > 0.0)
+    return np.append(np.arange(g.m), ABSENT_IDX), mask
+
+
 def node_outcomes(
     g: StochasticGraph, event: EventSpec | Event | None
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per node: the outcomes the event allows that have positive probability
     (point indices ascending, then ``ABSENT_IDX``) and their probabilities,
     sliced from ``g.outcome_probs``."""
-    event = as_event(g, event)
-    mask = np.column_stack([event.allowed, event.absent]) & (g.outcome_probs > 0.0)
-    outcomes = np.append(np.arange(g.m), ABSENT_IDX)
+    outcomes, mask = _allowed(g, event)
     return [(outcomes[row], probs[row]) for row, probs in zip(mask, g.outcome_probs)]
 
 
@@ -48,16 +55,17 @@ class ConditionalSampler:
 
     def __init__(self, g: StochasticGraph, event: EventSpec | Event | None = None):
         self.g = g
-        self.outcomes: list[np.ndarray] = []
-        self.cum: list[np.ndarray] = []
-        for name, (outs, weights) in zip(g.node_ids, node_outcomes(g, event)):
-            if not weights.size:
-                raise DomainError(
-                    f"node {name}: zero probability mass under the conditioning event"
-                )
-            cum = np.cumsum(weights)
-            self.outcomes.append(outs)
-            self.cum.append(cum / cum[-1])
+        outcomes, mask = _allowed(g, event)
+        live = mask.any(axis=1)
+        if not live.all():
+            name = g.node_ids[int(np.argmin(live))]
+            raise DomainError(f"node {name}: zero probability mass under the conditioning event")
+        # Adding the masked-out 0.0 entries is exact, so each node's table
+        # equals the cumsum of its own outcomes over its own total.
+        cum = np.cumsum(np.where(mask, g.outcome_probs, 0.0), axis=1)
+        cum /= cum[:, -1:]
+        self.outcomes = [outcomes[row] for row in mask]
+        self.cum = [c[row] for c, row in zip(cum, mask)]
         self.support = math.prod(len(outs) for outs in self.outcomes)
         self.lookups: list[tuple[int, np.ndarray]] | None = None
         if self.support <= BLOCK_SIZE:

@@ -14,6 +14,14 @@ row-sorted and deduplicated whole).  Each case times one call:
 - ``block``: ``run_conditional_mc`` over one block with a constant
   ``class_fn``, so no solver runs.
 
+Two cases time cc on the benchmark's ladder-large cc instance
+(``euclidean-uniform 10 14``, generator seed 1):
+
+- ``cc-builds``: one ``ConditionalSampler`` for each directional
+  nearest-neighbor event of the split space;
+- ``cc-terms``: ``estimate_ecc`` at cap 50, seed 1001, one thread: every
+  pair term, its probabilities, sampling and class solving.
+
 The file name keeps it out of the default ``test_*.py`` collection.
 """
 
@@ -22,9 +30,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from stochgraph import cc
 from stochgraph.generate import gen_graph
 from stochgraph.mc import BLOCK_SIZE, block_classes, run_conditional_mc
-from stochgraph.model import Event
+from stochgraph.model import Event, pinned_event
 from stochgraph.rng import SampleStream
 from stochgraph.sampling import ConditionalSampler
 
@@ -64,3 +73,32 @@ def test_engine_layer(benchmark, term, layer):
     else:
         mean, _ = benchmark(run_conditional_mc, sampler, constant_class_fn, BLOCK_SIZE, stream)
         assert mean == 1.0
+
+
+LADDER_CC = gen_graph("euclidean-uniform", 10, 14, 1)
+
+
+def cc_events(sp: cc.SplitSpace) -> list[Event]:
+    """The event of every directional pair term that samples (probability > 0)."""
+    owner, m = sp.owner, sp.graph.m
+    return [
+        pinned_event(sp.graph, cc._outside(sp, a, b, False), owner[a], a, owner[b], b)
+        for a in range(m) for b in range(m)
+        if a != b and owner[a] >= 0 and owner[b] >= 0 and owner[a] != owner[b]
+        and cc.prob_nearest(sp, a, b) > 0.0
+    ]
+
+
+def test_cc_sampler_builds(benchmark):
+    sp = cc.split_points(LADDER_CC)
+    events = cc_events(sp)
+    benchmark.group = "cc-builds"
+    benchmark(lambda: [ConditionalSampler(sp.graph, e) for e in events])
+
+
+def test_cc_pair_terms(benchmark):
+    benchmark.group = "cc-terms"
+    report = benchmark.pedantic(
+        cc.estimate_ecc, (LADDER_CC, 0.25, 1001), {"budget_cap": 50}, rounds=5, warmup_rounds=1
+    )
+    assert report.value > 0.0

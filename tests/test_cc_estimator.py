@@ -26,7 +26,11 @@ from stochgraph import (
 import stochgraph.cc as cc_module
 from stochgraph.cc import _SLACK, _PairValues, pair_budget
 
+from stochgraph.generate import gen_graph
+
 from conftest import NNEventStats, random_graph, rng_for
+from test_acceptance import SUITE_SPEC
+from test_golden import _existential
 
 
 def line_space(*xs):
@@ -360,6 +364,79 @@ def test_ecc_existential_mode():
     assert report.value == pytest.approx(oracle, rel=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# work skipped because the estimate never reads it
+# ---------------------------------------------------------------------------
+
+def ladder_cc_graph():
+    """The cc instance of the benchmark's ladder-large workload."""
+    return gen_graph("euclidean-uniform", 10, 14, 1)
+
+
+def test_cycle_covers_are_solved_for_indicator_hits_only(monkeypatch):
+    solved: list[tuple[int, ...]] = []
+    hit_sets: set[tuple[int, ...]] = set()
+    cc_indices, estimate = cc_module._cc_indices, cc_module.estimate_conditional
+
+    def recording_cc(space, idx):
+        solved.extend(map(tuple, idx.tolist()))
+        return cc_indices(space, idx)
+
+    def recording_estimate(g, event, class_fn, *args, **kwargs):
+        def recorded(rows):
+            values, hits = class_fn(rows)
+            hit_sets.update(tuple(row[row >= 0].tolist()) for row in rows[hits == 1])
+            return values, hits
+
+        return estimate(g, event, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(cc_module, "_cc_indices", recording_cc)
+    monkeypatch.setattr(cc_module, "estimate_conditional", recording_estimate)
+    estimate_ecc(ladder_cc_graph(), 0.25, 1001, budget_cap=50)
+    assert hit_sets
+    assert sorted(solved) == sorted(hit_sets)
+
+
+SKIP_CASES = {
+    **{name: (lambda spec=spec: gen_graph(*spec)) for name, *spec in SUITE_SPEC},
+    "exist-eu-4-5": lambda: _existential("euclidean-uniform", 4, 5, 13),
+    "ladder-eu-10-14": ladder_cc_graph,
+}
+
+
+@pytest.mark.parametrize("name", list(SKIP_CASES))
+def test_skipped_mutual_terms_have_probability_zero(monkeypatch, name):
+    g = SKIP_CASES[name]()
+    planned = set()
+    plan = cc_module.estimate_pair_term
+
+    def recording(sp, s, t, *args, mutual=False, **kwargs):
+        if mutual:
+            planned.add((s, t))
+        return plan(sp, s, t, *args, mutual=mutual, **kwargs)
+
+    monkeypatch.setattr(cc_module, "estimate_pair_term", recording)
+    report = estimate_ecc(g, 0.25, 1, budget_cap=10)
+    sp = split_points(g)
+    owner = sp.owner
+    pairs = [
+        (a, b) for a in range(sp.graph.m) for b in range(a + 1, sp.graph.m)
+        if owner[a] >= 0 and owner[b] >= 0 and owner[a] != owner[b]
+    ]
+    skipped = [pair for pair in pairs if pair not in planned]
+    assert planned <= set(pairs)
+    for a, b in skipped:
+        assert prob_mutual_nearest(sp, a, b) == 0.0
+    ids = sp.graph.space.point_ids
+    mutual = {(d["s"], d["t"]): d for d in report.extras["pairs"] if d["kind"] == "mutual"}
+    for a, b in skipped:
+        if (ids[a], ids[b]) in mutual:
+            direct = estimate_pair_term(sp, a, b, 10, 1, mutual=True).to_dict()
+            assert mutual[ids[a], ids[b]] == direct
+    if name == "ladder-eu-10-14":
+        assert (len(skipped), len(pairs)) == (326, 457)
+
+
 def test_pair_budget_formula():
     n, m, eps = 3, 4, 0.25
     expected = math.ceil(4 * n * n * m**3 * (math.log(n) + math.log(m)) / eps**3)
@@ -380,10 +457,12 @@ def forced_line_graph():
 
 
 def test_cycle_cover_sandwich_violation_is_reported(monkeypatch):
+    # CC is solved only for a realization whose longest edge is the term's
+    # pair, here (p2, p3).
     monkeypatch.setattr(cc_module, "_cc_indices", lambda space, idx: np.full(len(idx), 25.0))
-    values = _PairValues(forced_line_graph().space)
+    sp = split_points(forced_line_graph())
     with pytest.raises(InternalAssertionError, match=r"cycle-cover sandwich violated: NN=10\.0, CC=25\.0$"):
-        values.get(np.array([[0, 1, 2, 3]]))
+        estimate_pair_term(sp, "p3", "p2", 10, seed=1)
 
 
 def test_longest_edge_sandwich_violation_is_reported(monkeypatch):

@@ -167,6 +167,30 @@ def test_method_off_mst_is_invalid(instance_path, capsys, target):
     assert capsys.readouterr().err == "invalid: --method applies to estimate mst only\n"
 
 
+@pytest.mark.parametrize("target", [["cc"], ["mst", "--method", "dp"]])
+def test_dump_homes_without_a_home_is_invalid(instance_path, capsys, target):
+    args = ["estimate", *target, str(instance_path), "--epsilon", "0.25", "--seed", "1"]
+    assert main(args + ["--dump-homes"]) == 2
+    assert capsys.readouterr().err == (
+        "invalid: --dump-homes applies to estimate mst --method home and mpm only\n"
+    )
+
+
+@pytest.mark.parametrize("target", [["mst"], ["mpm"]])
+@pytest.mark.parametrize("flag", ["--dump-homes", "--with-timing"])
+def test_json_only_flags_with_csv_are_invalid(instance_path, capsys, target, flag):
+    args = ["estimate", *target, str(instance_path), "--epsilon", "0.25", "--seed", "1"]
+    assert main(args + [flag, "--format", "csv"]) == 2
+    assert capsys.readouterr().err == f"invalid: {flag} applies to JSON output only\n"
+
+
+def test_dump_homes_keeps_the_mpm_homes(tmp_path, instance_4x5):
+    out = tmp_path / "r.json"
+    args = ["estimate", "mpm", str(instance_4x5), "--epsilon", "0.25", "--seed", "1"]
+    assert main(args + ["--budget-cap", "20", "--dump-homes", "-o", str(out)]) == 0
+    assert "homes" in json.loads(out.read_text())["extras"]
+
+
 @pytest.mark.parametrize("method", [["cc"], ["mst", "--method", "dp"]])
 def test_point_id_equal_to_a_split_copy_name_estimates(tmp_path, method):
     # splitting a (shared by v0 and v1) would name its copy for v1 "a~v1"

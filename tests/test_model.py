@@ -40,6 +40,7 @@ from stochgraph import (
     set_set_distance,
 )
 from stochgraph.generate import gen_instance
+from stochgraph.model import Event
 from stochgraph.sampling import ABSENT_IDX, node_outcomes
 
 from conftest import enumerate_realizations, random_graph, rng_for
@@ -342,6 +343,34 @@ def test_outcome_table_and_node_outcomes():
     assert certain.outcome_probs[:, -1].tolist() == [0.0]
     cum = ConditionalSampler(certain, None).cum[0]
     assert cum[-1] == 1.0
+
+
+@st.composite
+def _masked_graphs(draw):
+    """A random graph and a random allowed/absent event on it."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    mode = draw(st.sampled_from(["certain", "existential"]))
+    g = random_graph(rng_for(draw(st.integers(0, 2**32 - 1))), n, m, presence_mode=mode)
+    allowed = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)))
+    absent = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return g, Event(allowed.reshape(n, m), absent & (mode == "existential"))
+
+
+@given(_masked_graphs())
+@settings(max_examples=200, deadline=None)
+def test_sampler_tables_equal_each_node_cumsum_bitwise(case):
+    g, event = case
+    outcomes = node_outcomes(g, event)
+    empty = [name for name, (_, w) in zip(g.node_ids, outcomes) if not w.size]
+    if empty:
+        with pytest.raises(DomainError, match=f"^node {empty[0]}: zero probability mass"):
+            ConditionalSampler(g, event)
+        return
+    sampler = ConditionalSampler(g, event)
+    for (outs, weights), got_outs, got_cum in zip(outcomes, sampler.outcomes, sampler.cum):
+        cum = np.cumsum(weights)
+        assert np.array_equal(got_outs, outs)
+        assert got_cum.tobytes() == (cum / cum[-1]).tobytes()
 
 
 # ---------------------------------------------------------------------------
