@@ -34,7 +34,7 @@ from .mc import (
     sample_count,
 )
 from .model import MetricSpace, StochasticGraph, mass_in, pinned_event
-from .solvers import _cc_indices, _nn_indices, edge_order, fill_memo
+from .solvers import _cc_indices, _nn_indices, edge_order, fill_memo, place_values
 
 _SLACK = 1e-9  # relative float slack in per-sample sandwich assertions
 
@@ -200,7 +200,7 @@ def _check_rows(ok: np.ndarray, message: str, **values) -> None:
 
 
 class _PairValues:
-    """Shared per-run caches of realized point sets.
+    """Shared per-run caches of realized point sets, by ``fill_memo`` key.
 
     ``nn`` maps a set to (NN total, longest nearest-neighbor edge as
     lo * m + hi) and is filled for every sampled set; ``cc`` maps a set to
@@ -210,10 +210,11 @@ class _PairValues:
     and NN <= CC <= 2 NN on every solved cycle cover.
     """
 
-    def __init__(self, space: MetricSpace):
-        self.space = space
-        self.nn: dict[tuple[int, ...], tuple[float, int]] = {}
-        self.cc: dict[tuple[int, ...], float] = {}
+    def __init__(self, g: StochasticGraph):
+        self.space = g.space
+        self.powers = place_values(g.m, g.n)
+        self.nn: dict = {}
+        self.cc: dict = {}
 
     def get(self, rows: np.ndarray) -> np.ndarray:
         """Longest nearest-neighbor edge (lo * m + hi) of each row of a
@@ -222,12 +223,12 @@ class _PairValues:
         Uncached point sets are solved with one call of the kernel per
         present count.
         """
-        keys = fill_memo(rows, self.nn, self._solve_nn)
+        keys = fill_memo(rows, self.nn, self._solve_nn, self.powers)
         return np.array([self.nn[key][1] for key in keys])
 
     def cycle_covers(self, rows: np.ndarray) -> np.ndarray:
         """CC of each row of a row-sorted block already passed to ``get``."""
-        keys = fill_memo(rows, self.cc, self._solve_cc)
+        keys = fill_memo(rows, self.cc, self._solve_cc, self.powers)
         return np.array([self.cc[key] for key in keys])
 
     def _solve_nn(self, idx: np.ndarray):
@@ -243,7 +244,9 @@ class _PairValues:
 
     def _solve_cc(self, idx: np.ndarray):
         cc = _cc_indices(self.space, idx)
-        total = np.array([self.nn[key][0] for key in map(tuple, idx.tolist())])
+        # every set here was passed to get, so this only reads NN totals
+        keys = fill_memo(idx, self.nn, self._solve_nn, self.powers)
+        total = np.array([self.nn[key][0] for key in keys])
         _check_rows(
             (total * (1.0 - _SLACK) <= cc) & (cc <= 2.0 * total * (1.0 + _SLACK) + 1e-300),
             "cycle-cover sandwich violated: NN={NN}, CC={CC}", NN=total, CC=cc,
@@ -285,7 +288,7 @@ def estimate_pair_term(
         return term
     term.prob = prob
 
-    values = values or _PairValues(g.space)
+    values = values or _PairValues(g)
     lo, hi = (si, ti) if si < ti else (ti, si)
     target, d = lo * g.m + hi, float(g.space.dist[lo, hi])
     low, high = d * (1.0 - _SLACK), 2.0 * g.n * d * (1.0 + _SLACK) + 1e-300
@@ -349,7 +352,7 @@ def estimate_ecc(
     if g.presence_mode != "certain":
         report.flags["cc_of_fewer_than_2_present_is_zero"] = True
 
-    values = _PairValues(work.space)
+    values = _PairValues(work)
     pairs: list[dict] = []
     for a in range(work.m):
         if sp.owner[a] < 0:

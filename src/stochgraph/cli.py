@@ -183,9 +183,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     g = load_instance(args.instance)
     r = Realization.from_mapping(g, _load_json_arg(args.realization))
-    value = FunctionalEvaluator(g.space, Functional(args.functional)).value_of_assignment(
-        r.indices
-    )
+    value = FunctionalEvaluator(g, Functional(args.functional)).value_of_assignment(r.indices)
     _emit({"functional": args.functional, "value": value}, args.output)
     return 0
 

@@ -84,7 +84,7 @@ def estimate_by_homes(
     near_nodes = [v for v in range(n) if p_near[v] > 0.0 and prod_except(v) > 0.0]
     mc_terms = int(prob_all > 0.0 and diameter > 0.0) + len(near_nodes)
     delta = 1.0 / (8.0 * max(1, mc_terms))
-    evaluator = FunctionalEvaluator(g.space, functional)
+    evaluator = FunctionalEvaluator(g, functional)
     nobody_absent = np.zeros(n, dtype=bool)
 
     def sampled(

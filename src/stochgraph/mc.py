@@ -23,6 +23,7 @@ from .errors import DomainError
 from .model import Event, EventSpec, StochasticGraph
 from .rng import STREAM_VERSION, SampleStream
 from .sampling import BLOCK_SIZE, ConditionalSampler
+from .solvers import place_values
 
 
 def tree_sum(values) -> float:
@@ -100,13 +101,14 @@ def realization_classes(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarra
 
     ``rows`` holds point indices in [-1, m).  Returns (classes, inverse) with
     ``classes[inverse]`` equal to ``rows``.  Each row is encoded as one int64
-    mixed-radix key sum((row[j] + 1) * (m + 1)**(n - 1 - j)), which keeps
-    lexicographic row order; when (m + 1)**n does not fit in int64 the rows
-    are compared as raw bytes instead.
+    mixed-radix key under ``place_values``, which keeps lexicographic row
+    order; when (m + 1)**n does not fit in int64 the rows are compared as raw
+    bytes instead.
     """
     n = rows.shape[1]
-    if (m + 1) ** n < 2**63:
-        keys = (rows + 1) @ ((m + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    powers = place_values(m, n)
+    if powers is not None:
+        keys = (rows + 1) @ powers
     else:
         rows = np.ascontiguousarray(rows)
         keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()

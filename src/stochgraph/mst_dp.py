@@ -63,7 +63,7 @@ def estimate_emst_dp(
 
     max_leaves = m * (m - 1) // 2
     delta_each = 1.0 / (8.0 * max(1, max_leaves))
-    evaluator = FunctionalEvaluator(space, Functional.MST)
+    evaluator = FunctionalEvaluator(work, Functional.MST)
     support = work.probs > 0.0
     outer_weights: list[float] = []
 

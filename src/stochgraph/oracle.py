@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, EnumerationCapError
 from .model import Event, EventSpec, StochasticGraph, as_event, event_probability
 from .sampling import node_outcomes
-from .solvers import _cc_indices, _mpm_indices, _mst_indices, _nn_indices, fill_memo
+from .solvers import _cc_indices, _mpm_indices, _mst_indices, _nn_indices, fill_memo, place_values
 
 DEFAULT_CAP = 10_000_000
 CHUNK = 4096  # realizations per values() call in enumerate_term
@@ -35,19 +35,20 @@ class Functional(str, Enum):
 
 
 class FunctionalEvaluator:
-    """Evaluates a functional on realized point sets, memoized.
+    """Evaluates a functional on realized point sets of a graph, memoized.
 
     All supported functionals depend only on the multiset of realized points,
-    so the cache key is the sorted tuple of present point indices.  Conventions
+    so the cache is keyed by point set, as ``fill_memo`` keys it.  Conventions
     for degenerate realizations (possible in existential mode): MST of <=1
     point is 0; MPM of 0 points is 0 and of an odd count is an error; CC and
     the nearest-neighbor functionals of <2 points are 0.
     """
 
-    def __init__(self, space, functional: Functional):
-        self.space = space
+    def __init__(self, g: StochasticGraph, functional: Functional):
+        self.space = g.space
         self.functional = Functional(functional)
-        self._cache: dict[tuple[int, ...], float] = {}
+        self._powers = place_values(g.m, g.n)
+        self._cache: dict = {}
 
     def values(self, rows: np.ndarray) -> np.ndarray:
         """Values of a block of row-sorted realizations (-1 for absent).
@@ -55,7 +56,7 @@ class FunctionalEvaluator:
         Uncached point sets are solved with one kernel call per present
         count; rows sharing a point set share its value.
         """
-        keys = fill_memo(rows, self._cache, lambda idx: self._compute(idx).tolist())
+        keys = fill_memo(rows, self._cache, lambda idx: self._compute(idx).tolist(), self._powers)
         # one memo read for every caller: perfbench's tracer times value()
         return np.array([self.value(key) for key in keys], dtype=float)
 
@@ -64,15 +65,12 @@ class FunctionalEvaluator:
         the Monte Carlo engine takes."""
         return self.values(rows), np.zeros(len(rows), dtype=np.int64)
 
-    def value(self, present_sorted: tuple[int, ...]) -> float:
-        """Value of one realization given its sorted present point indices."""
-        try:
-            return self._cache[present_sorted]
-        except KeyError:
-            return float(self.values(np.array([present_sorted], dtype=np.intp))[0])
+    def value(self, key) -> float:
+        """Cached value of one point set, by the key ``fill_memo`` returned."""
+        return self._cache[key]
 
     def value_of_assignment(self, assignment) -> float:
-        return self.value(tuple(sorted(i for i in assignment if i >= 0)))
+        return float(self.values(np.sort([assignment], axis=1))[0])
 
     def _compute(self, idx: np.ndarray) -> np.ndarray:
         """Values of a (B, k) block of point sets with k present points each."""
@@ -118,7 +116,7 @@ def enumerate_term(
     if count == 0:
         return 0.0, 0
 
-    evaluator = FunctionalEvaluator(g.space, functional)
+    evaluator = FunctionalEvaluator(g, functional)
 
     def products():
         for start in range(0, count, CHUNK):

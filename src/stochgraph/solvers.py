@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -62,26 +62,44 @@ def edge_order(space: MetricSpace) -> tuple[np.ndarray, np.ndarray]:
 # Blocks of realization classes
 # ---------------------------------------------------------------------------
 
-def fill_memo(
-    rows: np.ndarray, memo: dict, solve: Callable[[np.ndarray], Iterable]
-) -> list[tuple[int, ...]]:
-    """Present point indices of each row of a row-sorted block, after adding
-    to ``memo`` the point sets it lacks.
+@functools.cache
+def place_values(m: int, n: int) -> Optional[np.ndarray]:
+    """Read-only (m + 1)**(n - 1 - j), j < n: entry j's place value in the key
+    sum((row[j] + 1) * (m + 1)**(n - 1 - j)) of n point indices in [-1, m),
+    or None when (m + 1)**n passes int64."""
+    if (m + 1) ** n >= 2**63:
+        return None
+    out = (m + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
-    Absent nodes are -1, so they sort to the front of their row.  ``solve``
-    maps a (B, k) block of distinct k-point sets to their values; it is
-    called once per present count, ascending.
+
+def fill_memo(rows: np.ndarray, memo: dict, solve: Callable, powers: Optional[np.ndarray]) -> list:
+    """Memo key of each row of a row-sorted block (-1 absent, sorted first),
+    after adding to ``memo`` the point sets it lacks.
+
+    A key is the row's number under ``place_values`` (-1 entries add nothing,
+    so a set has one key at any width), or, with ``powers`` None, the tuple of
+    its present indices; the memo's owner picks ``powers`` from its graph.
+    ``solve`` maps a (B, k) block of distinct k-point sets to their values; it
+    is called once per present count, ascending, sets in first-occurrence order.
     """
-    rows = np.asarray(rows)
-    absent = (rows < 0).sum(axis=1).tolist()
-    keys = [tuple(row[a:]) for row, a in zip(rows.tolist(), absent)]
-    groups: dict[int, dict[tuple[int, ...], None]] = {}
-    for key in keys:
-        if key not in memo:
-            groups.setdefault(len(key), {})[key] = None
-    for k in sorted(groups):
-        sets = list(groups[k])
-        memo.update(zip(sets, solve(np.array(sets, dtype=np.intp).reshape(len(sets), k))))
+    if powers is None:
+        absent = (rows < 0).sum(axis=1).tolist()
+        keys = [tuple(row[a:]) for row, a in zip(rows.tolist(), absent)]
+    else:
+        keys = ((rows + 1) @ powers[len(powers) - rows.shape[1]:]).tolist()
+    first: dict = {}
+    for i, key in enumerate(keys):
+        if key not in memo and key not in first:
+            first[key] = i
+    if first:
+        present = (rows >= 0).sum(axis=1).tolist()
+        for k in sorted({present[i] for i in first.values()}):
+            at = [i for i in first.values() if present[i] == k]
+            # a view when every row is new: small cold blocks skip a gather
+            sets = rows[slice(None) if len(at) == len(rows) else at, rows.shape[1] - k:]
+            memo.update(zip([keys[i] for i in at], solve(sets)))
     return keys
 
 
@@ -275,9 +293,9 @@ def _cc_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
         # Forbid fixed points with a cost above any derangement's, so the
         # optimum never reads the diagonal.
         D[:, cols, cols] = (k * (D.max(axis=(1, 2)) + 1.0))[:, None]
-        for Dr in D:
-            rr, cc = linear_sum_assignment(Dr)
-            out.append(math.fsum(Dr[rr, cc].tolist()))
+        chosen = np.array([linear_sum_assignment(Dr)[1] for Dr in D])  # row r's column
+        lengths = D[np.arange(len(D))[:, None], cols, chosen]
+        out.extend(math.fsum(x) for x in lengths.tolist())
     return np.array(out)
 
 

@@ -8,8 +8,17 @@ k in {4, 8, 16, 32} and B in {1, 4096}.  Matching also runs at k = 12, the
 largest k it solves by enumerating every matching.  Above that it runs
 blossom once per row, so its cost per row does not depend on B; there it is
 measured at B = 64 instead of 4096, where k = 32 would take over a minute
-per round.  The file name keeps it out of the default ``test_*.py``
-collection.
+per round.
+
+The ``fill_memo`` cases time the memo layer alone, with a constant
+``solve``: one 4096-row chunk of the oracle's enumeration of the benchmark's
+oracle-exact ``mst-10-12`` instance (``euclidean-uniform 10 12``, generator
+seed 4), built as ``enumerate_term`` builds it, and blocks of its first 2 and
+50 distinct point sets, the sizes the Monte Carlo estimators pass on
+campaign-small and ladder-large.  A ``cold`` memo is empty, so every set is
+solved and stored; a ``warm`` one already holds every set.
+
+The file name keeps it out of the default ``test_*.py`` collection.
 """
 
 from __future__ import annotations
@@ -17,8 +26,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from stochgraph.generate import gen_graph
 from stochgraph.model import MetricSpace
-from stochgraph.solvers import _cc_indices, _mpm_indices, _mst_indices, _nn_indices
+from stochgraph.oracle import CHUNK
+from stochgraph.sampling import node_outcomes
+from stochgraph.solvers import (
+    _cc_indices,
+    _mpm_indices,
+    _mst_indices,
+    _nn_indices,
+    fill_memo,
+    place_values,
+)
 
 M = 64
 SPACE = MetricSpace(
@@ -45,3 +64,48 @@ def test_kernel(benchmark, name, k, B):
     benchmark.group = f"{name} k={k}"
     out = benchmark(KERNELS[name], SPACE, idx)
     assert len(out.total if name == "nn" else out) == B
+
+
+def oracle_chunk() -> np.ndarray:
+    """The first ``CHUNK`` realizations of ``MEMO_GRAPH``, row-sorted, in
+    ``enumerate_term``'s order."""
+    table = node_outcomes(MEMO_GRAPH, None)
+    digits = np.unravel_index(np.arange(CHUNK), [len(outs) for outs, _ in table])
+    return np.sort(np.column_stack([outs[d] for (outs, _), d in zip(table, digits)]), axis=1)
+
+
+def distinct_sets(rows: np.ndarray, B: int) -> np.ndarray:
+    first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+    return rows[first[:B]]
+
+
+def constant_solve(idx: np.ndarray) -> list[float]:
+    return [1.0] * len(idx)
+
+
+MEMO_GRAPH = gen_graph("euclidean-uniform", 10, 12, 4)
+CHUNK_ROWS = oracle_chunk()
+MEMO_BLOCKS = {
+    "oracle-4096": CHUNK_ROWS,
+    "sets-2": distinct_sets(CHUNK_ROWS, 2),
+    "sets-50": distinct_sets(CHUNK_ROWS, 50),
+}
+
+
+@pytest.mark.parametrize("memo", ["cold", "warm"])
+@pytest.mark.parametrize("block", list(MEMO_BLOCKS))
+def test_fill_memo(benchmark, block, memo):
+    rows = MEMO_BLOCKS[block]
+    powers = place_values(MEMO_GRAPH.m, MEMO_GRAPH.n)
+    benchmark.group = f"fill_memo {block}"
+    if memo == "warm":
+        warm: dict = {}
+        fill_memo(rows, warm, constant_solve, powers)
+        keys = benchmark(fill_memo, rows, warm, constant_solve, powers)
+    else:
+        keys = benchmark.pedantic(
+            fill_memo,
+            setup=lambda: ((rows, {}, constant_solve, powers), {}),
+            rounds=2000 if len(rows) < 100 else 200,
+        )
+    assert len(keys) == len(rows)

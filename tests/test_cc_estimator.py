@@ -472,7 +472,7 @@ def test_longest_edge_sandwich_violation_is_reported(monkeypatch):
         "_nn_indices",
         lambda space, idx: nn_indices(space, idx)._replace(longest=np.array([[0, 1]])),
     )
-    values = _PairValues(forced_line_graph().space)
+    values = _PairValues(forced_line_graph())
     with pytest.raises(
         InternalAssertionError,
         match=r"longest-edge sandwich violated: NN=10\.0, longest=1\.0, k=4$",

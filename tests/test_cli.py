@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from stochgraph import Functional, Realization, cc_length, load_instance, mpm_length, mst_length
 from stochgraph.cli import build_parser, main
+from stochgraph.oracle import FunctionalEvaluator
 
 RUN = [sys.executable, "-m", "stochgraph.cli"]
 
@@ -370,6 +372,70 @@ def test_solve_rejects_number_as_point_id(instance_path, point):
     args = ["solve", str(instance_path), "--functional", "mst", "--realization", realization]
     assert main(args) == 2
 
+
+
+SOLVE_POINTS = [[0.1, 0.7], [0.45, 0.2], [0.9, 0.35], [0.3, 0.05], [0.75, 0.9]]
+SOLVE_CASES = {
+    # existential, node b absent, four distinct points present
+    "existential": (
+        {
+            "presence_mode": "existential",
+            "nodes": [
+                {"id": "a", "dist": {"p0": 0.5, "p1": 0.25}},
+                {"id": "b", "dist": {"p1": 0.5, "p2": 0.5}},
+                {"id": "c", "dist": {"p2": 0.25, "p3": 0.5}},
+                {"id": "d", "dist": {"p3": 0.5, "p4": 0.25}},
+                {"id": "e", "dist": {"p4": 1.0}},
+            ],
+        },
+        {"a": "p0", "b": None, "c": "p2", "d": "p3", "e": "p4"},
+        {
+            "mst": (0, '{\n "functional": "mst",\n "value": 1.920981631236278\n}\n'),
+            "mpm": (0, '{\n "functional": "mpm",\n "value": 1.2501612379863412\n}\n'),
+            "cc": (0, '{\n "functional": "cc",\n "value": 2.5003224759726823\n}\n'),
+            "nn-total": (0, '{\n "functional": "nn-total",\n "value": 1.920981631236278\n}\n'),
+            "nn-longest": (0, '{\n "functional": "nn-longest",\n "value": 0.680073525436772\n}\n'),
+        },
+    ),
+    # certain, nodes a and b both on p0
+    "certain": (
+        {
+            "presence_mode": "certain",
+            "nodes": [
+                {"id": "a", "dist": {"p0": 0.5, "p1": 0.5}},
+                {"id": "b", "dist": {"p0": 0.5, "p2": 0.5}},
+                {"id": "c", "dist": {"p1": 1.0}},
+                {"id": "d", "dist": {"p2": 0.5, "p3": 0.5}},
+            ],
+        },
+        {"a": "p0", "b": "p0", "c": "p1", "d": "p3"},
+        {
+            "mst": (0, '{\n "functional": "mst",\n "value": 0.8224598151426494\n}\n'),
+            "mpm": (0, '{\n "functional": "mpm",\n "value": 0.21213203435596428\n}\n'),
+            "cc": (0, '{\n "functional": "cc",\n "value": 0.42426406871192857\n}\n'),
+            "nn-total": (2, ""),  # nearest neighbours need distinct points
+            "nn-longest": (2, ""),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVE_CASES))
+def test_solve_output_is_pinned(tmp_path, capsys, case):
+    doc, realization, expected = SOLVE_CASES[case]
+    points = [{"id": f"p{i}", "coords": xy} for i, xy in enumerate(SOLVE_POINTS)]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(doc, points=points)))
+    for functional, (code, out) in expected.items():
+        args = ["solve", str(path), "--functional", functional]
+        assert main(args + ["--realization", json.dumps(realization)]) == code
+        assert capsys.readouterr().out == out
+    g = load_instance(str(path))
+    present = [p for p in realization.values() if p is not None]
+    indices = Realization.from_mapping(g, realization).indices
+    for functional, solver in (("mst", mst_length), ("mpm", mpm_length), ("cc", cc_length)):
+        evaluator = FunctionalEvaluator(g, Functional(functional))
+        assert evaluator.value_of_assignment(indices) == solver(g.space, present)
 
 def test_compare_json_and_csv_agree(tmp_path):
     inst = tmp_path / "i.json"

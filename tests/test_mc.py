@@ -297,7 +297,7 @@ def test_is_deterministic_means_support_1(rng):
 # ---------------------------------------------------------------------------
 
 def mst_class_fn(g):
-    return FunctionalEvaluator(g.space, Functional.MST).class_fn
+    return FunctionalEvaluator(g, Functional.MST).class_fn
 
 
 def test_conditional_deterministic_event_is_exact():
@@ -406,7 +406,7 @@ def test_conditional_unbiased_at_sampler_level(rng):
     # mean over many samples approaches the oracle-computed expectation
     g = random_graph(rng, 3, 4)
     oracle = exact_expectation(g, Functional.CC)
-    class_fn = FunctionalEvaluator(g.space, Functional.CC).class_fn
+    class_fn = FunctionalEvaluator(g, Functional.CC).class_fn
     mean, _, _ = estimate_conditional(g, None, class_fn, 60_000, seed=17, tag="unbiased")
     assert mean == pytest.approx(oracle, rel=0.05)
 

@@ -74,7 +74,7 @@ def test_two_uniform_nodes_cc_twice_expected_distance():
 def test_exact_matches_independent_enumeration(rng):
     for _ in range(5):
         g = random_graph(rng, 3, 4)
-        ev = FunctionalEvaluator(g.space, Functional.MST)
+        ev = FunctionalEvaluator(g, Functional.MST)
         expected = math.fsum(
             p * ev.value_of_assignment(a) for a, p in enumerate_realizations(g)
         )
@@ -186,7 +186,7 @@ def test_enumerate_term_is_the_correctly_rounded_sum(kind, n, m, seed, existenti
         for node in doc["nodes"]:
             node["dist"] = {p: 0.85 * w for p, w in node["dist"].items()}
     g = instance_from_dict(doc)
-    evaluator = FunctionalEvaluator(g.space, functional)
+    evaluator = FunctionalEvaluator(g, functional)
     products = [
         prob * evaluator.value_of_assignment(r) for r, prob in enumerate_realizations(g)
     ]
@@ -215,7 +215,7 @@ def test_enumerate_term_frees_its_evaluator_without_gc(rng, monkeypatch):
 
 def test_values_fill_rows_sharing_a_point_set():
     g = random_graph(rng_for(70), 3, 4, presence_mode="existential")
-    ev = FunctionalEvaluator(g.space, Functional.MST)
+    ev = FunctionalEvaluator(g, Functional.MST)
     rows = np.array([[-1, 0, 2], [0, 2, 3], [-1, 0, 2], [-1, -1, 1], [0, 2, 3]])
     got = ev.values(rows)
     assert got.tolist() == [ev.value_of_assignment(r) for r in rows.tolist()]

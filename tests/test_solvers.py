@@ -8,13 +8,18 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochgraph import (
     DomainError,
+    Functional,
     MetricSpace,
     StochasticGraph,
     cc_length,
     edge_key,
+    estimate_ecc,
+    estimate_emst_dp,
     find_home,
     find_home_clusters,
     longest_nn_edge,
@@ -25,9 +30,12 @@ from stochgraph import (
     prob_nearest,
 )
 
+from stochgraph import cc as cc_module
+from stochgraph import mc, oracle, solvers
 from stochgraph.cc import split_points
+from stochgraph.generate import gen_graph
 from stochgraph.model import mass_in
-from stochgraph import solvers
+from stochgraph.oracle import enumerate_term
 from stochgraph.solvers import (
     _cc_indices,
     _matchings,
@@ -48,6 +56,8 @@ from conftest import (
     random_graph,
     rng_for,
 )
+from test_acceptance import SUITE_SPEC
+from test_golden import _existential
 
 
 def line_space(*xs: float) -> MetricSpace:
@@ -557,3 +567,136 @@ def test_find_home_clusters_matches_threshold_graph_reference():
         for eps in (0.05, 1.0):
             hc = find_home_clusters(g, eps)
             assert (hc.clusters, hc.home_of, hc.merge_radius) == home_clusters_reference(g, eps)
+
+
+# ---------------------------------------------------------------------------
+# Memo keys
+# ---------------------------------------------------------------------------
+
+def constant_solve(idx: np.ndarray) -> list[float]:
+    return [0.0] * len(idx)
+
+
+def memo_keys(rows: np.ndarray, powers) -> list:
+    return solvers.fill_memo(rows, {}, constant_solve, powers)
+
+
+def present_sets(rows: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(x for x in row if x >= 0) for row in rows.tolist()]
+
+
+@st.composite
+def padded_blocks(draw):
+    """A row-sorted block of point indices in [-1, m), -1 for absent, with
+    repeated rows and repeated points, and the key kind to use on it."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    pool = draw(st.lists(st.lists(st.integers(-1, m - 1), min_size=n, max_size=n), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    rows = np.sort(np.array([pool[i] for i in picks], dtype=np.intp).reshape(-1, n), axis=1)
+    powers = solvers.place_values(m, n) if draw(st.booleans()) else None
+    return rows, powers
+
+
+def test_place_values_stop_where_int64_ends():
+    assert solvers.place_values(1, 62).tolist() == [2**j for j in range(61, -1, -1)]
+    assert solvers.place_values(1, 63) is None
+    assert solvers.place_values(24, 13) is not None
+    assert solvers.place_values(24, 16) is None  # ladder-large's mst instance
+    assert solvers.place_values(12, 10).tolist() == [13**j for j in range(9, -1, -1)]
+    assert not solvers.place_values(12, 10).flags.writeable
+
+
+@given(padded_blocks())
+@settings(max_examples=300, deadline=None)
+def test_memo_keys_are_equal_exactly_for_equal_point_sets(case):
+    rows, powers = case
+    keys, sets = memo_keys(rows, powers), present_sets(rows)
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            assert (keys[i] == keys[j]) == (sets[i] == sets[j])
+    if powers is not None:
+        assert all(type(key) is int for key in keys)
+    # an unpadded (B, k) block of the same sets gets the same keys
+    for k in set(map(len, sets)):
+        at = [i for i, s in enumerate(sets) if len(s) == k]
+        unpadded = np.array([sets[i] for i in at], dtype=np.intp).reshape(len(at), k)
+        assert memo_keys(unpadded, powers) == [keys[i] for i in at]
+
+
+@given(padded_blocks(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_fill_memo_solves_missing_sets_once_per_count_in_first_occurrence_order(case, data):
+    rows, powers = case
+    keys, sets = memo_keys(rows, powers), present_sets(rows)
+    cached = data.draw(st.sets(st.sampled_from(sets)))
+    memo = {key: s for key, s in zip(keys, sets) if s in cached}
+    expected: dict[int, list] = {}
+    for s in sets:
+        if s not in cached and s not in expected.setdefault(len(s), []):
+            expected[len(s)].append(s)
+    calls = []
+
+    def solve(idx):
+        calls.append(idx.copy())
+        return [tuple(row) for row in idx.tolist()]
+
+    assert solvers.fill_memo(rows, memo, solve, powers) == keys
+    assert [idx.shape[1] for idx in calls] == sorted(expected)
+    assert [present_sets(idx) for idx in calls] == [expected[k] for k in sorted(expected)]
+    assert [memo[key] for key in keys] == sets
+
+
+def suite_graph(name: str) -> StochasticGraph:
+    if name.startswith("exist-"):
+        return _existential(*next(spec for n, *spec in SUITE_SPEC if n == name[6:]))
+    return gen_graph(*next(spec for n, *spec in SUITE_SPEC if n == name))
+
+
+FALLBACK_CASES = [
+    ("enumerate", "mst", "eu-4-5"),
+    ("enumerate", "cc", "eu-4-5"),
+    ("enumerate", "mst", "cm-4-4"),
+    ("enumerate", "cc", "cm-4-4"),
+    ("enumerate", "mst", "exist-eu-4-5"),
+    ("mst-dp", "mst", "eu-4-5"),
+    ("mst-dp", "mst", "cm-4-4"),
+    ("cc", "cc", "eu-4-5"),
+    ("cc", "cc", "cm-4-4"),
+    ("cc", "cc", "exist-eu-4-5"),
+]
+
+
+def run_case(kind: str, functional: str, g: StochasticGraph):
+    if kind == "enumerate":
+        return enumerate_term(g, Functional(functional))
+    estimate = estimate_emst_dp if kind == "mst-dp" else estimate_ecc
+    return estimate(g, 0.25, 1, budget_cap=50).to_dict()
+
+
+@pytest.mark.parametrize("kind,functional,name", FALLBACK_CASES)
+def test_tuple_memo_keys_give_the_integer_key_results(monkeypatch, kind, functional, name):
+    """With place values withheld at the graph's node count, as past int64,
+    every memo keys by tuple, and the results equal the integer-key ones bit
+    for bit.  Narrower widths keep their place values, so a key kind chosen
+    from the width of a block in hand, not by the memo's owner, mixes ints
+    and tuples in one memo and fails."""
+    g = suite_graph(name)
+    key_types = set()
+
+    def recording(fill):
+        def wrapped(*args):
+            keys = fill(*args)
+            key_types.update(map(type, keys))
+            return keys
+        return wrapped
+
+    for module in (oracle, cc_module):
+        monkeypatch.setattr(module, "fill_memo", recording(module.fill_memo))
+    with_ints = run_case(kind, functional, g)
+    assert key_types == {int}
+    key_types.clear()
+    full = solvers.place_values
+    for module in (solvers, mc, oracle, cc_module):
+        monkeypatch.setattr(module, "place_values", lambda m, n: None if n >= g.n else full(m, n))
+    assert run_case(kind, functional, g) == with_ints
+    assert key_types == {tuple}
