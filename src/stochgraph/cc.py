@@ -34,7 +34,7 @@ from .mc import (
     sample_count,
 )
 from .model import MetricSpace, StochasticGraph, mass_in, pinned_event
-from .solvers import _cc_indices, _nn_indices, edge_order, fill_memo, place_values
+from .solvers import _cc_indices, _nn_indices, edge_order, fill_memo
 
 _SLACK = 1e-9  # relative float slack in per-sample sandwich assertions
 
@@ -55,18 +55,6 @@ class SplitSpace:
         rank = np.full((self.graph.m, self.graph.m), lo.size)
         rank[lo, hi] = rank[hi, lo] = np.arange(lo.size)
         return rank
-
-    @cached_property
-    def reach(self) -> np.ndarray:
-        """(m, n) largest ``rank[a]`` entry over the points node w may take,
-        past every edge if w may be absent.  So w has no mass outside the
-        ball of points nearer to a than b exactly when
-        ``reach[a, w] < rank[a, b]``; the owners of a and b never do."""
-        g, rank = self.graph, self.rank
-        cube = np.broadcast_to(rank[:, None, :], (g.m, g.n, g.m))
-        reach = np.max(cube, axis=2, where=g.probs > 0.0, initial=-1)
-        reach[:, g.outcome_probs[:, -1] > 0.0] = rank.size
-        return reach
 
 
 def split_points(g: StochasticGraph) -> SplitSpace:
@@ -155,13 +143,6 @@ def _pair_prob(sp: SplitSpace, s, t, mutual: bool) -> float:
     return prob
 
 
-def _impossible(sp: SplitSpace, a: int, b: int) -> bool:
-    """True when a node has no mass outside the ball of a or of b.  One
-    directional product then has an exact 0.0 factor, and so has the mutual
-    one: its event lies inside both directional events."""
-    return bool((sp.reach[[a, b]] < sp.rank[a, b]).any())
-
-
 def prob_nearest(sp: SplitSpace, s: Union[str, int], t: Union[str, int]) -> float:
     """Exact probability that t is the realized nearest neighbor of s."""
     return _pair_prob(sp, s, t, mutual=False)
@@ -212,7 +193,6 @@ class _PairValues:
 
     def __init__(self, g: StochasticGraph):
         self.space = g.space
-        self.powers = place_values(g.m, g.n)
         self.nn: dict = {}
         self.cc: dict = {}
 
@@ -223,12 +203,12 @@ class _PairValues:
         Uncached point sets are solved with one call of the kernel per
         present count.
         """
-        keys = fill_memo(rows, self.nn, self._solve_nn, self.powers)
+        keys = fill_memo(rows, self.nn, self._solve_nn, self.space.m)
         return np.array([self.nn[key][1] for key in keys])
 
     def cycle_covers(self, rows: np.ndarray) -> np.ndarray:
         """CC of each row of a row-sorted block already passed to ``get``."""
-        keys = fill_memo(rows, self.cc, self._solve_cc, self.powers)
+        keys = fill_memo(rows, self.cc, self._solve_cc, self.space.m)
         return np.array([self.cc[key] for key in keys])
 
     def _solve_nn(self, idx: np.ndarray):
@@ -245,7 +225,7 @@ class _PairValues:
     def _solve_cc(self, idx: np.ndarray):
         cc = _cc_indices(self.space, idx)
         # every set here was passed to get, so this only reads NN totals
-        keys = fill_memo(idx, self.nn, self._solve_nn, self.powers)
+        keys = fill_memo(idx, self.nn, self._solve_nn, self.space.m)
         total = np.array([self.nn[key][0] for key in keys])
         _check_rows(
             (total * (1.0 - _SLACK) <= cc) & (cc <= 2.0 * total * (1.0 + _SLACK) + 1e-300),
@@ -366,7 +346,8 @@ def estimate_ecc(
             t_ba = estimate_pair_term(
                 sp, b, a, used, seed, threads=threads, values=values
             )
-            if _impossible(sp, a, b):
+            # the mutual event lies inside both directional ones
+            if t_ab.prob == 0.0 or t_ba.prob == 0.0:
                 t_mut = PairTerm(t_ab.s, t_ab.t, t_ab.node_s, t_ab.node_t, "mutual")
             else:
                 t_mut = estimate_pair_term(

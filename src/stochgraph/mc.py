@@ -100,20 +100,18 @@ def realization_classes(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarra
     """Distinct rows of a row-sorted index block and each row's class.
 
     ``rows`` holds point indices in [-1, m).  Returns (classes, inverse) with
-    ``classes[inverse]`` equal to ``rows``.  Each row is encoded as one int64
-    mixed-radix key under ``place_values``, which keeps lexicographic row
-    order; when (m + 1)**n does not fit in int64 the rows are compared as raw
-    bytes instead.
+    ``classes[inverse]`` equal to ``rows``, classes in lexicographic order.
+    Each row is encoded as its int64 words under ``place_values``, which
+    keep lexicographic row order, and one stable ``np.lexsort`` groups them.
     """
-    n = rows.shape[1]
-    powers = place_values(m, n)
-    if powers is not None:
-        keys = (rows + 1) @ powers
-    else:
-        rows = np.ascontiguousarray(rows)
-        keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], inverse
+    words = (rows + 1) @ place_values(m, rows.shape[1])[0]
+    order = np.lexsort(words.T[::-1])
+    words = words[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return rows[order[new]], inverse
 
 
 def block_classes(sampler: ConditionalSampler, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, EnumerationCapError
 from .model import Event, EventSpec, StochasticGraph, as_event, event_probability
 from .sampling import node_outcomes
-from .solvers import _cc_indices, _mpm_indices, _mst_indices, _nn_indices, fill_memo, place_values
+from .solvers import _cc_indices, _mpm_indices, _mst_indices, _nn_indices, fill_memo
 
 DEFAULT_CAP = 10_000_000
 CHUNK = 4096  # realizations per values() call in enumerate_term
@@ -47,7 +47,6 @@ class FunctionalEvaluator:
     def __init__(self, g: StochasticGraph, functional: Functional):
         self.space = g.space
         self.functional = Functional(functional)
-        self._powers = place_values(g.m, g.n)
         self._cache: dict = {}
 
     def values(self, rows: np.ndarray) -> np.ndarray:
@@ -56,7 +55,7 @@ class FunctionalEvaluator:
         Uncached point sets are solved with one kernel call per present
         count; rows sharing a point set share its value.
         """
-        keys = fill_memo(rows, self._cache, lambda idx: self._compute(idx).tolist(), self._powers)
+        keys = fill_memo(rows, self._cache, lambda idx: self._compute(idx).tolist(), self.space.m)
         # one memo read for every caller: perfbench's tracer times value()
         return np.array([self.value(key) for key in keys], dtype=float)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -63,32 +63,44 @@ def edge_order(space: MetricSpace) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def place_values(m: int, n: int) -> Optional[np.ndarray]:
-    """Read-only (m + 1)**(n - 1 - j), j < n: entry j's place value in the key
-    sum((row[j] + 1) * (m + 1)**(n - 1 - j)) of n point indices in [-1, m),
-    or None when (m + 1)**n passes int64."""
-    if (m + 1) ** n >= 2**63:
-        return None
-    out = (m + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    out.flags.writeable = False
-    return out
+def place_values(m: int, n: int) -> tuple[np.ndarray, int]:
+    """Place values of the key sum((row[j] + 1) * (m + 1)**(n - 1 - j)) of n
+    point indices in [-1, m), split into int64 words of w base-(m + 1)
+    digits, the most an int64 holds.
 
-
-def fill_memo(rows: np.ndarray, memo: dict, solve: Callable, powers: Optional[np.ndarray]) -> list:
-    """Memo key of each row of a row-sorted block (-1 absent, sorted first),
-    after adding to ``memo`` the point sets it lacks.
-
-    A key is the row's number under ``place_values`` (-1 entries add nothing,
-    so a set has one key at any width), or, with ``powers`` None, the tuple of
-    its present indices; the memo's owner picks ``powers`` from its graph.
-    ``solve`` maps a (B, k) block of distinct k-point sets to their values; it
-    is called once per present count, ascending, sets in first-occurrence order.
+    Returns a read-only (n, c) matrix, c = ceil(n / w), and the word base
+    (m + 1)**w: ``(rows + 1) @ powers`` gives each row's c words, most
+    significant first.  Words are counted from the row's end, so leading -1
+    entries give leading zero words, and the matrix for n is the last rows
+    and columns of the matrix for any wider block.
     """
-    if powers is None:
-        absent = (rows < 0).sum(axis=1).tolist()
-        keys = [tuple(row[a:]) for row, a in zip(rows.tolist(), absent)]
-    else:
-        keys = ((rows + 1) @ powers[len(powers) - rows.shape[1]:]).tolist()
+    w = 1
+    while (m + 1) ** (w + 1) <= 2**63:
+        w += 1
+    c = max(1, -(-n // w))  # one zero word for an empty row
+    j = np.arange(n)
+    digit = n - 1 - j  # j's digit, counted from the row's end
+    powers = np.zeros((n, c), dtype=np.int64)
+    powers[j, c - 1 - digit // w] = (m + 1) ** (digit % w)
+    powers.flags.writeable = False
+    return powers, (m + 1) ** w
+
+
+def fill_memo(rows: np.ndarray, memo: dict, solve: Callable, m: int) -> list:
+    """Memo key of each row of a row-sorted block of indices in [-1, m) (-1
+    absent, sorted first), after adding to ``memo`` the point sets it lacks.
+
+    A key is the row's exact number under ``place_values``, its words folded
+    into one Python int; -1 entries add nothing, so a set has one key at any
+    width.  ``solve`` maps a (B, k) block of distinct k-point sets to their
+    values; it is called once per present count, ascending, sets in
+    first-occurrence order.
+    """
+    powers, base = place_values(m, rows.shape[1])
+    words = ((rows + 1) @ powers).T.tolist()
+    keys = words[0]
+    for word in words[1:]:
+        keys = [key * base + x for key, x in zip(keys, word)]
     first: dict = {}
     for i, key in enumerate(keys):
         if key not in memo and key not in first:

@@ -14,6 +14,10 @@ row-sorted and deduplicated whole).  Each case times one call:
 - ``block``: ``run_conditional_mc`` over one block with a constant
   ``class_fn``, so no solver runs.
 
+``test_two_word_classes`` times ``realization_classes`` on one row-sorted,
+unconditioned block of ladder-large's MST instance (``euclidean-uniform 16
+24``, generator seed 1), whose point-set keys take two int64 words.
+
 Two cases time cc on the benchmark's ladder-large cc instance
 (``euclidean-uniform 10 14``, generator seed 1):
 
@@ -32,7 +36,7 @@ import pytest
 
 from stochgraph import cc
 from stochgraph.generate import gen_graph
-from stochgraph.mc import BLOCK_SIZE, block_classes, run_conditional_mc
+from stochgraph.mc import BLOCK_SIZE, block_classes, realization_classes, run_conditional_mc
 from stochgraph.model import Event, pinned_event
 from stochgraph.rng import SampleStream
 from stochgraph.sampling import ConditionalSampler
@@ -73,6 +77,19 @@ def test_engine_layer(benchmark, term, layer):
     else:
         mean, _ = benchmark(run_conditional_mc, sampler, constant_class_fn, BLOCK_SIZE, stream)
         assert mean == 1.0
+
+
+TWO_WORDS = gen_graph("euclidean-uniform", 16, 24, 1)
+
+
+def test_two_word_classes(benchmark):
+    sampler = ConditionalSampler(TWO_WORDS)
+    assert sampler.lookups is None
+    rows = sampler.draw_block(SampleStream(1, "bench", TWO_WORDS.n), 0, BLOCK_SIZE)
+    rows.sort(axis=1)
+    benchmark.group = "classes"
+    classes, inverse = benchmark(realization_classes, rows, TWO_WORDS.m)
+    assert (classes[inverse] == rows).all()
 
 
 LADDER_CC = gen_graph("euclidean-uniform", 10, 14, 1)

@@ -16,7 +16,10 @@ oracle-exact ``mst-10-12`` instance (``euclidean-uniform 10 12``, generator
 seed 4), built as ``enumerate_term`` builds it, and blocks of its first 2 and
 50 distinct point sets, the sizes the Monte Carlo estimators pass on
 campaign-small and ladder-large.  A ``cold`` memo is empty, so every set is
-solved and stored; a ``warm`` one already holds every set.
+solved and stored; a ``warm`` one already holds every set.  One more block,
+``two-words-4096``, is a 4096-row unconditioned block of ladder-large's MST
+instance (``euclidean-uniform 16 24``, generator seed 1), whose keys take two
+int64 words, so the fold of several words into one key is timed too.
 
 The file name keeps it out of the default ``test_*.py`` collection.
 """
@@ -29,14 +32,14 @@ import pytest
 from stochgraph.generate import gen_graph
 from stochgraph.model import MetricSpace
 from stochgraph.oracle import CHUNK
-from stochgraph.sampling import node_outcomes
+from stochgraph.rng import SampleStream
+from stochgraph.sampling import ConditionalSampler, node_outcomes
 from stochgraph.solvers import (
     _cc_indices,
     _mpm_indices,
     _mst_indices,
     _nn_indices,
     fill_memo,
-    place_values,
 )
 
 M = 64
@@ -83,29 +86,37 @@ def constant_solve(idx: np.ndarray) -> list[float]:
     return [1.0] * len(idx)
 
 
+def sampled_block(g) -> np.ndarray:
+    """One row-sorted, unconditioned 4096-sample block of ``g``."""
+    rows = ConditionalSampler(g).draw_block(SampleStream(1, "bench", g.n), 0, 4096)
+    rows.sort(axis=1)
+    return rows
+
+
 MEMO_GRAPH = gen_graph("euclidean-uniform", 10, 12, 4)
+TWO_WORD_GRAPH = gen_graph("euclidean-uniform", 16, 24, 1)
 CHUNK_ROWS = oracle_chunk()
 MEMO_BLOCKS = {
-    "oracle-4096": CHUNK_ROWS,
-    "sets-2": distinct_sets(CHUNK_ROWS, 2),
-    "sets-50": distinct_sets(CHUNK_ROWS, 50),
+    "oracle-4096": (CHUNK_ROWS, MEMO_GRAPH.m),
+    "sets-2": (distinct_sets(CHUNK_ROWS, 2), MEMO_GRAPH.m),
+    "sets-50": (distinct_sets(CHUNK_ROWS, 50), MEMO_GRAPH.m),
+    "two-words-4096": (sampled_block(TWO_WORD_GRAPH), TWO_WORD_GRAPH.m),
 }
 
 
 @pytest.mark.parametrize("memo", ["cold", "warm"])
 @pytest.mark.parametrize("block", list(MEMO_BLOCKS))
 def test_fill_memo(benchmark, block, memo):
-    rows = MEMO_BLOCKS[block]
-    powers = place_values(MEMO_GRAPH.m, MEMO_GRAPH.n)
+    rows, m = MEMO_BLOCKS[block]
     benchmark.group = f"fill_memo {block}"
     if memo == "warm":
         warm: dict = {}
-        fill_memo(rows, warm, constant_solve, powers)
-        keys = benchmark(fill_memo, rows, warm, constant_solve, powers)
+        fill_memo(rows, warm, constant_solve, m)
+        keys = benchmark(fill_memo, rows, warm, constant_solve, m)
     else:
         keys = benchmark.pedantic(
             fill_memo,
-            setup=lambda: ((rows, {}, constant_solve, powers), {}),
+            setup=lambda: ((rows, {}, constant_solve, m), {}),
             rounds=2000 if len(rows) < 100 else 200,
         )
     assert len(keys) == len(rows)

@@ -139,12 +139,8 @@ def test_tree_sum_independent_of_chunk_boundaries():
 # realization_classes
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "n, m, radix_keys",
-    [(5, 6, True), (16, 10, True), (16, 24, False)],
-)
-def test_realization_classes_partition_matches_rowwise_unique(n, m, radix_keys):
-    assert ((m + 1) ** n < 2**63) == radix_keys
+@pytest.mark.parametrize("n, m", [(5, 6), (16, 10), (16, 24)])  # (16, 24) keys take two words
+def test_realization_classes_partition_matches_rowwise_unique(n, m):
     rng = rng_for(100 * n + m)
     for _ in range(5):
         count = int(rng.integers(1, 3000))
@@ -162,8 +158,7 @@ def test_realization_classes_partition_matches_rowwise_unique(n, m, radix_keys):
         # under the row-wise unique
         pairs = set(zip(inverse.tolist(), ref_inverse.ravel().tolist()))
         assert len(pairs) == len(ref)
-        if radix_keys:  # radix keys keep lexicographic class order
-            np.testing.assert_array_equal(classes, ref)
+        np.testing.assert_array_equal(classes, ref)  # lexicographic class order
 
 
 def test_class_fn_gets_each_block_distinct_sorted_classes(rng):
@@ -389,8 +384,8 @@ def test_conditional_thread_count_invariance(rng):
     assert means[1] == means[4] == means[8]
 
 
-def test_conditional_thread_count_invariance_without_radix_keys(rng):
-    # 25**16 overflows int64, so the engine compares rows as raw bytes
+def test_conditional_thread_count_invariance_with_two_word_keys(rng):
+    # 25**16 passes int64, so the engine keys each row by two int64 words
     g = random_graph(rng, 16, 24, max_support=3)
     assert (g.m + 1) ** g.n >= 2**63
     means = {

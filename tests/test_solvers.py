@@ -577,8 +577,8 @@ def constant_solve(idx: np.ndarray) -> list[float]:
     return [0.0] * len(idx)
 
 
-def memo_keys(rows: np.ndarray, powers) -> list:
-    return solvers.fill_memo(rows, {}, constant_solve, powers)
+def memo_keys(rows: np.ndarray, m: int) -> list:
+    return solvers.fill_memo(rows, {}, constant_solve, m)
 
 
 def present_sets(rows: np.ndarray) -> list[tuple[int, ...]]:
@@ -586,48 +586,63 @@ def present_sets(rows: np.ndarray) -> list[tuple[int, ...]]:
 
 
 @st.composite
-def padded_blocks(draw):
+def padded_blocks(draw, max_n: int = 8, max_m: int = 12):
     """A row-sorted block of point indices in [-1, m), -1 for absent, with
-    repeated rows and repeated points, and the key kind to use on it."""
-    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 12))
-    pool = draw(st.lists(st.lists(st.integers(-1, m - 1), min_size=n, max_size=n), min_size=1, max_size=8))
+    repeated rows and repeated points, and its m."""
+    n, m = draw(st.integers(1, max_n)), draw(st.integers(1, max_m))
+    entry = st.just(-1) | st.integers(-1, m - 1)
+    pool = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=8))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
     rows = np.sort(np.array([pool[i] for i in picks], dtype=np.intp).reshape(-1, n), axis=1)
-    powers = solvers.place_values(m, n) if draw(st.booleans()) else None
-    return rows, powers
+    return rows, m
 
 
-def test_place_values_stop_where_int64_ends():
-    assert solvers.place_values(1, 62).tolist() == [2**j for j in range(61, -1, -1)]
-    assert solvers.place_values(1, 63) is None
-    assert solvers.place_values(24, 13) is not None
-    assert solvers.place_values(24, 16) is None  # ladder-large's mst instance
-    assert solvers.place_values(12, 10).tolist() == [13**j for j in range(9, -1, -1)]
-    assert not solvers.place_values(12, 10).flags.writeable
+def test_place_values_split_keys_into_int64_words():
+    powers, base = solvers.place_values(24, 16)  # ladder-large's mst instance
+    assert base == 25**13
+    # key = word 0 * base + word 1: entries 0-2 in word 0, 3-15 in word 1
+    assert powers.tolist() == [[25 ** (2 - j), 0] for j in range(3)] + [
+        [0, 25 ** (15 - j)] for j in range(3, 16)
+    ]
+    powers, base = solvers.place_values(1, 62)
+    assert base == 2**63
+    assert powers.tolist() == [[2**j] for j in range(61, -1, -1)]
+    powers, base = solvers.place_values(12, 10)
+    assert powers.tolist() == [[13**j] for j in range(9, -1, -1)]
+    assert not powers.flags.writeable
+    # words are counted from the row's end: a narrower block's matrix is the
+    # last rows and columns of a wider one's
+    wide, _ = solvers.place_values(24, 40)
+    for k in (1, 12, 13, 14, 26, 27, 39):
+        narrow, _ = solvers.place_values(24, k)
+        assert narrow.tolist() == wide[40 - k:, wide.shape[1] - narrow.shape[1]:].tolist()
 
 
-@given(padded_blocks())
+@given(padded_blocks(max_n=40, max_m=2**20))
 @settings(max_examples=300, deadline=None)
 def test_memo_keys_are_equal_exactly_for_equal_point_sets(case):
-    rows, powers = case
-    keys, sets = memo_keys(rows, powers), present_sets(rows)
+    """Keys of blocks up to 40 wide with m up to 2**20, so up to 14 words."""
+    rows, m = case
+    keys, sets = memo_keys(rows, m), present_sets(rows)
+    n = rows.shape[1]
+    assert keys == [
+        sum((x + 1) * (m + 1) ** (n - 1 - j) for j, x in enumerate(row)) for row in rows.tolist()
+    ]
     for i in range(len(rows)):
         for j in range(len(rows)):
             assert (keys[i] == keys[j]) == (sets[i] == sets[j])
-    if powers is not None:
-        assert all(type(key) is int for key in keys)
     # an unpadded (B, k) block of the same sets gets the same keys
     for k in set(map(len, sets)):
         at = [i for i, s in enumerate(sets) if len(s) == k]
         unpadded = np.array([sets[i] for i in at], dtype=np.intp).reshape(len(at), k)
-        assert memo_keys(unpadded, powers) == [keys[i] for i in at]
+        assert memo_keys(unpadded, m) == [keys[i] for i in at]
 
 
 @given(padded_blocks(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_fill_memo_solves_missing_sets_once_per_count_in_first_occurrence_order(case, data):
-    rows, powers = case
-    keys, sets = memo_keys(rows, powers), present_sets(rows)
+    rows, m = case
+    keys, sets = memo_keys(rows, m), present_sets(rows)
     cached = data.draw(st.sets(st.sampled_from(sets)))
     memo = {key: s for key, s in zip(keys, sets) if s in cached}
     expected: dict[int, list] = {}
@@ -640,7 +655,7 @@ def test_fill_memo_solves_missing_sets_once_per_count_in_first_occurrence_order(
         calls.append(idx.copy())
         return [tuple(row) for row in idx.tolist()]
 
-    assert solvers.fill_memo(rows, memo, solve, powers) == keys
+    assert solvers.fill_memo(rows, memo, solve, m) == keys
     assert [idx.shape[1] for idx in calls] == sorted(expected)
     assert [present_sets(idx) for idx in calls] == [expected[k] for k in sorted(expected)]
     assert [memo[key] for key in keys] == sets
@@ -652,7 +667,7 @@ def suite_graph(name: str) -> StochasticGraph:
     return gen_graph(*next(spec for n, *spec in SUITE_SPEC if n == name))
 
 
-FALLBACK_CASES = [
+MEMO_CASES = [
     ("enumerate", "mst", "eu-4-5"),
     ("enumerate", "cc", "eu-4-5"),
     ("enumerate", "mst", "cm-4-4"),
@@ -673,30 +688,33 @@ def run_case(kind: str, functional: str, g: StochasticGraph):
     return estimate(g, 0.25, 1, budget_cap=50).to_dict()
 
 
-@pytest.mark.parametrize("kind,functional,name", FALLBACK_CASES)
-def test_tuple_memo_keys_give_the_integer_key_results(monkeypatch, kind, functional, name):
-    """With place values withheld at the graph's node count, as past int64,
-    every memo keys by tuple, and the results equal the integer-key ones bit
-    for bit.  Narrower widths keep their place values, so a key kind chosen
-    from the width of a block in hand, not by the memo's owner, mixes ints
-    and tuples in one memo and fails."""
+@pytest.mark.parametrize("kind,functional,name", MEMO_CASES)
+def test_one_digit_words_give_the_default_results(monkeypatch, kind, functional, name):
+    """With ``place_values`` patched to one base-(m + 1) digit per word, every
+    key is folded from n words and every block is deduplicated on n columns,
+    yet the memo keys and the results equal the default ones bit for bit."""
     g = suite_graph(name)
-    key_types = set()
+    keys: list = []
 
     def recording(fill):
         def wrapped(*args):
-            keys = fill(*args)
-            key_types.update(map(type, keys))
-            return keys
+            out = fill(*args)
+            keys.extend(out)
+            return out
         return wrapped
 
     for module in (oracle, cc_module):
         monkeypatch.setattr(module, "fill_memo", recording(module.fill_memo))
-    with_ints = run_case(kind, functional, g)
-    assert key_types == {int}
-    key_types.clear()
-    full = solvers.place_values
-    for module in (solvers, mc, oracle, cc_module):
-        monkeypatch.setattr(module, "place_values", lambda m, n: None if n >= g.n else full(m, n))
-    assert run_case(kind, functional, g) == with_ints
-    assert key_types == {tuple}
+    default = run_case(kind, functional, g)
+    default_keys, keys[:] = keys[:], []
+    widths = []
+
+    def one_digit(m, n):
+        widths.append(n)
+        return np.eye(n, dtype=np.int64), m + 1
+
+    for module in (solvers, mc):
+        monkeypatch.setattr(module, "place_values", one_digit)
+    assert run_case(kind, functional, g) == default
+    assert keys == default_keys
+    assert max(widths) == g.n
