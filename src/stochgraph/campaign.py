@@ -15,7 +15,7 @@ from .model import StochasticGraph
 from .mpm import estimate_empm
 from .mst_dp import estimate_emst_dp
 from .mst_home import estimate_emst
-from .oracle import DEFAULT_CAP, Functional, exact_expectation
+from .oracle import DEFAULT_CAP, Functional, check_cap, exact_expectation
 
 # estimator name -> (estimate function, the functional it estimates)
 _ESTIMATORS = {
@@ -69,8 +69,14 @@ class CampaignRow:
     reason: str = ""
 
     def to_dict(self) -> dict:
-        """The fields, with ``passed`` under the key ``pass``."""
-        return {("pass" if k == "passed" else k): v for k, v in vars(self).items()}
+        """The fields, with ``passed`` under the key ``pass``.  JSON has no
+        NaN or infinity, so a number that is not finite (a skipped row's NaN,
+        the infinite relative error of a nonzero estimate of 0) is None."""
+        return {
+            ("pass" if k == "passed" else k): None
+            if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in vars(self).items()
+        }
 
 
 @dataclass
@@ -133,10 +139,11 @@ def run_campaign(
 
     Rows where the oracle refused (enumeration cap) or the estimator cannot
     apply (odd node count for matchings) carry a reason and are excluded from
-    the aggregate.  An invalid epsilon, budget scale, budget cap or thread
-    count fails the whole run.
+    the aggregate.  An invalid epsilon, budget scale, budget cap, thread
+    count or enumeration cap fails the whole run.
     """
     check_run_settings(budget_scale, budget_cap, threads, epsilon)
+    check_cap(cap)
     result = CampaignResult(epsilon=epsilon)
     for name, g in instances:
         oracles: dict[Functional, tuple[Optional[float], str]] = {}

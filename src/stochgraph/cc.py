@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -29,11 +29,14 @@ from .errors import DomainError, InternalAssertionError
 from .mc import (
     EstimateReport,
     TermReport,
-    estimate_conditional,
-    run_conditional_mc,  # noqa: F401  (perfbench/tracer.py wraps this binding)
+    draw_blocks,
+    pinned_classes,
+    run_conditional_mc,
     sample_count,
 )
 from .model import MetricSpace, StochasticGraph, mass_in, pinned_event
+from .rng import SampleStream
+from .sampling import BLOCK_SIZE, ConditionalSampler
 from .solvers import _cc_indices, _nn_indices, edge_order, fill_memo
 
 _SLACK = 1e-9  # relative float slack in per-sample sandwich assertions
@@ -234,25 +237,30 @@ class _PairValues:
         return cc.tolist()
 
 
-def estimate_pair_term(
+@dataclass
+class _Job:
+    """A planned pair term of positive probability, waiting for its group."""
+
+    term: PairTerm
+    sampler: ConditionalSampler
+    stream: SampleStream
+    target: int  # the term's pair as lo * m + hi: the longest edge it counts
+    class_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _plan_term(
     sp: SplitSpace,
     s: Union[str, int],
     t: Union[str, int],
-    n_samples: int,
     seed: int,
+    values: _PairValues,
+    jobs: list[_Job],
     *,
     mutual: bool = False,
-    threads: int = 1,
-    values: Optional[_PairValues] = None,
 ) -> PairTerm:
-    """Indicator-weighted sample mean for one conditioned pair event.
-
-    Samples are drawn given "t is s's nearest neighbor" (both directions for
-    ``mutual``); each sample contributes CC times the indicator that (s, t)
-    is the longest nearest-neighbor edge.  The returned estimate is the
-    conditioning probability times that mean; its expectation is exactly
-    Pr[A_s(t)] * E[CC | A_s(t)].
-    """
+    """The pair term with its exact probability.  When that is positive, the
+    job that samples it (its conditional sampler, its ``(seed, tag)`` stream
+    and a ``class_fn`` that reads ``values``) is appended to ``jobs``."""
     si, ti, v, u = _resolve_pair(sp, s, t)
     g = sp.graph
     kind = "mutual" if mutual else f"nearest({g.space.point_ids[si]}->{g.space.point_ids[ti]})"
@@ -268,7 +276,6 @@ def estimate_pair_term(
         return term
     term.prob = prob
 
-    values = values or _PairValues(g)
     lo, hi = (si, ti) if si < ti else (ti, si)
     target, d = lo * g.m + hi, float(g.space.dist[lo, hi])
     low, high = d * (1.0 - _SLACK), 2.0 * g.n * d * (1.0 + _SLACK) + 1e-300
@@ -285,16 +292,85 @@ def estimate_pair_term(
             out[hit] = cc
         return out, hit.astype(np.int64)
 
-    mean, term.indicator_hits, term.samples = estimate_conditional(
-        g,
-        pinned_event(g, _outside(sp, si, ti, mutual), v, si, u, ti),
-        class_fn,
-        n_samples,
-        seed=seed,
-        tag=f"cc/{term.s}/{term.t}/{kind}",
-        threads=threads,
+    sampler = ConditionalSampler(g, pinned_event(g, _outside(sp, si, ti, mutual), v, si, u, ti))
+    stream = SampleStream(seed, f"cc/{term.s}/{term.t}/{kind}", g.n)
+    jobs.append(_Job(term, sampler, stream, target, class_fn))
+    return term
+
+
+def _run_group(group: list[_Job], n_samples: int, values: _PairValues) -> None:
+    """Estimate a group of terms, filling in each term's estimate, samples
+    and indicator hits.
+
+    Every term's blocks are drawn and deduplicated once (an event that pins
+    every node gives its one realization); one ``get`` fills the NN memo for
+    all of the group's classes and one ``cycle_covers`` fills the CC memo
+    for every row whose longest edge is its own term's pair.  Each term is
+    then reduced in group order, by a ``class_fn`` that only reads the memos.
+    """
+    blocks = [
+        [(pinned_classes(job.sampler), None)]
+        if job.sampler.is_deterministic
+        else draw_blocks(job.sampler, job.stream, n_samples)
+        for job in group
+    ]
+    classes = [[c for c, _ in term_blocks] for term_blocks in blocks]
+    rows = np.concatenate([c for term_classes in classes for c in term_classes])
+    target = np.repeat(
+        [job.target for job in group], [sum(map(len, cs)) for cs in classes]
     )
-    term.estimate = prob * mean
+    values.cycle_covers(rows[values.get(rows) == target])
+    for job, term_blocks in zip(group, blocks):
+        term = job.term
+        if job.sampler.is_deterministic:
+            vals, hits = job.class_fn(term_blocks[0][0])
+            mean, term.indicator_hits, term.samples = float(vals[0]), int(hits[0]), 1
+        else:
+            mean, term.indicator_hits = run_conditional_mc(
+                job.sampler, job.class_fn, n_samples, job.stream, threads=1, blocks=term_blocks
+            )
+            term.samples = n_samples
+        term.estimate = term.prob * mean
+
+
+def _run_jobs(jobs: list[_Job], n_samples: int, values: _PairValues) -> None:
+    """``_run_group`` over consecutive jobs, in groups that close once they
+    have drawn ``BLOCK_SIZE`` samples (a pinned term draws one); a term of
+    ``BLOCK_SIZE`` samples or more closes its group by itself."""
+    group, drawn = [], 0
+    for job in jobs:
+        group.append(job)
+        drawn += 1 if job.sampler.is_deterministic else n_samples
+        if drawn >= BLOCK_SIZE:
+            _run_group(group, n_samples, values)
+            group, drawn = [], 0
+    if group:
+        _run_group(group, n_samples, values)
+
+
+def estimate_pair_term(
+    sp: SplitSpace,
+    s: Union[str, int],
+    t: Union[str, int],
+    n_samples: int,
+    seed: int,
+    *,
+    mutual: bool = False,
+    values: Optional[_PairValues] = None,
+) -> PairTerm:
+    """Indicator-weighted sample mean for one conditioned pair event.
+
+    Samples are drawn given "t is s's nearest neighbor" (both directions for
+    ``mutual``); each sample contributes CC times the indicator that (s, t)
+    is the longest nearest-neighbor edge.  The returned estimate is the
+    conditioning probability times that mean; its expectation is exactly
+    Pr[A_s(t)] * E[CC | A_s(t)].  The term runs as a group of one, so it
+    equals the same term of ``estimate_ecc`` bit for bit.
+    """
+    values = values or _PairValues(sp.graph)
+    jobs: list[_Job] = []
+    term = _plan_term(sp, s, t, seed, values, jobs, mutual=mutual)
+    _run_jobs(jobs, n_samples, values)
     return term
 
 
@@ -312,7 +388,11 @@ def estimate_ecc(
     budget_cap: Optional[int] = None,
     threads: int = 1,
 ) -> EstimateReport:
-    """FPRAS estimate of the expected minimum cycle cover length."""
+    """FPRAS estimate of the expected minimum cycle cover length.
+
+    Every pair term is planned first; ``_run_jobs`` then solves them in
+    groups on one thread, so ``threads`` is checked and recorded only.
+    """
     report = EstimateReport(
         estimator="cc",
         epsilon=epsilon,
@@ -333,40 +413,40 @@ def estimate_ecc(
         report.flags["cc_of_fewer_than_2_present_is_zero"] = True
 
     values = _PairValues(work)
-    pairs: list[dict] = []
+    jobs: list[_Job] = []
+    edges = []
     for a in range(work.m):
         if sp.owner[a] < 0:
             continue
         for b in range(a + 1, work.m):
             if sp.owner[b] < 0 or sp.owner[b] == sp.owner[a]:
                 continue
-            t_ab = estimate_pair_term(
-                sp, a, b, used, seed, threads=threads, values=values
-            )
-            t_ba = estimate_pair_term(
-                sp, b, a, used, seed, threads=threads, values=values
-            )
+            t_ab = _plan_term(sp, a, b, seed, values, jobs)
+            t_ba = _plan_term(sp, b, a, seed, values, jobs)
             # the mutual event lies inside both directional ones
             if t_ab.prob == 0.0 or t_ba.prob == 0.0:
                 t_mut = PairTerm(t_ab.s, t_ab.t, t_ab.node_s, t_ab.node_t, "mutual")
             else:
-                t_mut = estimate_pair_term(
-                    sp, a, b, used, seed, mutual=True, threads=threads, values=values
-                )
-            contribution = t_ab.estimate + t_ba.estimate - t_mut.estimate
-            union_prob = t_ab.prob + t_ba.prob - t_mut.prob
-            if union_prob <= 0.0:
-                continue
-            pairs.extend([t_ab.to_dict(), t_ba.to_dict(), t_mut.to_dict()])
-            report.terms.append(
-                TermReport(
-                    f"edge({work.space.point_ids[a]},{work.space.point_ids[b]})",
-                    contribution,
-                    "monte-carlo",
-                    probability=union_prob,
-                    samples=t_ab.samples + t_ba.samples + t_mut.samples,
-                    full_budget=full,
-                )
+                t_mut = _plan_term(sp, a, b, seed, values, jobs, mutual=True)
+            edges.append((a, b, t_ab, t_ba, t_mut))
+    _run_jobs(jobs, used, values)
+
+    pairs: list[dict] = []
+    for a, b, t_ab, t_ba, t_mut in edges:
+        contribution = t_ab.estimate + t_ba.estimate - t_mut.estimate
+        union_prob = t_ab.prob + t_ba.prob - t_mut.prob
+        if union_prob <= 0.0:
+            continue
+        pairs.extend([t_ab.to_dict(), t_ba.to_dict(), t_mut.to_dict()])
+        report.terms.append(
+            TermReport(
+                f"edge({work.space.point_ids[a]},{work.space.point_ids[b]})",
+                contribution,
+                "monte-carlo",
+                probability=union_prob,
+                samples=t_ab.samples + t_ba.samples + t_mut.samples,
+                full_budget=full,
             )
+        )
     report.extras["pairs"] = pairs
     return report.finish()

@@ -260,6 +260,8 @@ def _report_csv(report) -> str:
 
 def _cmd_compare(args) -> int:
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
+    if not estimators:
+        raise ValidationError("no estimator given; choose from " + ",".join(ESTIMATORS))
     for e in estimators:
         if e not in ESTIMATORS:
             raise ValidationError(f"unknown estimator {e!r}")

@@ -15,7 +15,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -135,12 +135,36 @@ def block_classes(sampler: ConditionalSampler, rows: np.ndarray) -> tuple[np.nda
     return classes, slot[keys]
 
 
+def draw_classes(
+    sampler: ConditionalSampler, stream: SampleStream, n_samples: int, b: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``block_classes`` of block ``b`` of a term's ``n_samples`` draws."""
+    start = b * BLOCK_SIZE
+    rows = sampler.draw_block(stream, start, min(BLOCK_SIZE, n_samples - start))
+    return block_classes(sampler, rows)
+
+
+def draw_blocks(
+    sampler: ConditionalSampler, stream: SampleStream, n_samples: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``draw_classes`` of every block of a term's ``n_samples`` draws, in order."""
+    n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
+    return [draw_classes(sampler, stream, n_samples, b) for b in range(n_blocks)]
+
+
+def pinned_classes(sampler: ConditionalSampler) -> np.ndarray:
+    """The one realization, as a (1, n) row-sorted class, of a sampler whose
+    event pins every node."""
+    return np.sort([[int(o[0]) for o in sampler.outcomes]], axis=1)
+
+
 def run_conditional_mc(
     sampler: ConditionalSampler,
     class_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     n_samples: int,
     stream: SampleStream,
     threads: int = 1,
+    blocks: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None,
 ) -> tuple[float, int]:
     """Mean of a per-realization value over n_samples conditional draws.
 
@@ -151,6 +175,10 @@ def run_conditional_mc(
     class; it is called once per block and may cache.  Values are summed in
     sample order.  Returns (mean, indicator_hits).
 
+    ``blocks``, when given, holds ``draw_blocks`` of these draws, drawn
+    beforehand (a caller that solves the classes of many terms at once);
+    otherwise each block is drawn here by ``draw_classes``.
+
     Values are summed times ``scale``, a power of two below 1 / n_samples, so
     no sum of finite values overflows; above the subnormal range that is exact.
     """
@@ -158,9 +186,7 @@ def run_conditional_mc(
     scale = 2.0 ** -int(n_samples).bit_length()
 
     def process(b: int) -> tuple[float, int]:
-        start = b * BLOCK_SIZE
-        count = min(BLOCK_SIZE, n_samples - start)
-        classes, inverse = block_classes(sampler, sampler.draw_block(stream, start, count))
+        classes, inverse = draw_classes(sampler, stream, n_samples, b) if blocks is None else blocks[b]
         vals, hits = class_fn(classes)
         vals = np.asarray(vals, dtype=float)
         hits = np.asarray(hits, dtype=np.int64)
@@ -196,7 +222,7 @@ def estimate_conditional(
     """
     sampler = ConditionalSampler(g, event)
     if sampler.is_deterministic:
-        vals, hits = class_fn(np.sort([[int(o[0]) for o in sampler.outcomes]], axis=1))
+        vals, hits = class_fn(pinned_classes(sampler))
         return float(vals[0]), int(hits[0]), 1
     stream = SampleStream(seed, tag, g.n)
     mean, hits = run_conditional_mc(sampler, class_fn, n_samples, stream, threads)

@@ -93,6 +93,13 @@ class FunctionalEvaluator:
         return self.space.dist[nn.longest[:, 0], nn.longest[:, 1]]
 
 
+def check_cap(cap: int) -> None:
+    """Reject a negative enumeration cap; a cap of 0 refuses every
+    enumeration."""
+    if cap < 0:
+        raise DomainError("enumeration cap must not be negative")
+
+
 def enumerate_term(
     g: StochasticGraph,
     functional: Functional,
@@ -107,6 +114,7 @@ def enumerate_term(
     ``math.fsum``, so the term is their correctly rounded sum, whatever the
     chunking.
     """
+    check_cap(cap)
     table = node_outcomes(g, event)
     radices = [len(outs) for outs, _ in table]
     count = math.prod(radices)

@@ -355,21 +355,25 @@ def _nn_indices(space: MetricSpace, idx: np.ndarray) -> NNBlock:
         raise DomainError(
             "nearest-neighbor graph needs distinct points; split co-located nodes first"
         )
-    r = np.arange(B)
-    rows = r[:, None]
     cols = np.arange(k)
-    D = space.dist[idx[:, :, None], idx[:, None, :]]
-    D[:, cols, cols] = np.inf
-    nearest = D.argmin(axis=2)
-    lo, hi = np.minimum(cols, nearest), np.maximum(cols, nearest)
-    # a mutual pair is one edge: keep it from its lower column only
-    kept = (nearest[rows, nearest] != cols) | (cols < nearest)
-    length = np.where(kept, D[rows, lo, hi], 0.0)
-    total = np.array([math.fsum(x) for x in length.tolist()])
-    top = kept & (length == length.max(axis=1, keepdims=True))
-    e = np.where(top, lo * k + hi, -1).argmax(axis=1)
-    longest = np.stack([idx[r, lo[r, e]], idx[r, hi[r, e]]], axis=1)
-    return NNBlock(nearest, total, longest)
+    nearest, total, longest = [], [], []
+    for chunk in _chunks(B, 8 * k * k):
+        at = idx[chunk]
+        D = space.dist[at[:, :, None], at[:, None, :]]
+        D[:, cols, cols] = np.inf
+        near = D.argmin(axis=2)
+        r = np.arange(len(D))
+        rows = r[:, None]
+        lo, hi = np.minimum(cols, near), np.maximum(cols, near)
+        # a mutual pair is one edge: keep it from its lower column only
+        kept = (near[rows, near] != cols) | (cols < near)
+        length = np.where(kept, D[rows, lo, hi], 0.0)
+        total.extend(math.fsum(x) for x in length.tolist())
+        top = kept & (length == length.max(axis=1, keepdims=True))
+        e = np.where(top, lo * k + hi, -1).argmax(axis=1)
+        nearest.append(near)
+        longest.append(np.stack([at[r, lo[r, e]], at[r, hi[r, e]]], axis=1))
+    return NNBlock(np.concatenate(nearest), np.array(total), np.concatenate(longest))
 
 
 def nn_graph(space: MetricSpace, points: Sequence) -> NNGraph:

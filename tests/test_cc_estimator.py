@@ -27,6 +27,7 @@ import stochgraph.cc as cc_module
 from stochgraph.cc import _SLACK, _PairValues, pair_budget
 
 from stochgraph.generate import gen_graph
+from stochgraph.sampling import BLOCK_SIZE
 
 from conftest import NNEventStats, random_graph, rng_for
 from test_acceptance import SUITE_SPEC
@@ -376,22 +377,22 @@ def ladder_cc_graph():
 def test_cycle_covers_are_solved_for_indicator_hits_only(monkeypatch):
     solved: list[tuple[int, ...]] = []
     hit_sets: set[tuple[int, ...]] = set()
-    cc_indices, estimate = cc_module._cc_indices, cc_module.estimate_conditional
+    cc_indices, run = cc_module._cc_indices, cc_module.run_conditional_mc
 
     def recording_cc(space, idx):
         solved.extend(map(tuple, idx.tolist()))
         return cc_indices(space, idx)
 
-    def recording_estimate(g, event, class_fn, *args, **kwargs):
+    def recording_run(sampler, class_fn, *args, **kwargs):
         def recorded(rows):
             values, hits = class_fn(rows)
             hit_sets.update(tuple(row[row >= 0].tolist()) for row in rows[hits == 1])
             return values, hits
 
-        return estimate(g, event, recorded, *args, **kwargs)
+        return run(sampler, recorded, *args, **kwargs)
 
     monkeypatch.setattr(cc_module, "_cc_indices", recording_cc)
-    monkeypatch.setattr(cc_module, "estimate_conditional", recording_estimate)
+    monkeypatch.setattr(cc_module, "run_conditional_mc", recording_run)
     estimate_ecc(ladder_cc_graph(), 0.25, 1001, budget_cap=50)
     assert hit_sets
     assert sorted(solved) == sorted(hit_sets)
@@ -408,14 +409,14 @@ SKIP_CASES = {
 def test_skipped_mutual_terms_have_probability_zero(monkeypatch, name):
     g = SKIP_CASES[name]()
     planned = set()
-    plan = cc_module.estimate_pair_term
+    plan = cc_module._plan_term
 
     def recording(sp, s, t, *args, mutual=False, **kwargs):
         if mutual:
             planned.add((s, t))
         return plan(sp, s, t, *args, mutual=mutual, **kwargs)
 
-    monkeypatch.setattr(cc_module, "estimate_pair_term", recording)
+    monkeypatch.setattr(cc_module, "_plan_term", recording)
     report = estimate_ecc(g, 0.25, 1, budget_cap=10)
     sp = split_points(g)
     owner = sp.owner
@@ -435,6 +436,41 @@ def test_skipped_mutual_terms_have_probability_zero(monkeypatch, name):
             assert mutual[ids[a], ids[b]] == direct
     if name == "ladder-eu-10-14":
         assert (len(skipped), len(pairs)) == (326, 457)
+
+
+@pytest.mark.parametrize("name", list(SKIP_CASES))
+def test_grouped_pair_terms_equal_standalone_terms(name):
+    g = SKIP_CASES[name]()
+    report = estimate_ecc(g, 0.25, 1, budget_cap=50)
+    sp = split_points(g)
+    used = report.extras["pair_budget"]["used"]
+    for d in report.extras["pairs"]:
+        alone = estimate_pair_term(sp, d["s"], d["t"], used, 1, mutual=d["kind"] == "mutual")
+        assert alone.to_dict() == d
+
+
+def test_kernels_run_once_per_group_on_the_ladder_instance(monkeypatch):
+    calls = {"nn": 0, "cc": 0}
+    for name in calls:
+        kernel = getattr(cc_module, f"_{name}_indices")
+
+        def counted(space, idx, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(space, idx)
+
+        monkeypatch.setattr(cc_module, f"_{name}_indices", counted)
+    report = estimate_ecc(ladder_cc_graph(), 0.25, 1, budget_cap=50)
+    # groups close once their terms have drawn a block of samples
+    sampled = [d["samples"] for d in report.extras["pairs"] if d["prob"] > 0.0]
+    groups, drawn = 0, 0
+    for samples in sampled:
+        drawn += samples
+        if drawn >= BLOCK_SIZE:
+            groups, drawn = groups + 1, 0
+    groups += drawn > 0
+    assert len(sampled) == 436 and groups == 6
+    # every row has all 10 points present: one kernel call per group
+    assert calls == {"nn": groups, "cc": groups}
 
 
 def test_pair_budget_formula():

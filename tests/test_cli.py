@@ -316,6 +316,51 @@ def test_compare_seed_count_below_1_is_invalid(instance_path, seeds, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("estimators", ["", ",", " , "])
+def test_compare_without_estimators_is_invalid(instance_path, estimators, capsys):
+    args = ["compare", str(instance_path), "--epsilon", "0.25", "--seeds", "1"]
+    assert main(args + ["--estimators", estimators]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == (
+        "invalid: no estimator given; choose from mst-home,mst-dp,mpm,cc"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["exact", "compare"])
+def test_negative_enumeration_cap_is_invalid_and_cap_0_refuses(instance_path, capsys, command):
+    args = {
+        "exact": ["exact", str(instance_path), "--functional", "mst"],
+        "compare": ["compare", str(instance_path), "--epsilon", "0.25", "--seeds", "1",
+                    "--estimators", "mst-home", "--budget-cap", "20"],
+    }[command]
+    assert main(args + ["--cap", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == "invalid: enumeration cap must not be negative"
+    assert captured.out == ""
+    if command == "exact":
+        assert main(args + ["--cap", "0"]) == 3
+        assert capsys.readouterr().err.startswith("refused: ")
+    else:
+        assert main(args + ["--cap", "0"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows and all(r["reason"].startswith("oracle refused: ") for r in rows)
+
+
+def test_compare_json_writes_null_for_numbers_of_skipped_rows(instance_path, capsys):
+    args = ["compare", str(instance_path), "--epsilon", "0.25", "--seeds", "2", "--cap", "1"]
+    assert main(args + ["--budget-cap", "20"]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    rows = json.loads(capsys.readouterr().out, parse_constant=refuse)["rows"]
+    assert len(rows) == 8
+    for row in rows:
+        assert row["reason"]
+        assert row["estimate"] is row["oracle"] is row["rel_err"] is None
+
+
 def exit_code(args) -> int:
     """main()'s exit code, also when argparse rejects an argument."""
     try:

@@ -330,6 +330,18 @@ def test_nn_row_does_not_depend_on_its_batch():
     assert shuffled.longest.tolist() == whole.longest[perm].tolist()
 
 
+def test_nn_is_bit_identical_across_a_chunk_boundary():
+    rng = rng_for(642)
+    space = euclidean_space(rng, 20)
+    rows = random_rows(rng, space.m, 16, 300, distinct=True)
+    assert len(list(solvers._chunks(len(rows), 8 * 16 * 16))) == 3
+    whole = _nn_indices(space, rows)
+    alone = [_nn_indices(space, rows[i : i + 1]) for i in range(len(rows))]
+    assert whole.nearest.tobytes() == np.concatenate([a.nearest for a in alone]).tobytes()
+    assert whole.total.tobytes() == np.concatenate([a.total for a in alone]).tobytes()
+    assert whole.longest.tobytes() == np.concatenate([a.longest for a in alone]).tobytes()
+
+
 def mpm_by_exact_enumeration(D: np.ndarray, row: list[int]) -> float:
     """fsum of a perfect matching whose exact rational weight is least."""
 
