@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from .errors import DomainError, InternalAssertionError
 from .mc import (
     EstimateReport,
     TermReport,
-    draw_blocks,
+    draw_classes,
     pinned_classes,
+    pinned_term,
     run_conditional_mc,
     sample_count,
 )
@@ -239,13 +240,104 @@ class _PairValues:
 
 @dataclass
 class _Job:
-    """A planned pair term of positive probability, waiting for its group."""
+    """A planned pair term of positive probability, waiting to be sampled."""
 
     term: PairTerm
     sampler: ConditionalSampler
     stream: SampleStream
+    values: _PairValues
     target: int  # the term's pair as lo * m + hi: the longest edge it counts
-    class_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    d: float  # the pair's distance
+
+    def weigh(self, hit: np.ndarray, cc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values, indicators) of a block's classes from ``hit`` (the longest
+        edge is the term's pair) and the cycle covers of the hit classes,
+        which must lie in d <= CC <= 2 n d."""
+        d, n = self.d, self.sampler.g.n
+        _check_rows(
+            (d * (1.0 - _SLACK) <= cc) & (cc <= 2.0 * n * d * (1.0 + _SLACK) + 1e-300),
+            "conditioned cycle-cover bound violated: d={d}, CC={CC}", d=d, CC=cc,
+        )
+        out = np.zeros(len(hit))
+        out[hit] = cc
+        return out, hit.astype(np.int64)
+
+    def class_fn(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``weigh`` of a block's classes, solved through the shared memos."""
+        hit = self.values.get(rows) == self.target
+        return self.weigh(hit, self.values.cycle_covers(rows[hit]) if hit.any() else np.zeros(0))
+
+
+class _TermGroups:
+    """Samples planned pair terms as they come.
+
+    A term of ``BLOCK_SIZE`` samples or more runs at once, block by block on
+    the ``threads`` pool, each block solving its own classes.  Smaller terms
+    (and pinned ones, which draw one sample) wait in a group that closes once
+    its terms have drawn ``BLOCK_SIZE`` samples; ``flush`` then solves the
+    classes of the whole group with one call of each kernel.
+    """
+
+    def __init__(self, values: _PairValues, n_samples: int, threads: int):
+        self.values, self.n_samples, self.threads = values, n_samples, threads
+        self.group: list[_Job] = []
+        self.drawn = 0
+
+    def add(self, job: _Job) -> None:
+        if not job.sampler.is_deterministic and self.n_samples >= BLOCK_SIZE:
+            mean, hits = run_conditional_mc(
+                job.sampler, job.class_fn, self.n_samples, job.stream, self.threads
+            )
+            _finish(job.term, mean, hits, self.n_samples)
+            return
+        self.group.append(job)
+        self.drawn += 1 if job.sampler.is_deterministic else self.n_samples
+        if self.drawn >= BLOCK_SIZE:
+            self.flush()
+
+    def flush(self) -> None:
+        """Estimate the waiting group's terms.
+
+        Each term draws and deduplicates its one block (a pinned term gives
+        its one realization); one ``get`` fills the NN memo for all of the
+        group's classes and one ``cycle_covers`` fills the CC memo for every
+        class whose longest edge is its own term's pair.  Each term is then
+        reduced, in group order, on the values of its slice of the group.
+        """
+        group, n = self.group, self.n_samples
+        self.group, self.drawn = [], 0
+        if not group:
+            return
+        blocks = [
+            (pinned_classes(job.sampler), None)
+            if job.sampler.is_deterministic
+            else draw_classes(job.sampler, job.stream, n, 0)
+            for job in group
+        ]
+        rows = np.concatenate([classes for classes, _ in blocks])
+        counts = [len(classes) for classes, _ in blocks]
+        hit = self.values.get(rows) == np.repeat([job.target for job in group], counts)
+        covers = np.zeros(len(rows))
+        if hit.any():
+            covers[hit] = self.values.cycle_covers(rows[hit])
+        ends = np.cumsum(counts)[:-1]
+        for job, block, h, cc in zip(group, blocks, np.split(hit, ends), np.split(covers, ends)):
+            weighed = job.weigh(h, cc[h])
+
+            def class_fn(_classes: np.ndarray, weighed=weighed):
+                return weighed  # the values of this term's one block
+
+            if job.sampler.is_deterministic:
+                _finish(job.term, *pinned_term(job.sampler, class_fn))
+            else:
+                mean, hits = run_conditional_mc(
+                    job.sampler, class_fn, n, job.stream, blocks=[block]
+                )
+                _finish(job.term, mean, hits, n)
+
+
+def _finish(term: PairTerm, mean: float, hits: int, samples: int) -> None:
+    term.estimate, term.indicator_hits, term.samples = term.prob * mean, hits, samples
 
 
 def _plan_term(
@@ -253,14 +345,14 @@ def _plan_term(
     s: Union[str, int],
     t: Union[str, int],
     seed: int,
-    values: _PairValues,
-    jobs: list[_Job],
+    groups: _TermGroups,
     *,
     mutual: bool = False,
 ) -> PairTerm:
     """The pair term with its exact probability.  When that is positive, the
-    job that samples it (its conditional sampler, its ``(seed, tag)`` stream
-    and a ``class_fn`` that reads ``values``) is appended to ``jobs``."""
+    job that samples it (its conditional sampler and ``(seed, tag)`` stream)
+    goes to ``groups``, which fills in the estimate, samples and indicator
+    hits by the time ``groups`` is flushed."""
     si, ti, v, u = _resolve_pair(sp, s, t)
     g = sp.graph
     kind = "mutual" if mutual else f"nearest({g.space.point_ids[si]}->{g.space.point_ids[ti]})"
@@ -277,75 +369,12 @@ def _plan_term(
     term.prob = prob
 
     lo, hi = (si, ti) if si < ti else (ti, si)
-    target, d = lo * g.m + hi, float(g.space.dist[lo, hi])
-    low, high = d * (1.0 - _SLACK), 2.0 * g.n * d * (1.0 + _SLACK) + 1e-300
-
-    def class_fn(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hit = values.get(rows) == target
-        out = np.zeros(len(rows))
-        if hit.any():
-            cc = values.cycle_covers(rows[hit])
-            _check_rows(
-                (low <= cc) & (cc <= high),
-                "conditioned cycle-cover bound violated: d={d}, CC={CC}", d=d, CC=cc,
-            )
-            out[hit] = cc
-        return out, hit.astype(np.int64)
-
     sampler = ConditionalSampler(g, pinned_event(g, _outside(sp, si, ti, mutual), v, si, u, ti))
     stream = SampleStream(seed, f"cc/{term.s}/{term.t}/{kind}", g.n)
-    jobs.append(_Job(term, sampler, stream, target, class_fn))
-    return term
-
-
-def _run_group(group: list[_Job], n_samples: int, values: _PairValues) -> None:
-    """Estimate a group of terms, filling in each term's estimate, samples
-    and indicator hits.
-
-    Every term's blocks are drawn and deduplicated once (an event that pins
-    every node gives its one realization); one ``get`` fills the NN memo for
-    all of the group's classes and one ``cycle_covers`` fills the CC memo
-    for every row whose longest edge is its own term's pair.  Each term is
-    then reduced in group order, by a ``class_fn`` that only reads the memos.
-    """
-    blocks = [
-        [(pinned_classes(job.sampler), None)]
-        if job.sampler.is_deterministic
-        else draw_blocks(job.sampler, job.stream, n_samples)
-        for job in group
-    ]
-    classes = [[c for c, _ in term_blocks] for term_blocks in blocks]
-    rows = np.concatenate([c for term_classes in classes for c in term_classes])
-    target = np.repeat(
-        [job.target for job in group], [sum(map(len, cs)) for cs in classes]
+    groups.add(
+        _Job(term, sampler, stream, groups.values, lo * g.m + hi, float(g.space.dist[lo, hi]))
     )
-    values.cycle_covers(rows[values.get(rows) == target])
-    for job, term_blocks in zip(group, blocks):
-        term = job.term
-        if job.sampler.is_deterministic:
-            vals, hits = job.class_fn(term_blocks[0][0])
-            mean, term.indicator_hits, term.samples = float(vals[0]), int(hits[0]), 1
-        else:
-            mean, term.indicator_hits = run_conditional_mc(
-                job.sampler, job.class_fn, n_samples, job.stream, threads=1, blocks=term_blocks
-            )
-            term.samples = n_samples
-        term.estimate = term.prob * mean
-
-
-def _run_jobs(jobs: list[_Job], n_samples: int, values: _PairValues) -> None:
-    """``_run_group`` over consecutive jobs, in groups that close once they
-    have drawn ``BLOCK_SIZE`` samples (a pinned term draws one); a term of
-    ``BLOCK_SIZE`` samples or more closes its group by itself."""
-    group, drawn = [], 0
-    for job in jobs:
-        group.append(job)
-        drawn += 1 if job.sampler.is_deterministic else n_samples
-        if drawn >= BLOCK_SIZE:
-            _run_group(group, n_samples, values)
-            group, drawn = [], 0
-    if group:
-        _run_group(group, n_samples, values)
+    return term
 
 
 def estimate_pair_term(
@@ -356,6 +385,7 @@ def estimate_pair_term(
     seed: int,
     *,
     mutual: bool = False,
+    threads: int = 1,
     values: Optional[_PairValues] = None,
 ) -> PairTerm:
     """Indicator-weighted sample mean for one conditioned pair event.
@@ -364,13 +394,13 @@ def estimate_pair_term(
     ``mutual``); each sample contributes CC times the indicator that (s, t)
     is the longest nearest-neighbor edge.  The returned estimate is the
     conditioning probability times that mean; its expectation is exactly
-    Pr[A_s(t)] * E[CC | A_s(t)].  The term runs as a group of one, so it
-    equals the same term of ``estimate_ecc`` bit for bit.
+    Pr[A_s(t)] * E[CC | A_s(t)].  A term of less than ``BLOCK_SIZE`` samples
+    runs as a group of one, so it equals the same term of ``estimate_ecc``
+    bit for bit.
     """
-    values = values or _PairValues(sp.graph)
-    jobs: list[_Job] = []
-    term = _plan_term(sp, s, t, seed, values, jobs, mutual=mutual)
-    _run_jobs(jobs, n_samples, values)
+    groups = _TermGroups(values or _PairValues(sp.graph), n_samples, threads)
+    term = _plan_term(sp, s, t, seed, groups, mutual=mutual)
+    groups.flush()
     return term
 
 
@@ -390,8 +420,8 @@ def estimate_ecc(
 ) -> EstimateReport:
     """FPRAS estimate of the expected minimum cycle cover length.
 
-    Every pair term is planned first; ``_run_jobs`` then solves them in
-    groups on one thread, so ``threads`` is checked and recorded only.
+    Pair terms are sampled through ``_TermGroups`` as they are planned; the
+    edge terms are summed once the last group is flushed.
     """
     report = EstimateReport(
         estimator="cc",
@@ -412,8 +442,7 @@ def estimate_ecc(
     if g.presence_mode != "certain":
         report.flags["cc_of_fewer_than_2_present_is_zero"] = True
 
-    values = _PairValues(work)
-    jobs: list[_Job] = []
+    groups = _TermGroups(_PairValues(work), used, threads)
     edges = []
     for a in range(work.m):
         if sp.owner[a] < 0:
@@ -421,15 +450,15 @@ def estimate_ecc(
         for b in range(a + 1, work.m):
             if sp.owner[b] < 0 or sp.owner[b] == sp.owner[a]:
                 continue
-            t_ab = _plan_term(sp, a, b, seed, values, jobs)
-            t_ba = _plan_term(sp, b, a, seed, values, jobs)
+            t_ab = _plan_term(sp, a, b, seed, groups)
+            t_ba = _plan_term(sp, b, a, seed, groups)
             # the mutual event lies inside both directional ones
             if t_ab.prob == 0.0 or t_ba.prob == 0.0:
                 t_mut = PairTerm(t_ab.s, t_ab.t, t_ab.node_s, t_ab.node_t, "mutual")
             else:
-                t_mut = _plan_term(sp, a, b, seed, values, jobs, mutual=True)
+                t_mut = _plan_term(sp, a, b, seed, groups, mutual=True)
             edges.append((a, b, t_ab, t_ba, t_mut))
-    _run_jobs(jobs, used, values)
+    groups.flush()
 
     pairs: list[dict] = []
     for a, b, t_ab, t_ba, t_mut in edges:

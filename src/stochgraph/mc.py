@@ -144,18 +144,21 @@ def draw_classes(
     return block_classes(sampler, rows)
 
 
-def draw_blocks(
-    sampler: ConditionalSampler, stream: SampleStream, n_samples: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``draw_classes`` of every block of a term's ``n_samples`` draws, in order."""
-    n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
-    return [draw_classes(sampler, stream, n_samples, b) for b in range(n_blocks)]
-
-
 def pinned_classes(sampler: ConditionalSampler) -> np.ndarray:
     """The one realization, as a (1, n) row-sorted class, of a sampler whose
     event pins every node."""
     return np.sort([[int(o[0]) for o in sampler.outcomes]], axis=1)
+
+
+def pinned_term(
+    sampler: ConditionalSampler,
+    class_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+) -> tuple[float, int, int]:
+    """(mean, indicator_hits, samples) of a term whose event pins every node:
+    ``class_fn`` runs once on that realization, outside the engine, and it
+    counts as one sample."""
+    vals, hits = class_fn(pinned_classes(sampler))
+    return float(vals[0]), int(hits[0]), 1
 
 
 def run_conditional_mc(
@@ -175,9 +178,9 @@ def run_conditional_mc(
     class; it is called once per block and may cache.  Values are summed in
     sample order.  Returns (mean, indicator_hits).
 
-    ``blocks``, when given, holds ``draw_blocks`` of these draws, drawn
-    beforehand (a caller that solves the classes of many terms at once);
-    otherwise each block is drawn here by ``draw_classes``.
+    ``blocks``, when given, holds ``draw_classes`` of each block of these
+    draws, drawn beforehand (a caller that solves the classes of many terms
+    at once); otherwise each block is drawn here, when it is reduced.
 
     Values are summed times ``scale``, a power of two below 1 / n_samples, so
     no sum of finite values overflows; above the subnormal range that is exact.
@@ -217,13 +220,11 @@ def estimate_conditional(
 
     ``class_fn`` is as in ``run_conditional_mc``; draws come from the
     ``(seed, tag)`` stream.  Returns (mean, indicator_hits, samples_used).
-    If the event pins every node, ``class_fn`` runs once on that
-    realization, outside the engine, and counts as one sample.
+    If the event pins every node, the term is ``pinned_term``.
     """
     sampler = ConditionalSampler(g, event)
     if sampler.is_deterministic:
-        vals, hits = class_fn(pinned_classes(sampler))
-        return float(vals[0]), int(hits[0]), 1
+        return pinned_term(sampler, class_fn)
     stream = SampleStream(seed, tag, g.n)
     mean, hits = run_conditional_mc(sampler, class_fn, n_samples, stream, threads)
     return mean, hits, n_samples

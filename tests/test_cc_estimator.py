@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from stochgraph import (
     split_points,
 )
 import stochgraph.cc as cc_module
+import stochgraph.mc as mc_module
 from stochgraph.cc import _SLACK, _PairValues, pair_budget
 
 from stochgraph.generate import gen_graph
@@ -471,6 +473,62 @@ def test_kernels_run_once_per_group_on_the_ladder_instance(monkeypatch):
     assert len(sampled) == 436 and groups == 6
     # every row has all 10 points present: one kernel call per group
     assert calls == {"nn": groups, "cc": groups}
+
+
+def test_a_term_of_several_blocks_is_drawn_and_solved_one_block_at_a_time(monkeypatch):
+    g = ladder_cc_graph()
+    sp = split_points(g)
+    first = next(d for d in estimate_ecc(g, 0.25, 1, budget_cap=10).extras["pairs"]
+                 if d["kind"] != "mutual" and d["samples"] == 10)
+    events: list[tuple[str, int]] = []  # ("draw", block) and ("get", rows)
+    draw_threads: set[int] = set()
+    draw, get = mc_module.draw_classes, cc_module._PairValues.get
+
+    def drawing(sampler, stream, n_samples, b):
+        events.append(("draw", b))
+        draw_threads.add(threading.get_ident())
+        return draw(sampler, stream, n_samples, b)
+
+    def getting(self, rows):
+        events.append(("get", len(rows)))
+        return get(self, rows)
+
+    monkeypatch.setattr(mc_module, "draw_classes", drawing)
+    monkeypatch.setattr(cc_module, "draw_classes", drawing)
+    monkeypatch.setattr(cc_module._PairValues, "get", getting)
+    n = 2 * BLOCK_SIZE + 100
+    alone = estimate_pair_term(sp, first["s"], first["t"], n, 1)
+    # each block is solved before the next one is drawn
+    assert [kind for kind, _ in events] == ["draw", "get"] * 3
+    assert [b for kind, b in events if kind == "draw"] == [0, 1, 2]
+    assert alone.samples == n
+    # on a pool of 4, the blocks are drawn on the pool's threads
+    events.clear()
+    draw_threads.clear()
+    pooled = estimate_pair_term(sp, first["s"], first["t"], n, 1, threads=4)
+    assert pooled.to_dict() == alone.to_dict()
+    assert sorted(b for kind, b in events if kind == "draw") == [0, 1, 2]
+    assert draw_threads and threading.get_ident() not in draw_threads
+
+
+def test_terms_of_a_block_or_more_run_on_the_thread_pool(monkeypatch):
+    g = gen_graph("euclidean-uniform", 3, 4, 12)  # eu-3-4 of the acceptance suite
+    calls = []
+    run = cc_module.run_conditional_mc
+
+    def recording(sampler, class_fn, n_samples, stream, threads=1, blocks=None):
+        calls.append((n_samples, threads, blocks))
+        return run(sampler, class_fn, n_samples, stream, threads, blocks)
+
+    monkeypatch.setattr(cc_module, "run_conditional_mc", recording)
+    reports = [estimate_ecc(g, 0.25, 7, budget_cap=BLOCK_SIZE + 1, threads=th) for th in (1, 3)]
+    assert reports[0].threads == 1 and reports[1].threads == 3
+    assert reports[0].extras["pairs"] == reports[1].extras["pairs"]
+    assert reports[0].value == reports[1].value
+    half = len(calls) // 2
+    assert half > 0
+    assert calls[:half] == [(BLOCK_SIZE + 1, 1, None)] * half
+    assert calls[half:] == [(BLOCK_SIZE + 1, 3, None)] * half
 
 
 def test_pair_budget_formula():
