@@ -29,15 +29,14 @@ from .errors import DomainError, InternalAssertionError
 from .mc import (
     EstimateReport,
     TermReport,
-    draw_classes,
-    pinned_classes,
+    estimate_conditional,
     pinned_term,
     run_conditional_mc,
     sample_count,
 )
-from .model import MetricSpace, StochasticGraph, mass_in, pinned_event
+from .model import Event, MetricSpace, StochasticGraph, mass_in, pinned_event
 from .rng import SampleStream
-from .sampling import BLOCK_SIZE, ConditionalSampler
+from .sampling import ConditionalSampler
 from .solvers import _cc_indices, _nn_indices, edge_order, fill_memo
 
 _SLACK = 1e-9  # relative float slack in per-sample sandwich assertions
@@ -210,6 +209,24 @@ class _PairValues:
         keys = fill_memo(rows, self.nn, self._solve_nn, self.space.m)
         return np.array([self.nn[key][1] for key in keys])
 
+    def class_fn(self, rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values, indicators) of row-sorted classes, each for the pair term
+        whose pair (lo * m + hi) is its key: the indicator that the class's
+        longest nearest-neighbor edge is that pair and, on those hits, its
+        cycle cover, which must lie in d <= CC <= 2 n d (d the pair's length).
+        """
+        hit = self.get(rows) == keys
+        out = np.zeros(len(rows))
+        if hit.any():
+            cc = self.cycle_covers(rows[hit])
+            d, n = self.space.dist.flat[keys[hit]], rows.shape[1]
+            _check_rows(
+                (d * (1.0 - _SLACK) <= cc) & (cc <= 2.0 * n * d * (1.0 + _SLACK) + 1e-300),
+                "conditioned cycle-cover bound violated: d={d}, CC={CC}", d=d, CC=cc,
+            )
+            out[hit] = cc
+        return out, hit.astype(np.int64)
+
     def cycle_covers(self, rows: np.ndarray) -> np.ndarray:
         """CC of each row of a row-sorted block already passed to ``get``."""
         keys = fill_memo(rows, self.cc, self._solve_cc, self.space.m)
@@ -238,104 +255,6 @@ class _PairValues:
         return cc.tolist()
 
 
-@dataclass
-class _Job:
-    """A planned pair term of positive probability, waiting to be sampled."""
-
-    term: PairTerm
-    sampler: ConditionalSampler
-    stream: SampleStream
-    values: _PairValues
-    target: int  # the term's pair as lo * m + hi: the longest edge it counts
-    d: float  # the pair's distance
-
-    def weigh(self, hit: np.ndarray, cc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(values, indicators) of a block's classes from ``hit`` (the longest
-        edge is the term's pair) and the cycle covers of the hit classes,
-        which must lie in d <= CC <= 2 n d."""
-        d, n = self.d, self.sampler.g.n
-        _check_rows(
-            (d * (1.0 - _SLACK) <= cc) & (cc <= 2.0 * n * d * (1.0 + _SLACK) + 1e-300),
-            "conditioned cycle-cover bound violated: d={d}, CC={CC}", d=d, CC=cc,
-        )
-        out = np.zeros(len(hit))
-        out[hit] = cc
-        return out, hit.astype(np.int64)
-
-    def class_fn(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``weigh`` of a block's classes, solved through the shared memos."""
-        hit = self.values.get(rows) == self.target
-        return self.weigh(hit, self.values.cycle_covers(rows[hit]) if hit.any() else np.zeros(0))
-
-
-class _TermGroups:
-    """Samples planned pair terms as they come.
-
-    A term of ``BLOCK_SIZE`` samples or more runs at once, block by block on
-    the ``threads`` pool, each block solving its own classes.  Smaller terms
-    (and pinned ones, which draw one sample) wait in a group that closes once
-    its terms have drawn ``BLOCK_SIZE`` samples; ``flush`` then solves the
-    classes of the whole group with one call of each kernel.
-    """
-
-    def __init__(self, values: _PairValues, n_samples: int, threads: int):
-        self.values, self.n_samples, self.threads = values, n_samples, threads
-        self.group: list[_Job] = []
-        self.drawn = 0
-
-    def add(self, job: _Job) -> None:
-        if not job.sampler.is_deterministic and self.n_samples >= BLOCK_SIZE:
-            mean, hits = run_conditional_mc(
-                job.sampler, job.class_fn, self.n_samples, job.stream, self.threads
-            )
-            _finish(job.term, mean, hits, self.n_samples)
-            return
-        self.group.append(job)
-        self.drawn += 1 if job.sampler.is_deterministic else self.n_samples
-        if self.drawn >= BLOCK_SIZE:
-            self.flush()
-
-    def flush(self) -> None:
-        """Estimate the waiting group's terms.
-
-        Each term draws and deduplicates its one block (a pinned term gives
-        its one realization); one ``get`` fills the NN memo for all of the
-        group's classes and one ``cycle_covers`` fills the CC memo for every
-        class whose longest edge is its own term's pair.  Each term is then
-        reduced, in group order, on the values of its slice of the group.
-        """
-        group, n = self.group, self.n_samples
-        self.group, self.drawn = [], 0
-        if not group:
-            return
-        blocks = [
-            (pinned_classes(job.sampler), None)
-            if job.sampler.is_deterministic
-            else draw_classes(job.sampler, job.stream, n, 0)
-            for job in group
-        ]
-        rows = np.concatenate([classes for classes, _ in blocks])
-        counts = [len(classes) for classes, _ in blocks]
-        hit = self.values.get(rows) == np.repeat([job.target for job in group], counts)
-        covers = np.zeros(len(rows))
-        if hit.any():
-            covers[hit] = self.values.cycle_covers(rows[hit])
-        ends = np.cumsum(counts)[:-1]
-        for job, block, h, cc in zip(group, blocks, np.split(hit, ends), np.split(covers, ends)):
-            weighed = job.weigh(h, cc[h])
-
-            def class_fn(_classes: np.ndarray, weighed=weighed):
-                return weighed  # the values of this term's one block
-
-            if job.sampler.is_deterministic:
-                _finish(job.term, *pinned_term(job.sampler, class_fn))
-            else:
-                mean, hits = run_conditional_mc(
-                    job.sampler, class_fn, n, job.stream, blocks=[block]
-                )
-                _finish(job.term, mean, hits, n)
-
-
 def _finish(term: PairTerm, mean: float, hits: int, samples: int) -> None:
     term.estimate, term.indicator_hits, term.samples = term.prob * mean, hits, samples
 
@@ -344,15 +263,13 @@ def _plan_term(
     sp: SplitSpace,
     s: Union[str, int],
     t: Union[str, int],
-    seed: int,
-    groups: _TermGroups,
+    n_samples: int,
     *,
     mutual: bool = False,
-) -> PairTerm:
-    """The pair term with its exact probability.  When that is positive, the
-    job that samples it (its conditional sampler and ``(seed, tag)`` stream)
-    goes to ``groups``, which fills in the estimate, samples and indicator
-    hits by the time ``groups`` is flushed."""
+) -> tuple[PairTerm, Optional[tuple[Event, int, str, int]]]:
+    """The pair term with its exact probability and, when that is positive,
+    its ``(event, n_samples, tag, key)`` term for ``estimate_conditional``;
+    the key is the pair as lo * m + hi, the longest edge the term counts."""
     si, ti, v, u = _resolve_pair(sp, s, t)
     g = sp.graph
     kind = "mutual" if mutual else f"nearest({g.space.point_ids[si]}->{g.space.point_ids[ti]})"
@@ -365,16 +282,11 @@ def _plan_term(
     )
     prob = prob_mutual_nearest(sp, si, ti) if mutual else prob_nearest(sp, si, ti)
     if prob <= 0.0:
-        return term
+        return term, None
     term.prob = prob
-
     lo, hi = (si, ti) if si < ti else (ti, si)
-    sampler = ConditionalSampler(g, pinned_event(g, _outside(sp, si, ti, mutual), v, si, u, ti))
-    stream = SampleStream(seed, f"cc/{term.s}/{term.t}/{kind}", g.n)
-    groups.add(
-        _Job(term, sampler, stream, groups.values, lo * g.m + hi, float(g.space.dist[lo, hi]))
-    )
-    return term
+    event = pinned_event(g, _outside(sp, si, ti, mutual), v, si, u, ti)
+    return term, (event, n_samples, f"cc/{term.s}/{term.t}/{kind}", lo * g.m + hi)
 
 
 def estimate_pair_term(
@@ -386,7 +298,6 @@ def estimate_pair_term(
     *,
     mutual: bool = False,
     threads: int = 1,
-    values: Optional[_PairValues] = None,
 ) -> PairTerm:
     """Indicator-weighted sample mean for one conditioned pair event.
 
@@ -394,13 +305,26 @@ def estimate_pair_term(
     ``mutual``); each sample contributes CC times the indicator that (s, t)
     is the longest nearest-neighbor edge.  The returned estimate is the
     conditioning probability times that mean; its expectation is exactly
-    Pr[A_s(t)] * E[CC | A_s(t)].  A term of less than ``BLOCK_SIZE`` samples
-    runs as a group of one, so it equals the same term of ``estimate_ecc``
-    bit for bit.
+    Pr[A_s(t)] * E[CC | A_s(t)].  The term runs alone, through
+    ``run_conditional_mc`` (or ``pinned_term``), and equals the same term of
+    ``estimate_ecc`` bit for bit.
     """
-    groups = _TermGroups(values or _PairValues(sp.graph), n_samples, threads)
-    term = _plan_term(sp, s, t, seed, groups, mutual=mutual)
-    groups.flush()
+    term, sampled = _plan_term(sp, s, t, n_samples, mutual=mutual)
+    if sampled is None:
+        return term
+    event, _, tag, key = sampled
+    values = _PairValues(sp.graph)
+
+    def class_fn(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return values.class_fn(rows, np.full(len(rows), key))
+
+    sampler = ConditionalSampler(sp.graph, event)
+    if sampler.is_deterministic:
+        _finish(term, *pinned_term(sampler, class_fn))
+    else:
+        stream = SampleStream(seed, tag, sp.graph.n)
+        mean, hits = run_conditional_mc(sampler, class_fn, n_samples, stream, threads)
+        _finish(term, mean, hits, n_samples)
     return term
 
 
@@ -420,8 +344,8 @@ def estimate_ecc(
 ) -> EstimateReport:
     """FPRAS estimate of the expected minimum cycle cover length.
 
-    Pair terms are sampled through ``_TermGroups`` as they are planned; the
-    edge terms are summed once the last group is flushed.
+    Pair terms are sampled by ``estimate_conditional`` as they are planned;
+    the edge terms are summed once the last one has run.
     """
     report = EstimateReport(
         estimator="cc",
@@ -442,23 +366,35 @@ def estimate_ecc(
     if g.presence_mode != "certain":
         report.flags["cc_of_fewer_than_2_present_is_zero"] = True
 
-    groups = _TermGroups(_PairValues(work), used, threads)
-    edges = []
-    for a in range(work.m):
-        if sp.owner[a] < 0:
-            continue
-        for b in range(a + 1, work.m):
-            if sp.owner[b] < 0 or sp.owner[b] == sp.owner[a]:
+    edges, sampled = [], []
+
+    def pair_terms():
+        """Plan each edge's three pair terms; yield those to be sampled."""
+        for a in range(work.m):
+            if sp.owner[a] < 0:
                 continue
-            t_ab = _plan_term(sp, a, b, seed, groups)
-            t_ba = _plan_term(sp, b, a, seed, groups)
-            # the mutual event lies inside both directional ones
-            if t_ab.prob == 0.0 or t_ba.prob == 0.0:
-                t_mut = PairTerm(t_ab.s, t_ab.t, t_ab.node_s, t_ab.node_t, "mutual")
-            else:
-                t_mut = _plan_term(sp, a, b, seed, groups, mutual=True)
-            edges.append((a, b, t_ab, t_ba, t_mut))
-    groups.flush()
+            for b in range(a + 1, work.m):
+                if sp.owner[b] < 0 or sp.owner[b] == sp.owner[a]:
+                    continue
+                planned = [_plan_term(sp, a, b, used), _plan_term(sp, b, a, used)]
+                t_ab, t_ba = planned[0][0], planned[1][0]
+                # the mutual event lies inside both directional ones
+                if t_ab.prob == 0.0 or t_ba.prob == 0.0:
+                    t_mut = PairTerm(t_ab.s, t_ab.t, t_ab.node_s, t_ab.node_t, "mutual")
+                else:
+                    planned.append(_plan_term(sp, a, b, used, mutual=True))
+                    t_mut = planned[2][0]
+                edges.append((a, b, t_ab, t_ba, t_mut))
+                for term, job in planned:
+                    if job is not None:
+                        sampled.append(term)
+                        yield job
+
+    results = estimate_conditional(
+        work, pair_terms(), _PairValues(work).class_fn, seed=seed, threads=threads
+    )
+    for term, result in zip(sampled, results):
+        _finish(term, *result)
 
     pairs: list[dict] = []
     for a, b, t_ab, t_ba, t_mut in edges:

@@ -87,29 +87,18 @@ def estimate_by_homes(
     evaluator = FunctionalEvaluator(g, functional)
     nobody_absent = np.zeros(n, dtype=bool)
 
+    jobs, pending = [], []  # (event, n_samples, tag, key), and (report, mu_lb)
+
     def sampled(
         name: str, tag: str, prob: float, allowed: np.ndarray, bounds: tuple[float, float]
     ) -> TermReport:
         full = chernoff_budget(*bounds, report.epsilon_mc, delta)
-        mean, _, samples = estimate_conditional(
-            g,
-            Event(allowed, nobody_absent),
-            evaluator.class_fn,
-            report.budget(full),
-            seed=report.seed,
-            tag=f"{report.estimator}/{tag}",
-            threads=report.threads,
+        event = Event(allowed, nobody_absent)
+        jobs.append((event, report.budget(full), f"{report.estimator}/{tag}", None))
+        pending.append(
+            (TermReport(name, 0.0, "monte-carlo", probability=prob, full_budget=full), bounds[1])
         )
-        return TermReport(
-            name,
-            prob * mean,
-            "monte-carlo",
-            probability=prob,
-            mean=mean,
-            samples=samples,
-            full_budget=full,
-            possibly_negligible=mean < 0.5 * bounds[1],
-        )
+        return pending[-1][0]
 
     if prob_all <= 0.0:
         report.terms.append(TermReport("all-home", 0.0, "exact", probability=0.0))
@@ -139,4 +128,10 @@ def estimate_by_homes(
             if term > 0.0:
                 report.terms.append(TermReport(f"far({vname})", term, "far-field"))
 
+    results = estimate_conditional(
+        g, jobs, evaluator.class_fn, seed=report.seed, threads=report.threads
+    )
+    for (term, mu_lb), (mean, _, samples) in zip(pending, results):
+        term.value, term.mean, term.samples = term.probability * mean, mean, samples
+        term.possibly_negligible = mean < 0.5 * mu_lb
     report.flags["epsilon_split"] = "half to sampling error, half to truncation"

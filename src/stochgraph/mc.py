@@ -15,7 +15,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -162,10 +162,10 @@ def pinned_term(
 
 
 def run_conditional_mc(
-    sampler: ConditionalSampler,
+    sampler: Optional[ConditionalSampler],
     class_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     n_samples: int,
-    stream: SampleStream,
+    stream: Optional[SampleStream],
     threads: int = 1,
     blocks: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None,
 ) -> tuple[float, int]:
@@ -179,8 +179,9 @@ def run_conditional_mc(
     sample order.  Returns (mean, indicator_hits).
 
     ``blocks``, when given, holds ``draw_classes`` of each block of these
-    draws, drawn beforehand (a caller that solves the classes of many terms
-    at once); otherwise each block is drawn here, when it is reduced.
+    draws, drawn beforehand (``estimate_conditional`` solves the classes of
+    many terms at once), and ``sampler`` and ``stream`` are not read;
+    otherwise each block is drawn here, when it is reduced.
 
     Values are summed times ``scale``, a power of two below 1 / n_samples, so
     no sum of finite values overflows; above the subnormal range that is exact.
@@ -208,26 +209,73 @@ def run_conditional_mc(
 
 def estimate_conditional(
     g: StochasticGraph,
-    event: Union[EventSpec, Event, None],
-    class_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    n_samples: int,
+    terms: Iterable[tuple[Union[EventSpec, Event, None], int, str, Any]],
+    class_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     *,
     seed: int,
-    tag: str,
     threads: int = 1,
-) -> tuple[float, int, int]:
-    """Sample mean of ``class_fn`` under the conditioning event.
+) -> list[tuple[float, int, int]]:
+    """(mean, indicator_hits, samples) of each ``(event, n_samples, tag, key)``
+    term: the sample mean of ``class_fn`` under the conditioning event, drawn
+    from the ``(seed, tag)`` stream.
 
-    ``class_fn`` is as in ``run_conditional_mc``; draws come from the
-    ``(seed, tag)`` stream.  Returns (mean, indicator_hits, samples_used).
-    If the event pins every node, the term is ``pinned_term``.
+    ``class_fn(rows, keys)`` is as in ``run_conditional_mc``, and ``keys``
+    holds each row's term key.  Terms are read lazily, in order.  A term of
+    ``BLOCK_SIZE`` samples or more runs at once through ``run_conditional_mc``,
+    block by block on the ``threads`` pool.  A smaller term draws its one
+    block at once and frees its sampler; a term whose event pins every node
+    gives its one realization, which counts as one sample.  These terms wait
+    in a group that closes once its terms have drawn ``BLOCK_SIZE`` samples:
+    one ``class_fn`` call solves the classes of the whole group, and each term
+    is reduced on its slice of the values, so it equals the term run alone.
     """
-    sampler = ConditionalSampler(g, event)
-    if sampler.is_deterministic:
-        return pinned_term(sampler, class_fn)
-    stream = SampleStream(seed, tag, g.n)
-    mean, hits = run_conditional_mc(sampler, class_fn, n_samples, stream, threads)
-    return mean, hits, n_samples
+    results: list = []
+    group: list = []  # (position, key, samples, classes, inverse); inverse None if pinned
+    drawn = 0
+
+    def solve_group() -> None:
+        counts = [len(classes) for _, _, _, classes, _ in group]
+        vals, hits = class_fn(
+            np.concatenate([classes for _, _, _, classes, _ in group]),
+            np.repeat([key for _, key, _, _, _ in group], counts),
+        )
+        ends = np.cumsum(counts)[:-1]
+        vals = np.split(np.asarray(vals, dtype=float), ends)
+        hits = np.split(np.asarray(hits, dtype=np.int64), ends)
+        for (i, _, n, classes, inverse), v, h in zip(group, vals, hits):
+            if inverse is None:
+                results[i] = (float(v[0]), int(h[0]), 1)
+            else:
+                mean, term_hits = run_conditional_mc(
+                    None, lambda _classes, vh=(v, h): vh, n, None, blocks=[(classes, inverse)]
+                )
+                results[i] = (mean, term_hits, n)
+
+    for i, (event, n_samples, tag, key) in enumerate(terms):
+        results.append(None)
+        sampler = ConditionalSampler(g, event)
+        if sampler.is_deterministic:
+            classes, inverse, n_samples = pinned_classes(sampler), None, 1
+        else:
+            stream = SampleStream(seed, tag, g.n)
+            if n_samples >= BLOCK_SIZE:
+
+                def term_fn(rows: np.ndarray, key=key):
+                    return class_fn(rows, np.full(len(rows), key))
+
+                mean, hits = run_conditional_mc(sampler, term_fn, n_samples, stream, threads)
+                results[i] = (mean, hits, n_samples)
+                continue
+            classes, inverse = draw_classes(sampler, stream, n_samples, 0)
+        del sampler  # a waiting term holds its drawn block only
+        group.append((i, key, n_samples, classes, inverse))
+        drawn += n_samples
+        if drawn >= BLOCK_SIZE:
+            solve_group()
+            group, drawn = [], 0
+    if group:
+        solve_group()
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,13 @@ def _field(entry, key: str, kind: str):
     return entry[key]
 
 
+def _id(entry, kind: str) -> str:
+    value = _field(entry, "id", kind)
+    if not isinstance(value, str):
+        raise ValidationError(f"{kind} ids are strings, got {value!r}")
+    return value
+
+
 def _numbers(value, what: str, scalar: bool = False):
     try:
         return float(value) if scalar else np.asarray(value, dtype=float)
@@ -459,7 +466,7 @@ def instance_from_dict(doc: Mapping) -> StochasticGraph:
             ids.append(entry)
             have_coords = False
             continue
-        ids.append(_field(entry, "id", "point"))
+        ids.append(_id(entry, "point"))
         if "coords" in entry:
             coords.append(entry["coords"])
         else:
@@ -474,7 +481,7 @@ def instance_from_dict(doc: Mapping) -> StochasticGraph:
     node_ids = []
     rows = {}
     for entry in nodes:
-        name = str(_field(entry, "id", "node"))
+        name = _id(entry, "node")
         dist = _field(entry, "dist", "node")
         if not isinstance(dist, Mapping):
             raise ValidationError(f'node {name}: "dist" must be an object')

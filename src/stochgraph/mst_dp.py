@@ -66,6 +66,7 @@ def estimate_emst_dp(
     evaluator = FunctionalEvaluator(work, Functional.MST)
     support = work.probs > 0.0
     outer_weights: list[float] = []
+    leaves, leaf_terms = [], []  # (event, n_samples, tag, key) and its report
 
     outer_weight = 1.0  # Pr[nothing yet at u_1..u_{i-1} | their suffix events]
     for pos in range(m):
@@ -121,27 +122,16 @@ def estimate_emst_dp(
             if work.presence_mode == "certain" and not event.allowed.any(axis=1).all():
                 continue  # unreachable: the chain weight is 0 here
             full = chernoff_budget(n * d_ij, d_ij, report.epsilon_mc, delta_each)
-            mean, _, samples = estimate_conditional(
-                work,
-                event,
-                evaluator.class_fn,
-                report.budget(full),
-                seed=seed,
-                tag=f"mst-dp/{space.point_ids[ui]}/{space.point_ids[rj]}",
-                threads=threads,
+            tag = f"mst-dp/{space.point_ids[ui]}/{space.point_ids[rj]}"
+            leaves.append((event, report.budget(full), tag, None))
+            leaf_terms.append(
+                TermReport(name, 0.0, "monte-carlo", probability=leaf_w, full_budget=full)
             )
-            report.terms.append(
-                TermReport(
-                    name,
-                    leaf_w * mean,
-                    "monte-carlo",
-                    probability=leaf_w,
-                    mean=mean,
-                    samples=samples,
-                    full_budget=full,
-                )
-            )
+            report.terms.append(leaf_terms[-1])
 
+    results = estimate_conditional(work, leaves, evaluator.class_fn, seed=seed, threads=threads)
+    for term, (mean, _, samples) in zip(leaf_terms, results):
+        term.value, term.mean, term.samples = term.probability * mean, mean, samples
     report.extras["outer_weights"] = outer_weights
     report.extras["residual_weight"] = outer_weight
     return report.finish()

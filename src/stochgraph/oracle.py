@@ -59,9 +59,9 @@ class FunctionalEvaluator:
         # one memo read for every caller: perfbench's tracer times value()
         return np.array([self.value(key) for key in keys], dtype=float)
 
-    def class_fn(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def class_fn(self, rows: np.ndarray, keys=None) -> tuple[np.ndarray, np.ndarray]:
         """``values(rows)`` and zero indicator hits: the ``class_fn`` form
-        the Monte Carlo engine takes."""
+        the Monte Carlo engine takes.  The rows' term ``keys`` are not read."""
         return self.values(rows), np.zeros(len(rows), dtype=np.int64)
 
     def value(self, key) -> float:

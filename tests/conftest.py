@@ -252,6 +252,17 @@ class NNEventStats:
         return self.tables[table].get(key, default)
 
 
+def count_groups(samples, block: int) -> int:
+    """Groups that terms of these sample counts, each less than ``block``,
+    form when a group closes once its terms have drawn ``block`` samples."""
+    groups, drawn = 0, 0
+    for n in samples:
+        drawn += n
+        if drawn >= block:
+            groups, drawn = groups + 1, 0
+    return groups + (drawn > 0)
+
+
 @pytest.fixture
 def rng():
     return rng_for(20240817)

@@ -31,7 +31,7 @@ from stochgraph.cc import _SLACK, _PairValues, pair_budget
 from stochgraph.generate import gen_graph
 from stochgraph.sampling import BLOCK_SIZE
 
-from conftest import NNEventStats, random_graph, rng_for
+from conftest import NNEventStats, count_groups, random_graph, rng_for
 from test_acceptance import SUITE_SPEC
 from test_golden import _existential
 
@@ -379,7 +379,7 @@ def ladder_cc_graph():
 def test_cycle_covers_are_solved_for_indicator_hits_only(monkeypatch):
     solved: list[tuple[int, ...]] = []
     hit_sets: set[tuple[int, ...]] = set()
-    cc_indices, run = cc_module._cc_indices, cc_module.run_conditional_mc
+    cc_indices, run = cc_module._cc_indices, mc_module.run_conditional_mc
 
     def recording_cc(space, idx):
         solved.extend(map(tuple, idx.tolist()))
@@ -394,7 +394,7 @@ def test_cycle_covers_are_solved_for_indicator_hits_only(monkeypatch):
         return run(sampler, recorded, *args, **kwargs)
 
     monkeypatch.setattr(cc_module, "_cc_indices", recording_cc)
-    monkeypatch.setattr(cc_module, "run_conditional_mc", recording_run)
+    monkeypatch.setattr(mc_module, "run_conditional_mc", recording_run)
     estimate_ecc(ladder_cc_graph(), 0.25, 1001, budget_cap=50)
     assert hit_sets
     assert sorted(solved) == sorted(hit_sets)
@@ -464,12 +464,7 @@ def test_kernels_run_once_per_group_on_the_ladder_instance(monkeypatch):
     report = estimate_ecc(ladder_cc_graph(), 0.25, 1, budget_cap=50)
     # groups close once their terms have drawn a block of samples
     sampled = [d["samples"] for d in report.extras["pairs"] if d["prob"] > 0.0]
-    groups, drawn = 0, 0
-    for samples in sampled:
-        drawn += samples
-        if drawn >= BLOCK_SIZE:
-            groups, drawn = groups + 1, 0
-    groups += drawn > 0
+    groups = count_groups(sampled, BLOCK_SIZE)
     assert len(sampled) == 436 and groups == 6
     # every row has all 10 points present: one kernel call per group
     assert calls == {"nn": groups, "cc": groups}
@@ -494,7 +489,6 @@ def test_a_term_of_several_blocks_is_drawn_and_solved_one_block_at_a_time(monkey
         return get(self, rows)
 
     monkeypatch.setattr(mc_module, "draw_classes", drawing)
-    monkeypatch.setattr(cc_module, "draw_classes", drawing)
     monkeypatch.setattr(cc_module._PairValues, "get", getting)
     n = 2 * BLOCK_SIZE + 100
     alone = estimate_pair_term(sp, first["s"], first["t"], n, 1)
@@ -514,13 +508,13 @@ def test_a_term_of_several_blocks_is_drawn_and_solved_one_block_at_a_time(monkey
 def test_terms_of_a_block_or_more_run_on_the_thread_pool(monkeypatch):
     g = gen_graph("euclidean-uniform", 3, 4, 12)  # eu-3-4 of the acceptance suite
     calls = []
-    run = cc_module.run_conditional_mc
+    run = mc_module.run_conditional_mc
 
     def recording(sampler, class_fn, n_samples, stream, threads=1, blocks=None):
         calls.append((n_samples, threads, blocks))
         return run(sampler, class_fn, n_samples, stream, threads, blocks)
 
-    monkeypatch.setattr(cc_module, "run_conditional_mc", recording)
+    monkeypatch.setattr(mc_module, "run_conditional_mc", recording)
     reports = [estimate_ecc(g, 0.25, 7, budget_cap=BLOCK_SIZE + 1, threads=th) for th in (1, 3)]
     assert reports[0].threads == 1 and reports[1].threads == 3
     assert reports[0].extras["pairs"] == reports[1].extras["pairs"]

@@ -61,8 +61,10 @@ def test_validate_ok_and_failure(tmp_path, instance_path):
         lambda d: d["points"][0].pop("id"),
         lambda d: d.update(points=5),
         lambda d: d["nodes"][0].update(dist=[0.5, 0.5]),
+        lambda d: d["nodes"][0].update(id=None),
     ],
-    ids=["node-without-dist", "point-without-id", "points-not-a-list", "dist-is-a-list"],
+    ids=["node-without-dist", "point-without-id", "points-not-a-list", "dist-is-a-list",
+         "node-id-null"],
 )
 def test_validate_malformed_document_exits_2(tmp_path, instance_path, break_doc):
     doc = json.loads(instance_path.read_text())

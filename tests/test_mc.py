@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -26,10 +27,15 @@ from stochgraph import (
     exact_expectation,
     tree_sum,
 )
+import stochgraph.cc as cc_module
+import stochgraph.mc as mc_module
+import stochgraph.oracle as oracle_module
+from stochgraph.generate import gen_graph
 from stochgraph.mc import (
     BLOCK_SIZE,
     apply_budget_scale,
     block_classes,
+    pinned_term,
     realization_classes,
     run_conditional_mc,
 )
@@ -38,7 +44,7 @@ from stochgraph.oracle import FunctionalEvaluator
 from stochgraph.rng import SampleStream
 from stochgraph.sampling import ConditionalSampler
 
-from conftest import euclidean_space, random_graph, rng_for
+from conftest import count_groups, euclidean_space, random_graph, rng_for
 
 
 def line_space(*xs):
@@ -295,6 +301,14 @@ def mst_class_fn(g):
     return FunctionalEvaluator(g, Functional.MST).class_fn
 
 
+def one_term(g, event, class_fn, n_samples, *, seed, tag, threads=1):
+    """``estimate_conditional`` of the one term ``(event, n_samples, tag)``."""
+    [result] = estimate_conditional(
+        g, [(event, n_samples, tag, None)], class_fn, seed=seed, threads=threads
+    )
+    return result
+
+
 def test_conditional_deterministic_event_is_exact():
     space = line_space(0.0, 3.0)
     g = StochasticGraph(
@@ -303,7 +317,7 @@ def test_conditional_deterministic_event_is_exact():
         {v: {"p0": 0.5, "p1": 0.5} for v in ("v1", "v2")},
     )
     ev = EventSpec(allowed={"v1": "p0", "v2": "p1"})
-    mean, hits, samples = estimate_conditional(
+    mean, hits, samples = one_term(
         g, ev, mst_class_fn(g), 1000, seed=5, tag="t"
     )
     assert mean == 3.0
@@ -329,7 +343,7 @@ def test_conditional_pinned_existential_event_is_the_oracle_value():
         np.array([False, False, True]),
     )
     oracle = exact_expectation(g, Functional.MST, event)
-    mean, hits, samples = estimate_conditional(
+    mean, hits, samples = one_term(
         g, event, mst_class_fn(g), 1000, seed=5, tag="absent"
     )
     assert mean == oracle == 5.0
@@ -339,11 +353,11 @@ def test_conditional_pinned_existential_event_is_the_oracle_value():
 def test_conditional_hits_count_indicator_samples(rng):
     g = random_graph(rng, 4, 5)
 
-    def class_fn(rows):
+    def class_fn(rows, keys):
         return rows[:, -1].astype(float), (rows[:, -1] % 2 == 0).astype(int)
 
     n = BLOCK_SIZE + 321
-    mean, hits, samples = estimate_conditional(g, None, class_fn, n, seed=9, tag="hits")
+    mean, hits, samples = one_term(g, None, class_fn, n, seed=9, tag="hits")
     rows = np.sort(ConditionalSampler(g).draw_block(SampleStream(9, "hits", g.n), 0, n), axis=1)
     assert samples == n
     assert hits == int((rows[:, -1] % 2 == 0).sum())
@@ -365,7 +379,7 @@ def test_conditional_tracks_oracle():
     oracle = exact_expectation(g, Functional.MST, ev)
     hits = 0
     for seed in range(20):
-        mean, _, _ = estimate_conditional(
+        mean, _, _ = one_term(
             g, ev, mst_class_fn(g), 2000, seed=seed, tag="vs-oracle"
         )
         if abs(mean - oracle) <= 0.2 * oracle:
@@ -376,7 +390,7 @@ def test_conditional_tracks_oracle():
 def test_conditional_thread_count_invariance(rng):
     g = random_graph(rng, 4, 5)
     means = {
-        threads: estimate_conditional(
+        threads: one_term(
             g, None, mst_class_fn(g), 20_000, seed=3, tag="threads", threads=threads
         )[0]
         for threads in (1, 4, 8)
@@ -389,7 +403,7 @@ def test_conditional_thread_count_invariance_with_two_word_keys(rng):
     g = random_graph(rng, 16, 24, max_support=3)
     assert (g.m + 1) ** g.n >= 2**63
     means = {
-        threads: estimate_conditional(
+        threads: one_term(
             g, None, mst_class_fn(g), 2 * 4096 + 500, seed=4, tag="threads", threads=threads
         )[0]
         for threads in (1, 2, 4)
@@ -402,8 +416,114 @@ def test_conditional_unbiased_at_sampler_level(rng):
     g = random_graph(rng, 3, 4)
     oracle = exact_expectation(g, Functional.CC)
     class_fn = FunctionalEvaluator(g, Functional.CC).class_fn
-    mean, _, _ = estimate_conditional(g, None, class_fn, 60_000, seed=17, tag="unbiased")
+    mean, _, _ = one_term(g, None, class_fn, 60_000, seed=17, tag="unbiased")
     assert mean == pytest.approx(oracle, rel=0.05)
+
+
+def test_grouped_terms_equal_each_term_run_alone(rng):
+    g = random_graph(rng, 4, 5, max_support=3)
+    evaluator = FunctionalEvaluator(g, Functional.MST)
+
+    def class_fn(rows, keys):
+        return evaluator.values(rows) * keys, (rows[:, -1] % 3 == keys % 3).astype(int)
+
+    pinned = np.zeros((g.n, g.m), dtype=bool)
+    pinned[np.arange(g.n), g.probs.argmax(axis=1)] = True
+    narrow = g.probs > 0.0
+    narrow[0] = pinned[0]
+    nobody_absent = np.zeros(g.n, dtype=bool)
+    pinned, narrow = Event(pinned, nobody_absent), Event(narrow, nobody_absent)
+    # pinned terms (1 sample), small ones of several sizes (groups close
+    # mid-list) and terms of a block or more, each with its own key
+    sizes = [10, 1, 300, 2000, BLOCK_SIZE, 3000, 1, 5, BLOCK_SIZE + 7, 700, 2 * BLOCK_SIZE + 1]
+    terms = [
+        (pinned if n == 1 else narrow if k % 2 else None, n, f"term-{k}", k + 1)
+        for k, n in enumerate(sizes)
+    ]
+    alone = []
+    for event, n, tag, key in terms:
+        sampler = ConditionalSampler(g, event)
+
+        def fn(rows, key=key):
+            return class_fn(rows, np.full(len(rows), key))
+
+        if sampler.is_deterministic:
+            alone.append(pinned_term(sampler, fn))
+        else:
+            stream = SampleStream(3, tag, g.n)
+            alone.append((*run_conditional_mc(sampler, fn, n, stream), n))
+    assert [samples for _, _, samples in alone] == sizes
+    for threads in (1, 3):
+        assert estimate_conditional(g, iter(terms), class_fn, seed=3, threads=threads) == alone
+
+
+def ladder_cc_terms():
+    """A run of ladder-large's cc op: 436 pair terms of 50 samples."""
+    g = gen_graph("euclidean-uniform", 10, 14, 1)
+    return lambda: estimate_ecc(g, 0.25, 1, budget_cap=50)
+
+
+def small_terms():
+    """A run of six terms of less than a block, in two groups."""
+    g = random_graph(rng_for(5), 4, 5)
+    terms = [(None, n, f"small-{n}", n) for n in (1000, 2000, 1500, 30, 900, 3000)]
+    evaluator = FunctionalEvaluator(g, Functional.MST)
+    return lambda: estimate_conditional(g, terms, evaluator.class_fn, seed=1)
+
+
+@pytest.mark.parametrize("run", [small_terms(), ladder_cc_terms()], ids=["runner", "cc"])
+def test_no_waiting_term_keeps_its_sampler_while_its_group_is_solved(monkeypatch, run):
+    samplers: list[weakref.ref] = []
+    solved = []
+
+    class Recorded(ConditionalSampler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            samplers.append(weakref.ref(self))
+
+    values, pair_values = FunctionalEvaluator.values, cc_module._PairValues.get
+
+    def check(original):
+        def solve(self, rows):
+            # no term here reaches a block, so a live sampler is a waiting term's
+            solved.append([ref for ref in samplers if ref() is not None])
+            return original(self, rows)
+
+        return solve
+
+    monkeypatch.setattr(mc_module, "ConditionalSampler", Recorded)
+    monkeypatch.setattr(cc_module, "ConditionalSampler", Recorded)
+    monkeypatch.setattr(FunctionalEvaluator, "values", check(values))
+    monkeypatch.setattr(cc_module._PairValues, "get", check(pair_values))
+    run()
+    assert solved and len(samplers) > len(solved)
+    assert solved == [[]] * len(solved)
+
+
+@pytest.mark.parametrize(
+    "estimate, kernel, spec, cap, terms, groups",
+    [
+        (estimate_emst_dp, "_mst_indices", (16, 24, 1), 50, 173, 3),  # ladder-large's mst-dp op
+        (estimate_empm, "_mpm_indices", (12, 16, 1), 75, 1, 1),  # and its mpm op
+    ],
+    ids=["mst-dp", "mpm"],
+)
+def test_oracle_kernel_runs_once_per_group_on_the_ladder_instances(
+    monkeypatch, estimate, kernel, spec, cap, terms, groups
+):
+    calls = []
+    original = getattr(oracle_module, kernel)
+
+    def counted(space, idx):
+        calls.append(len(idx))
+        return original(space, idx)
+
+    monkeypatch.setattr(oracle_module, kernel, counted)
+    report = estimate(gen_graph("euclidean-uniform", *spec), 0.25, 1, budget_cap=cap)
+    sampled = [t.samples for t in report.terms if t.method == "monte-carlo"]
+    assert len(sampled) == terms and count_groups(sampled, BLOCK_SIZE) == groups
+    # every row has all n points present: one kernel call per group
+    assert len(calls) == groups
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,15 @@ def test_instance_validation_errors():
         )
 
 
+@pytest.mark.parametrize("kind", ["points", "nodes"])
+@pytest.mark.parametrize("bad_id", [None, True, 3, 1.5, [1], {"a": 1}])
+def test_ids_that_are_not_strings_are_a_validation_error(kind, bad_id):
+    doc = instance_to_dict(random_graph(rng_for(31), 3, 4))
+    doc[kind][0]["id"] = bad_id
+    with pytest.raises(ValidationError, match=f"{kind[:-1]} ids are strings"):
+        instance_from_dict(doc)
+
+
 def _paths(x, prefix=()):
     """Every (container path, key) of a JSON document, depth first."""
     items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
