@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .model import Event, EventSpec, StochasticGraph
 from .rng import STREAM_VERSION, SampleStream
-from .sampling import BLOCK_SIZE, ConditionalSampler
+from .sampling import BLOCK_SIZE, ConditionalSampler, draw_terms
 from .solvers import place_values
 
 
@@ -96,15 +96,21 @@ def apply_budget_scale(full_n: int, scale: float = 1.0, cap: Optional[int] = Non
     return max(1, math.ceil(n))
 
 
-def realization_classes(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def realization_classes(
+    rows: np.ndarray, m: int, terms: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a row-sorted index block and each row's class.
 
     ``rows`` holds point indices in [-1, m).  Returns (classes, inverse) with
     ``classes[inverse]`` equal to ``rows``, classes in lexicographic order.
     Each row is encoded as its int64 words under ``place_values``, which
     keep lexicographic row order, and one stable ``np.lexsort`` groups them.
+    ``terms``, when given, labels each row and leads the sort, so each term's
+    classes are its own rows' classes in that order.
     """
     words = (rows + 1) @ place_values(m, rows.shape[1])[0]
+    if terms is not None:
+        words = np.column_stack([terms, words])
     order = np.lexsort(words.T[::-1])
     words = words[order]
     new = np.ones(len(order), dtype=bool)
@@ -142,6 +148,23 @@ def draw_classes(
     start = b * BLOCK_SIZE
     rows = sampler.draw_block(stream, start, min(BLOCK_SIZE, n_samples - start))
     return block_classes(sampler, rows)
+
+
+def group_classes(
+    m: int, uniforms: Sequence[np.ndarray], tables: Sequence[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each term's ``block_classes`` of its one block: all drawn by one
+    ``draw_terms`` and deduplicated by one term-labelled ``realization_classes``."""
+    counts = [len(u) for u in uniforms]
+    rows = draw_terms(uniforms, tables)
+    rows.sort(axis=1)
+    classes, inverse = realization_classes(rows, m, np.repeat(np.arange(len(counts)), counts))
+    ends = np.cumsum(counts)
+    firsts = np.append(np.minimum.reduceat(inverse, ends - counts), len(classes))
+    return [
+        (classes[a:b], inverse[end - n : end] - a)
+        for a, b, n, end in zip(firsts, firsts[1:], counts, ends)
+    ]
 
 
 def pinned_classes(sampler: ConditionalSampler) -> np.ndarray:
@@ -222,18 +245,24 @@ def estimate_conditional(
     ``class_fn(rows, keys)`` is as in ``run_conditional_mc``, and ``keys``
     holds each row's term key.  Terms are read lazily, in order.  A term of
     ``BLOCK_SIZE`` samples or more runs at once through ``run_conditional_mc``,
-    block by block on the ``threads`` pool.  A smaller term draws its one
-    block at once and frees its sampler; a term whose event pins every node
-    gives its one realization, which counts as one sample.  These terms wait
-    in a group that closes once its terms have drawn ``BLOCK_SIZE`` samples:
-    one ``class_fn`` call solves the classes of the whole group, and each term
-    is reduced on its slice of the values, so it equals the term run alone.
+    block by block on the ``threads`` pool.  A smaller term frees its sampler
+    and waits in a group that closes once its terms have drawn ``BLOCK_SIZE``
+    samples; a pinned term gives its one realization, one sample.  A term
+    whose support is at most its sample count draws its block on joining, any
+    other when ``group_classes`` draws the group's.  One ``class_fn`` call
+    solves the whole group, and each term is reduced on its slice of the
+    values, so it equals the term run alone.
     """
     results: list = []
-    group: list = []  # (position, key, samples, classes, inverse); inverse None if pinned
+    group: list = []  # [position, key, samples, classes, inverse]; inverse None if pinned
+    deferred: list = []  # (group slot, uniforms, table) of the terms drawn at its close
     drawn = 0
 
     def solve_group() -> None:
+        if deferred:
+            slots, uniforms, tables = zip(*deferred)
+            for slot, block in zip(slots, group_classes(g.m, uniforms, tables)):
+                group[slot][3:] = block
         counts = [len(classes) for _, _, _, classes, _ in group]
         vals, hits = class_fn(
             np.concatenate([classes for _, _, _, classes, _ in group]),
@@ -254,8 +283,9 @@ def estimate_conditional(
     for i, (event, n_samples, tag, key) in enumerate(terms):
         results.append(None)
         sampler = ConditionalSampler(g, event)
+        classes = inverse = None
         if sampler.is_deterministic:
-            classes, inverse, n_samples = pinned_classes(sampler), None, 1
+            classes, n_samples = pinned_classes(sampler), 1
         else:
             stream = SampleStream(seed, tag, g.n)
             if n_samples >= BLOCK_SIZE:
@@ -266,13 +296,16 @@ def estimate_conditional(
                 mean, hits = run_conditional_mc(sampler, term_fn, n_samples, stream, threads)
                 results[i] = (mean, hits, n_samples)
                 continue
-            classes, inverse = draw_classes(sampler, stream, n_samples, 0)
-        del sampler  # a waiting term holds its drawn block only
-        group.append((i, key, n_samples, classes, inverse))
+            if sampler.support > n_samples:  # rows mostly distinct: drawn with the group
+                deferred.append((len(group), stream.uniforms(0, n_samples), sampler.table))
+            else:
+                classes, inverse = draw_classes(sampler, stream, n_samples, 0)
+        del sampler  # a waiting term holds its drawn block, or its uniforms and table, only
+        group.append([i, key, n_samples, classes, inverse])
         drawn += n_samples
         if drawn >= BLOCK_SIZE:
             solve_group()
-            group, drawn = [], 0
+            group, deferred, drawn = [], [], 0
     if group:
         solve_group()
     return results

@@ -9,7 +9,9 @@ is tiny.
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -21,13 +23,18 @@ ABSENT_IDX = -1
 BLOCK_SIZE = 4096  # samples per Monte Carlo engine block
 
 
+@functools.cache
+def _outcome_ids(m: int) -> np.ndarray:
+    """Each outcome-table column's outcome: points 0..m-1, then ``ABSENT_IDX``."""
+    return np.append(np.arange(m), ABSENT_IDX)
+
+
 def _allowed(g: StochasticGraph, event: EventSpec | Event | None) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome indices (points ascending, then ``ABSENT_IDX``) and the (n,
-    m + 1) mask of those the event allows with positive probability in
-    ``g.outcome_probs``."""
+    """Outcome indices (``_outcome_ids``) and the (n, m + 1) mask of those
+    the event allows with positive probability in ``g.outcome_probs``."""
     event = as_event(g, event)
     mask = np.column_stack([event.allowed, event.absent]) & (g.outcome_probs > 0.0)
-    return np.append(np.arange(g.m), ABSENT_IDX), mask
+    return _outcome_ids(g.m), mask
 
 
 def node_outcomes(
@@ -43,41 +50,52 @@ def node_outcomes(
 class ConditionalSampler:
     """Compiled per-node inverse-CDF tables for a product event.
 
-    ``outcomes[j]`` lists the point indices node ``j`` may take (-1 for
-    absent), ``cum[j]`` the matching cumulative probabilities after
-    renormalization, and ``support`` the number of outcome tuples.  When that
-    is at most ``BLOCK_SIZE``, ``lookups`` holds ``(j, lookup)`` per node
-    with several outcomes: ``lookup`` maps a point index (-1 reads the last
-    entry) to its outcome position times the node's C-order stride, and
-    ``position_keys`` sums them; otherwise it is None.  Raises
-    ``DomainError`` if any node has zero mass under its restriction.
+    A build computes only ``mask``, the (n, m + 1) outcomes (points, then
+    absent) the event allows with positive probability, ``table``, their
+    cumulative probabilities along each row after renormalization, and
+    ``support``, the number of outcome tuples.  Built on first read:
+    ``outcomes[j]`` and ``cum[j]``, node ``j``'s allowed point indices (-1
+    for absent) and its slice of ``table``, and ``lookups`` (None above a
+    support of ``BLOCK_SIZE``): per node with several outcomes, ``(j, lookup)``
+    maps a point index (-1 reads the last entry) to its outcome position times
+    the node's C-order stride; ``position_keys`` sums them.  Raises
+    ``DomainError`` if a node has no mass under the event.
     """
 
     def __init__(self, g: StochasticGraph, event: EventSpec | Event | None = None):
         self.g = g
-        outcomes, mask = _allowed(g, event)
-        live = mask.any(axis=1)
-        if not live.all():
-            name = g.node_ids[int(np.argmin(live))]
+        _, self.mask = _allowed(g, event)
+        counts = self.mask.sum(axis=1)
+        if not counts.all():
+            name = g.node_ids[int(np.argmin(counts))]
             raise DomainError(f"node {name}: zero probability mass under the conditioning event")
         # Adding the masked-out 0.0 entries is exact, so each node's table
         # equals the cumsum of its own outcomes over its own total.
-        cum = np.cumsum(np.where(mask, g.outcome_probs, 0.0), axis=1)
-        cum /= cum[:, -1:]
-        self.outcomes = [outcomes[row] for row in mask]
-        self.cum = [c[row] for c, row in zip(cum, mask)]
-        self.support = math.prod(len(outs) for outs in self.outcomes)
-        self.lookups: list[tuple[int, np.ndarray]] | None = None
-        if self.support <= BLOCK_SIZE:
-            self.lookups = []
-            stride, width = self.support, g.m + 1
-            for j, outs in enumerate(self.outcomes):
-                r = len(outs)
-                stride //= r
-                if r > 1:
-                    lookup = np.zeros(width, dtype=np.int64)
-                    lookup[outs] = np.arange(0, r * stride, stride)
-                    self.lookups.append((j, lookup))
+        self.table = np.cumsum(np.where(self.mask, g.outcome_probs, 0.0), axis=1)
+        self.table /= self.table[:, -1:]
+        self.support = math.prod(counts.tolist())
+
+    @functools.cached_property
+    def outcomes(self) -> list[np.ndarray]:
+        return [_outcome_ids(self.g.m)[row] for row in self.mask]
+
+    @functools.cached_property
+    def cum(self) -> list[np.ndarray]:
+        return [c[row] for c, row in zip(self.table, self.mask)]
+
+    @functools.cached_property
+    def lookups(self) -> list[tuple[int, np.ndarray]] | None:
+        if self.support > BLOCK_SIZE:
+            return None
+        lookups, stride = [], self.support
+        for j, outs in enumerate(self.outcomes):
+            r = len(outs)
+            stride //= r
+            if r > 1:
+                lookup = np.zeros(self.g.m + 1, dtype=np.int64)
+                lookup[outs] = np.arange(0, r * stride, stride)
+                lookups.append((j, lookup))
+        return lookups
 
     @property
     def is_deterministic(self) -> bool:
@@ -104,10 +122,37 @@ class ConditionalSampler:
             if len(self.cum[j]) == 1:  # cum is [1.0] and u < 1: no search
                 out[:, j] = self.outcomes[j][0]
                 continue
-            pos = np.searchsorted(self.cum[j], u[:, j], side="right")
-            np.minimum(pos, len(self.cum[j]) - 1, out=pos)
-            out[:, j] = self.outcomes[j][pos]
+            # cum ends in 1.0 exactly and u < 1, so every u lands inside
+            out[:, j] = self.outcomes[j][np.searchsorted(self.cum[j], u[:, j], side="right")]
         return out
+
+
+_SPAN = 2**53 + 1  # term t's thresholds lie in [t * _SPAN, t * _SPAN + 2**53]
+_TERMS_PER_SEARCH = 2**63 // _SPAN  # 1023 terms' spans fit in int64
+
+
+def draw_terms(uniforms: Sequence[np.ndarray], tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Each term's ``draw_block`` rows, stacked, from its ``SampleStream.uniforms``
+    (first n columns) and its sampler's ``table``: one ``np.searchsorted`` per
+    node column on exact integers, needles ``u * 2**53`` (``random()`` gives
+    ``(x >> 11) * 2**-53``) and thresholds ``ceil(table * 2**53) + t * _SPAN``
+    for term t.  The first full-row entry above u is an allowed outcome (a
+    masked-out entry repeats the one before it), so rows match bit for bit.
+    """
+    parts = []
+    for s in range(0, len(tables), _TERMS_PER_SEARCH):
+        chunk = slice(s, s + _TERMS_PER_SEARCH)
+        table = np.stack(tables[chunk])  # (terms, n, m + 1)
+        term = np.arange(len(table))
+        row_term = np.repeat(term, [len(u) for u in uniforms[chunk]])[:, None]
+        needles = (np.concatenate(uniforms[chunk])[:, : table.shape[1]] * 2.0**53).astype(np.int64)
+        needles += row_term * _SPAN
+        pos = np.empty(needles.shape, dtype=np.int64)
+        for j in range(needles.shape[1]):  # one column's thresholds at a time: small temporaries
+            thresholds = np.ceil(table[:, j] * 2.0**53).astype(np.int64) + term[:, None] * _SPAN
+            pos[:, j] = np.searchsorted(thresholds.ravel(), needles[:, j], side="right")
+        parts.append(_outcome_ids(table.shape[2] - 1)[pos - row_term * table.shape[2]])
+    return np.concatenate(parts)
 
 
 def sample(

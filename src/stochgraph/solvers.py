@@ -152,7 +152,8 @@ def _mst_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
         in_tree[rows, j] = True
         best[rows, j] = np.inf
         np.minimum(best, np.where(in_tree, np.inf, dist[idx[rows, j][:, None], idx]), out=best)
-    return np.array([math.fsum(p) for p in picked.tolist()])
+    # 256 rows' lists at a time die young: no collection promotes thousands of them
+    return np.array([math.fsum(p) for s in range(0, B, 256) for p in picked[s : s + 256].tolist()])
 
 
 def mst_length(space: MetricSpace, points: Sequence) -> float:

@@ -24,7 +24,11 @@ Two cases time cc on the benchmark's ladder-large cc instance
 - ``cc-builds``: one ``ConditionalSampler`` for each directional
   nearest-neighbor event of the split space;
 - ``cc-terms``: ``estimate_ecc`` at cap 50, seed 1001, one thread: every
-  pair term, its probabilities, sampling and class solving.
+  pair term, its probabilities, sampling and class solving;
+- ``group-draw``: the blocks of 80 of those events (support above 50) at
+  50 samples each, from their samplers and streams to each term's classes,
+  drawn and deduplicated per term (``draw_classes``) or as one group
+  (``group_classes``).
 
 The file name keeps it out of the default ``test_*.py`` collection.
 """
@@ -36,7 +40,14 @@ import pytest
 
 from stochgraph import cc
 from stochgraph.generate import gen_graph
-from stochgraph.mc import BLOCK_SIZE, block_classes, realization_classes, run_conditional_mc
+from stochgraph.mc import (
+    BLOCK_SIZE,
+    block_classes,
+    draw_classes,
+    group_classes,
+    realization_classes,
+    run_conditional_mc,
+)
 from stochgraph.model import Event, pinned_event
 from stochgraph.rng import SampleStream
 from stochgraph.sampling import ConditionalSampler
@@ -119,3 +130,21 @@ def test_cc_pair_terms(benchmark):
         cc.estimate_ecc, (LADDER_CC, 0.25, 1001), {"budget_cap": 50}, rounds=5, warmup_rounds=1
     )
     assert report.value > 0.0
+
+
+@pytest.mark.parametrize("way", ["per-term", "group"])
+def test_group_draw(benchmark, way):
+    sp = cc.split_points(LADDER_CC)
+    g = sp.graph
+    samplers = [ConditionalSampler(g, e) for e in cc_events(sp)]
+    samplers = [s for s in samplers if s.support > 50][:80]  # the terms a group draws
+    streams = [SampleStream(1, f"bench-{k}", g.n) for k in range(len(samplers))]
+    assert len(samplers) == 80
+    benchmark.group = "group-draw"
+    if way == "per-term":
+        blocks = benchmark(lambda: [draw_classes(s, st, 50, 0) for s, st in zip(samplers, streams)])
+    else:
+        blocks = benchmark(lambda: group_classes(
+            g.m, [st.uniforms(0, 50)[:, : g.n] for st in streams], [s.table for s in samplers]
+        ))
+    assert sum(len(inverse) for _, inverse in blocks) == 80 * 50

@@ -30,11 +30,13 @@ from stochgraph import (
 import stochgraph.cc as cc_module
 import stochgraph.mc as mc_module
 import stochgraph.oracle as oracle_module
+import stochgraph.sampling as sampling_module
 from stochgraph.generate import gen_graph
 from stochgraph.mc import (
     BLOCK_SIZE,
     apply_budget_scale,
     block_classes,
+    group_classes,
     pinned_term,
     realization_classes,
     run_conditional_mc,
@@ -42,7 +44,7 @@ from stochgraph.mc import (
 from stochgraph.model import Event
 from stochgraph.oracle import FunctionalEvaluator
 from stochgraph.rng import SampleStream
-from stochgraph.sampling import ConditionalSampler
+from stochgraph.sampling import ConditionalSampler, draw_terms
 
 from conftest import count_groups, euclidean_space, random_graph, rng_for
 
@@ -455,6 +457,98 @@ def test_grouped_terms_equal_each_term_run_alone(rng):
     assert [samples for _, _, samples in alone] == sizes
     for threads in (1, 3):
         assert estimate_conditional(g, iter(terms), class_fn, seed=3, threads=threads) == alone
+
+
+class FixedStream:
+    """Stands in for a ``SampleStream``: sample i's uniforms are row i of ``u``."""
+
+    def __init__(self, u: np.ndarray):
+        self.u, self.width = u, u.shape[1]
+
+    def uniforms(self, start: int, count: int) -> np.ndarray:
+        return self.u[start : start + count]
+
+
+def edge_case_terms():
+    """Three terms of one existential graph, each with uniforms ``k * 2**-53``
+    on and around every threshold of its table, in every node column."""
+    P = np.array([
+        [0.1, 0.2, 0.3, 0.2, 0.2],  # the event masks p0 (leading) and p3, p4 (trailing)
+        [0.2, 0.3, 0.5, 0.0, 0.0],  # pinned to p2 by the event
+        [0.3, 0.0, 0.0, 0.0, 0.2],  # p0, p4 or absent (mass 0.5)
+        [0.5, 0.25, 0.25, 1e-30, 0.0],  # cum reaches 1.0 before p3
+        [0.25, 0.25, 0.25, 0.25, 0.0],  # dyadic: uniforms equal its thresholds
+    ])
+    g = StochasticGraph(
+        [f"v{v}" for v in range(5)], line_space(0.0, 1.0, 3.0, 4.5, 7.0), P,
+        presence_mode="existential",
+    )
+    allowed = P > 0.0
+    allowed[0, [0, 3, 4]] = False
+    allowed[1] = [False, False, True, False, False]
+    edge = Event(allowed, np.array([False, False, True, False, False]))
+    samplers = [ConditionalSampler(g, e) for e in (edge, None, Event(allowed, np.ones(5, bool)))]
+    assert samplers[0].outcomes[1].tolist() == [2]
+    assert samplers[0].cum[3].tolist() == [0.5, 0.75, 1.0, 1.0]
+    rng = rng_for(11)
+    uniforms = []
+    for sampler in samplers:
+        exact = sampler.table.ravel() * 2.0**53
+        near = np.concatenate([np.floor(exact), np.ceil(exact)])[:, None] + [-1, 0, 1]
+        k = np.unique(np.clip(near, 0, 2**53 - 1))
+        uniforms.append(np.column_stack([rng.permutation(k) for _ in range(g.n)]) * 2.0**-53)
+    return g, samplers, uniforms
+
+
+def test_group_draw_equals_each_term_drawn_alone():
+    g, samplers, uniforms = edge_case_terms()
+    drawn = [s.draw_block(FixedStream(u), 0, len(u)) for s, u in zip(samplers, uniforms)]
+    tables = [s.table for s in samplers]
+    rows = np.concatenate(drawn)
+    assert draw_terms(uniforms, tables).tobytes() == rows.tobytes()
+    # a uniform on a threshold, an absent node, and no draw past cum's 1.0
+    assert (uniforms[0][:, 4] == 0.5).any() and (rows[:, 2] == -1).any()
+    assert (rows[:, 3] != 3).all()
+    grouped = group_classes(g.m, uniforms, tables)
+    for (classes, inverse), sampler, block in zip(grouped, samplers, drawn):
+        ref_classes, ref_inverse = block_classes(sampler, block)
+        assert classes.dtype == ref_classes.dtype and inverse.dtype == ref_inverse.dtype
+        np.testing.assert_array_equal(classes, ref_classes)
+        np.testing.assert_array_equal(inverse, ref_inverse)
+
+
+def test_more_deferred_terms_than_one_search_holds(monkeypatch):
+    # 1,207 cc pair terms of one sample each: one group, two searches
+    g = gen_graph("euclidean-uniform", 16, 20, 1)
+    searched = []
+    original = mc_module.draw_terms
+
+    def counted(uniforms, tables):
+        searched.append(len(tables))
+        return original(uniforms, tables)
+
+    monkeypatch.setattr(mc_module, "draw_terms", counted)
+    reports = [estimate_ecc(g, 0.25, 1, budget_cap=1, threads=threads) for threads in (1, 2)]
+    assert searched == [1207, 1207] and sampling_module._TERMS_PER_SEARCH == 1023
+    assert [r.value for r in reports] == [reports[0].value] * 2
+    assert reports[0].extras == reports[1].extras
+    sp = cc_module.split_points(g)
+    pairs = [d for d in reports[0].extras["pairs"] if d["prob"] > 0.0]
+    assert len(pairs) == 1207
+    for d in pairs:
+        alone = cc_module.estimate_pair_term(sp, d["s"], d["t"], 1, 1, mutual=d["kind"] == "mutual")
+        assert alone.to_dict() == d
+    # and through the runner: terms of one sample, each against its engine run
+    rg = random_graph(rng_for(12), 5, 6)
+    evaluator = FunctionalEvaluator(rg, Functional.MST)
+    terms = [(None, 1, f"one-{k}", k) for k in range(1100)]
+    got = estimate_conditional(rg, terms, evaluator.class_fn, seed=2)
+    sampler = ConditionalSampler(rg)
+    assert got == [
+        (*run_conditional_mc(sampler, evaluator.class_fn, 1, SampleStream(2, tag, rg.n)), 1)
+        for _, _, tag, _ in terms
+    ]
+    assert searched[2:] == [1100]
 
 
 def ladder_cc_terms():

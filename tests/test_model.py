@@ -294,6 +294,15 @@ def test_sample_zero_mass_event_rejected():
         ConditionalSampler(g2, EventSpec(allowed={"v": ["p1"]}))
 
 
+def test_uniforms_are_multiples_of_2_to_the_minus_53():
+    # the group draw searches u * 2**53 as an exact integer; if numpy's
+    # random() ever changes its float construction, this fails first
+    for seed, tag, draws in ((1, "a", 5), (7, "cc/p0/p1/mutual", 16), (2**40, "", 1)):
+        u = SampleStream(seed, tag, draws).uniforms(3, 2000) * 2.0**53
+        assert (u == np.floor(u)).all() and u.min() >= 0 and u.max() < 2.0**53
+        assert len(np.unique(u % 2)) == 2  # not all of them even: 53 bits are used
+
+
 def test_sampling_deterministic_and_partition_independent():
     g = two_node_graph()
     sampler = ConditionalSampler(g, None)
