@@ -23,7 +23,6 @@ from .errors import DomainError
 from .model import Event, EventSpec, StochasticGraph
 from .rng import STREAM_VERSION, SampleStream
 from .sampling import BLOCK_SIZE, ConditionalSampler, draw_terms
-from .solvers import place_values
 
 
 def tree_sum(values) -> float:
@@ -96,48 +95,24 @@ def apply_budget_scale(full_n: int, scale: float = 1.0, cap: Optional[int] = Non
     return max(1, math.ceil(n))
 
 
-def realization_classes(
-    rows: np.ndarray, m: int, terms: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a row-sorted index block and each row's class.
-
-    ``rows`` holds point indices in [-1, m).  Returns (classes, inverse) with
-    ``classes[inverse]`` equal to ``rows``, classes in lexicographic order.
-    Each row is encoded as its int64 words under ``place_values``, which
-    keep lexicographic row order, and one stable ``np.lexsort`` groups them.
-    ``terms``, when given, labels each row and leads the sort, so each term's
-    classes are its own rows' classes in that order.
-    """
-    words = (rows + 1) @ place_values(m, rows.shape[1])[0]
-    if terms is not None:
-        words = np.column_stack([terms, words])
-    order = np.lexsort(words.T[::-1])
-    words = words[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (words[1:] != words[:-1]).any(axis=1)
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return rows[order[new]], inverse
-
-
 def block_classes(sampler: ConditionalSampler, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``realization_classes`` of a drawn block's row-sorted rows.
+    """(classes, inverse) of a drawn block: ``classes[inverse]`` is the block
+    with each row sorted.
 
-    With ``sampler.lookups``, rows are keyed by outcome position, and one row
-    per present key is row-sorted and merged (two position tuples may hold
-    one point set); otherwise ``rows`` is row-sorted in place.
+    With ``sampler.lookups``, rows are keyed by outcome position, and the
+    classes are one row-sorted row per present key, so no two share an
+    outcome tuple; otherwise ``rows``, sorted in place, are their own classes.
     """
     if sampler.lookups is None:
         rows.sort(axis=1)
-        return realization_classes(rows, sampler.g.m)
+        return rows, np.arange(len(rows))
     keys = sampler.position_keys(rows)
     present = np.flatnonzero(np.bincount(keys, minlength=sampler.support))
     slot = np.empty(sampler.support, dtype=np.intp)
     slot[keys] = np.arange(len(keys))  # any row of a key will do
-    distinct = rows[slot[present]]
-    distinct.sort(axis=1)
-    classes, merged = realization_classes(distinct, sampler.g.m)
-    slot[present] = merged
+    classes = rows[slot[present]]
+    classes.sort(axis=1)
+    slot[present] = np.arange(len(present))
     return classes, slot[keys]
 
 
@@ -151,20 +126,14 @@ def draw_classes(
 
 
 def group_classes(
-    m: int, uniforms: Sequence[np.ndarray], tables: Sequence[np.ndarray]
+    uniforms: Sequence[np.ndarray], tables: Sequence[np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each term's ``block_classes`` of its one block: all drawn by one
-    ``draw_terms`` and deduplicated by one term-labelled ``realization_classes``."""
-    counts = [len(u) for u in uniforms]
+    """Each term's one block, drawn for all terms by one ``draw_terms`` and
+    row-sorted: its rows are its classes, with inverse ``arange``."""
     rows = draw_terms(uniforms, tables)
     rows.sort(axis=1)
-    classes, inverse = realization_classes(rows, m, np.repeat(np.arange(len(counts)), counts))
-    ends = np.cumsum(counts)
-    firsts = np.append(np.minimum.reduceat(inverse, ends - counts), len(classes))
-    return [
-        (classes[a:b], inverse[end - n : end] - a)
-        for a, b, n, end in zip(firsts, firsts[1:], counts, ends)
-    ]
+    ends = np.cumsum([len(u) for u in uniforms])[:-1]
+    return [(block, np.arange(len(block))) for block in np.split(rows, ends)]
 
 
 def pinned_classes(sampler: ConditionalSampler) -> np.ndarray:
@@ -194,12 +163,11 @@ def run_conditional_mc(
 ) -> tuple[float, int]:
     """Mean of a per-realization value over n_samples conditional draws.
 
-    ``class_fn`` maps a ``BLOCK_SIZE`` block's (B, n) array of distinct
-    row-sorted realization classes (point indices, -1 for absent), in
-    ``realization_classes`` order whether or not ``block_classes`` keyed the
-    block by outcome position, to (values, indicators), one of each per
-    class; it is called once per block and may cache.  Values are summed in
-    sample order.  Returns (mean, indicator_hits).
+    ``class_fn`` maps a ``BLOCK_SIZE`` block's (B, n) array of row-sorted
+    realization classes (point indices, -1 for absent; a point set may
+    appear more than once) to (values, indicators), one of each per class;
+    it is called once per block and may cache.  Values are summed in sample
+    order.  Returns (mean, indicator_hits).
 
     ``blocks``, when given, holds ``draw_classes`` of each block of these
     draws, drawn beforehand (``estimate_conditional`` solves the classes of
@@ -250,8 +218,8 @@ def estimate_conditional(
     samples; a pinned term gives its one realization, one sample.  A term
     whose support is at most its sample count draws its block on joining, any
     other when ``group_classes`` draws the group's.  One ``class_fn`` call
-    solves the whole group, and each term is reduced on its slice of the
-    values, so it equals the term run alone.
+    solves the row-sorted classes of the whole group, and each term is
+    reduced on its slice of the values, so it equals the term run alone.
     """
     results: list = []
     group: list = []  # [position, key, samples, classes, inverse]; inverse None if pinned
@@ -261,7 +229,7 @@ def estimate_conditional(
     def solve_group() -> None:
         if deferred:
             slots, uniforms, tables = zip(*deferred)
-            for slot, block in zip(slots, group_classes(g.m, uniforms, tables)):
+            for slot, block in zip(slots, group_classes(uniforms, tables)):
                 group[slot][3:] = block
         counts = [len(classes) for _, _, _, classes, _ in group]
         vals, hits = class_fn(

@@ -5,8 +5,8 @@
 Two terms of a generated n = 8, m = 12 Euclidean instance: ``small``
 conditions every node on its most likely point except three nodes on two
 points each (support 8, so blocks are keyed by outcome position), and
-``large`` is unconditioned (support far above ``BLOCK_SIZE``, so blocks are
-row-sorted and deduplicated whole).  Each case times one call:
+``large`` is unconditioned (support far above ``BLOCK_SIZE``, so each block
+is row-sorted whole and its rows are its classes).  Each case times one call:
 
 - ``build``: ``ConditionalSampler(g, event)``;
 - ``draw``: ``draw_block`` of one full block;
@@ -14,9 +14,11 @@ row-sorted and deduplicated whole).  Each case times one call:
 - ``block``: ``run_conditional_mc`` over one block with a constant
   ``class_fn``, so no solver runs.
 
-``test_two_word_classes`` times ``realization_classes`` on one row-sorted,
-unconditioned block of ladder-large's MST instance (``euclidean-uniform 16
-24``, generator seed 1), whose point-set keys take two int64 words.
+``test_two_word_classes`` times an unconditioned block of ladder-large's MST
+instance (``euclidean-uniform 16 24``, generator seed 1) from its drawn rows
+to one ``fill_memo`` key per row: ``block_classes`` row-sorts it, and
+``fill_memo`` with a cold memo and a constant ``solve`` finds its distinct
+point sets, whose keys take two int64 words.
 
 Two cases time cc on the benchmark's ladder-large cc instance
 (``euclidean-uniform 10 14``, generator seed 1):
@@ -27,8 +29,7 @@ Two cases time cc on the benchmark's ladder-large cc instance
   pair term, its probabilities, sampling and class solving;
 - ``group-draw``: the blocks of 80 of those events (support above 50) at
   50 samples each, from their samplers and streams to each term's classes,
-  drawn and deduplicated per term (``draw_classes``) or as one group
-  (``group_classes``).
+  drawn per term (``draw_classes``) or as one group (``group_classes``).
 
 The file name keeps it out of the default ``test_*.py`` collection.
 """
@@ -45,12 +46,12 @@ from stochgraph.mc import (
     block_classes,
     draw_classes,
     group_classes,
-    realization_classes,
     run_conditional_mc,
 )
 from stochgraph.model import Event, pinned_event
 from stochgraph.rng import SampleStream
 from stochgraph.sampling import ConditionalSampler
+from stochgraph.solvers import fill_memo
 
 G = gen_graph("euclidean-uniform", 8, 12, 1)
 
@@ -97,10 +98,13 @@ def test_two_word_classes(benchmark):
     sampler = ConditionalSampler(TWO_WORDS)
     assert sampler.lookups is None
     rows = sampler.draw_block(SampleStream(1, "bench", TWO_WORDS.n), 0, BLOCK_SIZE)
-    rows.sort(axis=1)
+
+    def keys() -> list:
+        classes, _ = block_classes(sampler, rows.copy())
+        return fill_memo(classes, {}, lambda idx: [0.0] * len(idx), TWO_WORDS.m)
+
     benchmark.group = "classes"
-    classes, inverse = benchmark(realization_classes, rows, TWO_WORDS.m)
-    assert (classes[inverse] == rows).all()
+    assert len(set(benchmark(keys))) == len(np.unique(np.sort(rows, axis=1), axis=0))
 
 
 LADDER_CC = gen_graph("euclidean-uniform", 10, 14, 1)
@@ -145,6 +149,6 @@ def test_group_draw(benchmark, way):
         blocks = benchmark(lambda: [draw_classes(s, st, 50, 0) for s, st in zip(samplers, streams)])
     else:
         blocks = benchmark(lambda: group_classes(
-            g.m, [st.uniforms(0, 50)[:, : g.n] for st in streams], [s.table for s in samplers]
+            [st.uniforms(0, 50)[:, : g.n] for st in streams], [s.table for s in samplers]
         ))
     assert sum(len(inverse) for _, inverse in blocks) == 80 * 50

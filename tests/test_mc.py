@@ -38,7 +38,6 @@ from stochgraph.mc import (
     block_classes,
     group_classes,
     pinned_term,
-    realization_classes,
     run_conditional_mc,
 )
 from stochgraph.model import Event
@@ -143,32 +142,6 @@ def test_tree_sum_independent_of_chunk_boundaries():
     assert tree_sum(vals.copy()) == total
 
 
-# ---------------------------------------------------------------------------
-# realization_classes
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("n, m", [(5, 6), (16, 10), (16, 24)])  # (16, 24) keys take two words
-def test_realization_classes_partition_matches_rowwise_unique(n, m):
-    rng = rng_for(100 * n + m)
-    for _ in range(5):
-        count = int(rng.integers(1, 3000))
-        # few distinct values per column so that rows repeat; -1 is absent
-        support = rng.integers(0, m, size=(n, 3))
-        support[::2, 0] = -1
-        rows = support[np.arange(n), rng.integers(0, 3, size=(count, n))]
-        rows.sort(axis=1)
-        assert (rows == -1).any()
-        classes, inverse = realization_classes(rows.copy(), m)
-        ref, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
-        assert len(classes) == len(ref)
-        np.testing.assert_array_equal(classes[inverse], rows)
-        # same partition: rows share a class exactly when they share one
-        # under the row-wise unique
-        pairs = set(zip(inverse.tolist(), ref_inverse.ravel().tolist()))
-        assert len(pairs) == len(ref)
-        np.testing.assert_array_equal(classes, ref)  # lexicographic class order
-
-
 def test_class_fn_gets_each_block_distinct_sorted_classes(rng):
     g = random_graph(rng, 4, 5)
     sampler = ConditionalSampler(g)
@@ -181,14 +154,18 @@ def test_class_fn_gets_each_block_distinct_sorted_classes(rng):
     n = 2 * BLOCK_SIZE + 7
     mean, hits = run_conditional_mc(sampler, class_fn, n, SampleStream(1, "blocks", g.n))
     assert len(blocks) == 3
-    rows = np.sort(sampler.draw_block(SampleStream(1, "blocks", g.n), 0, n), axis=1)
+    drawn = sampler.draw_block(SampleStream(1, "blocks", g.n), 0, n)
+    rows = np.sort(drawn, axis=1)
     # integer values sum exactly, so block boundaries cannot matter
     assert mean == tree_sum(rows[:, -1].astype(float)) / n
     assert hits == int((rows[:, 0] == rows[:, -1]).sum())
-    for block in blocks:
+    # keyed by outcome position: one class per distinct outcome tuple
+    assert sampler.lookups is not None
+    for b, block in enumerate(blocks):
         assert block.shape[1] == g.n
         assert np.all(block[:, 1:] >= block[:, :-1])
-        assert len(np.unique(block, axis=0)) == len(block)
+        tuples = drawn[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE]
+        assert len(block) == len(np.unique(tuples, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +213,19 @@ def test_position_keys_give_the_classes_of_sorted_rows(case):
             assert [j for j, _ in sampler.lookups] == [j for j, r in enumerate(sizes) if r > 1]
         rows = sampler.draw_block(SampleStream(seed, case, g.n), 0, BLOCK_SIZE)
         classes, inverse = block_classes(sampler, rows.copy())
-        ref_classes, ref_inverse = realization_classes(np.sort(rows, axis=1), m)
-        assert classes.dtype == ref_classes.dtype and inverse.dtype == ref_inverse.dtype
-        np.testing.assert_array_equal(classes, ref_classes)
-        np.testing.assert_array_equal(inverse, ref_inverse)
-        if case == "shared-points":  # distinct position tuples, one point set
-            assert len(classes) < len(np.unique(rows, axis=0))
+        row_sorted = np.sort(rows, axis=1)
+        assert classes.dtype == rows.dtype and inverse.dtype == np.intp
+        np.testing.assert_array_equal(classes[inverse], row_sorted)
+        if sampler.lookups is None:  # the whole block, row-sorted, is its classes
+            np.testing.assert_array_equal(classes, row_sorted)
+            np.testing.assert_array_equal(inverse, np.arange(len(rows)))
+        else:
+            # rows share a class exactly when they share an outcome tuple
+            tuples, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
+            assert len(classes) == len(tuples)
+            assert len(set(zip(inverse.tolist(), ref_inverse.ravel().tolist()))) == len(tuples)
+        if case == "shared-points":  # distinct outcome tuples, one point set: one class each
+            assert len(np.unique(classes, axis=0)) < len(classes) == len(tuples)
         if existential:
             assert (rows == -1).any()
 
@@ -509,12 +493,10 @@ def test_group_draw_equals_each_term_drawn_alone():
     # a uniform on a threshold, an absent node, and no draw past cum's 1.0
     assert (uniforms[0][:, 4] == 0.5).any() and (rows[:, 2] == -1).any()
     assert (rows[:, 3] != 3).all()
-    grouped = group_classes(g.m, uniforms, tables)
-    for (classes, inverse), sampler, block in zip(grouped, samplers, drawn):
-        ref_classes, ref_inverse = block_classes(sampler, block)
-        assert classes.dtype == ref_classes.dtype and inverse.dtype == ref_inverse.dtype
-        np.testing.assert_array_equal(classes, ref_classes)
-        np.testing.assert_array_equal(inverse, ref_inverse)
+    grouped = group_classes(uniforms, tables)
+    for (classes, inverse), block in zip(grouped, drawn):
+        assert classes.dtype == block.dtype and inverse.dtype == np.intp
+        np.testing.assert_array_equal(classes[inverse], np.sort(block, axis=1))
 
 
 def test_more_deferred_terms_than_one_search_holds(monkeypatch):

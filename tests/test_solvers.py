@@ -31,7 +31,7 @@ from stochgraph import (
 )
 
 from stochgraph import cc as cc_module
-from stochgraph import mc, oracle, solvers
+from stochgraph import oracle, solvers
 from stochgraph.cc import split_points
 from stochgraph.generate import gen_graph
 from stochgraph.model import mass_in
@@ -703,8 +703,8 @@ def run_case(kind: str, functional: str, g: StochasticGraph):
 @pytest.mark.parametrize("kind,functional,name", MEMO_CASES)
 def test_one_digit_words_give_the_default_results(monkeypatch, kind, functional, name):
     """With ``place_values`` patched to one base-(m + 1) digit per word, every
-    key is folded from n words and every block is deduplicated on n columns,
-    yet the memo keys and the results equal the default ones bit for bit."""
+    key is folded from n words, yet the memo keys and the results equal the
+    default ones bit for bit."""
     g = suite_graph(name)
     keys: list = []
 
@@ -725,8 +725,7 @@ def test_one_digit_words_give_the_default_results(monkeypatch, kind, functional,
         widths.append(n)
         return np.eye(n, dtype=np.int64), m + 1
 
-    for module in (solvers, mc):
-        monkeypatch.setattr(module, "place_values", one_digit)
+    monkeypatch.setattr(solvers, "place_values", one_digit)
     assert run_case(kind, functional, g) == default
     assert keys == default_keys
     assert max(widths) == g.n
