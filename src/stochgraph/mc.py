@@ -198,6 +198,10 @@ def run_conditional_mc(
     return total / n_samples / scale, hits
 
 
+_HELD_INVERSE = np.min_scalar_type(BLOCK_SIZE)  # uint16
+_HELD_SAMPLES = 64 * BLOCK_SIZE  # 512 KiB of uint16 inverses
+
+
 def estimate_conditional(
     g: StochasticGraph,
     terms: Iterable[tuple[Union[EventSpec, Event, None], int, str, Any]],
@@ -214,17 +218,24 @@ def estimate_conditional(
     holds each row's term key.  Terms are read lazily, in order.  A term of
     ``BLOCK_SIZE`` samples or more runs at once through ``run_conditional_mc``,
     block by block on the ``threads`` pool.  A smaller term frees its sampler
-    and waits in a group that closes once its terms have drawn ``BLOCK_SIZE``
-    samples; a pinned term gives its one realization, one sample.  A term
-    whose support is at most its sample count draws its block on joining, any
-    other when ``group_classes`` draws the group's.  One ``class_fn`` call
-    solves the row-sorted classes of the whole group, and each term is
-    reduced on its slice of the values, so it equals the term run alone.
+    and waits in a group; a pinned term gives its one realization, one
+    sample.  A term whose support is at most its sample count draws its block
+    on joining and is keyed, any other when ``group_classes`` draws the
+    group's.  One ``class_fn`` call solves the row-sorted classes of the
+    whole group, and each term is reduced on its slice of the values, so it
+    equals the term run alone.
+
+    A group closes once the rows it will hand ``class_fn`` reach
+    ``BLOCK_SIZE``: a pinned term's one row, a keyed term's classes, a
+    deferred term's samples.  A keyed term has fewer than ``BLOCK_SIZE``
+    classes, so its inverse is held as uint16; the group also closes once
+    its terms hold 64 * ``BLOCK_SIZE`` samples, so a group waiting for its
+    next term holds at most 512 KiB of inverses.
     """
     results: list = []
     group: list = []  # [position, key, samples, classes, inverse]; inverse None if pinned
     deferred: list = []  # (group slot, uniforms, table) of the terms drawn at its close
-    drawn = 0
+    rows = held = 0  # rows the group hands class_fn; samples its terms hold
 
     def solve_group() -> None:
         if deferred:
@@ -268,12 +279,14 @@ def estimate_conditional(
                 deferred.append((len(group), stream.uniforms(0, n_samples), sampler.table))
             else:
                 classes, inverse = draw_classes(sampler, stream, n_samples, 0)
+                inverse = inverse.astype(_HELD_INVERSE)
         del sampler  # a waiting term holds its drawn block, or its uniforms and table, only
         group.append([i, key, n_samples, classes, inverse])
-        drawn += n_samples
-        if drawn >= BLOCK_SIZE:
+        rows += n_samples if classes is None else len(classes)
+        held += n_samples
+        if rows >= BLOCK_SIZE or held >= _HELD_SAMPLES:
             solve_group()
-            group, deferred, drawn = [], [], 0
+            group, deferred, rows, held = [], [], 0, 0
     if group:
         solve_group()
     return results

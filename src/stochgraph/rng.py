@@ -10,6 +10,7 @@ blocks or spread across workers.
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -17,6 +18,31 @@ from numpy.random import Generator, Philox
 # Changes whenever the draws of a (seed, tag, index) triple change; reports
 # record it.  2: windows of 4 * ceil(n / 4) draws for n nodes (1: 64 draws).
 STREAM_VERSION = 2
+
+_WORD = 2**64 - 1
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+_local = threading.local()  # each thread's reused Generator(Philox)
+
+
+def _philox(key: np.ndarray, counter: int) -> Generator:
+    """This thread's one ``Generator(Philox)``, set to (key, counter) with an
+    empty output buffer: it draws what ``Generator(Philox(key, counter))``
+    would, without building a bit generator per call."""
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = Generator(Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([(counter >> s) & _WORD for s in (0, 64, 128, 192)], dtype=np.uint64),
+            "key": key,
+        },
+        "buffer": _EMPTY_BUFFER,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 class SampleStream:
@@ -36,11 +62,11 @@ class SampleStream:
         self.tag = str(tag)
         self.width = 4 * -(-int(draws) // 4)
         digest = hashlib.sha256(f"{self.seed}:{self.tag}".encode()).digest()
-        self._key = int.from_bytes(digest[:16], "little")
+        key = int.from_bytes(digest[:16], "little")
+        self._key = np.array([key & _WORD, key >> 64], dtype=np.uint64)
 
     def uniforms(self, start: int, count: int) -> np.ndarray:
         if count <= 0:
             return np.empty((0, self.width))
-        bitgen = Philox(key=self._key, counter=start * (self.width // 4))
-        flat = Generator(bitgen).random(count * self.width)
+        flat = _philox(self._key, start * (self.width // 4)).random(count * self.width)
         return flat.reshape(count, self.width)

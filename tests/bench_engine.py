@@ -31,6 +31,12 @@ Two cases time cc on the benchmark's ladder-large cc instance
   50 samples each, from their samplers and streams to each term's classes,
   drawn per term (``draw_classes``) or as one group (``group_classes``).
 
+``keyed-group`` times ``estimate_conditional`` over the 166 planned pair
+terms of the acceptance suite's ``eu-5-6`` cc instance
+(``euclidean-uniform 5 6``, generator seed 14) at cap 2,500, seed 1, with a
+cold ``_PairValues.class_fn``: every term is keyed (support at most 2,500),
+so this is the per-group floor of campaign-small's cc op without planning.
+
 The file name keeps it out of the default ``test_*.py`` collection.
 """
 
@@ -45,6 +51,7 @@ from stochgraph.mc import (
     BLOCK_SIZE,
     block_classes,
     draw_classes,
+    estimate_conditional,
     group_classes,
     run_conditional_mc,
 )
@@ -152,3 +159,35 @@ def test_group_draw(benchmark, way):
             [st.uniforms(0, 50)[:, : g.n] for st in streams], [s.table for s in samplers]
         ))
     assert sum(len(inverse) for _, inverse in blocks) == 80 * 50
+
+
+CAMPAIGN_CC = gen_graph("euclidean-uniform", 5, 6, 14)
+
+
+def cc_pair_terms(g, n_samples: int) -> tuple:
+    """The split graph and the ``(event, n_samples, tag, key)`` term of every
+    pair term that ``estimate_ecc`` samples, in its order."""
+    sp = cc.split_points(g)
+    owner, m = sp.owner, sp.graph.m
+    pairs = [
+        (a, b) for a in range(m) for b in range(a + 1, m)
+        if owner[a] >= 0 and owner[b] >= 0 and owner[a] != owner[b]
+    ]
+    planned = [
+        cc._plan_term(sp, s, t, n_samples, mutual=mutual)[1]
+        for a, b in pairs for s, t, mutual in ((a, b, False), (b, a, False), (a, b, True))
+    ]
+    return sp.graph, [term for term in planned if term is not None]
+
+
+def test_keyed_group(benchmark):
+    g, terms = cc_pair_terms(CAMPAIGN_CC, 2500)
+    assert len(terms) == 166
+    assert all(ConditionalSampler(g, event).support <= 2500 for event, *_ in terms)
+    benchmark.group = "keyed-group"
+    results = benchmark(
+        lambda: estimate_conditional(g, terms, cc._PairValues(g).class_fn, seed=1)
+    )
+    report = cc.estimate_ecc(CAMPAIGN_CC, 0.25, 1, budget_cap=2500)
+    sampled = [d for d in report.extras["pairs"] if d["prob"] > 0.0]
+    assert [(d["indicator_hits"], d["samples"]) for d in sampled] == [r[1:] for r in results]

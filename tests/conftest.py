@@ -252,15 +252,17 @@ class NNEventStats:
         return self.tables[table].get(key, default)
 
 
-def count_groups(samples, block: int) -> int:
-    """Groups that terms of these sample counts, each less than ``block``,
-    form when a group closes once its terms have drawn ``block`` samples."""
-    groups, drawn = 0, 0
-    for n in samples:
-        drawn += n
-        if drawn >= block:
-            groups, drawn = groups + 1, 0
-    return groups + (drawn > 0)
+def count_groups(rows, block: int) -> int:
+    """Groups that terms handing ``class_fn`` these row counts, each less than
+    ``block``, form when a group closes once its rows reach ``block``.  A
+    deferred term (support above its sample count) hands one row per sample;
+    the 64-block bound on held samples never closes a group of such terms."""
+    groups, total = 0, 0
+    for n in rows:
+        total += n
+        if total >= block:
+            groups, total = groups + 1, 0
+    return groups + (total > 0)
 
 
 @pytest.fixture

@@ -462,7 +462,8 @@ def test_kernels_run_once_per_group_on_the_ladder_instance(monkeypatch):
 
         monkeypatch.setattr(cc_module, f"_{name}_indices", counted)
     report = estimate_ecc(ladder_cc_graph(), 0.25, 1, budget_cap=50)
-    # groups close once their terms have drawn a block of samples
+    # 414 of the 436 terms are deferred (one row per sample); the 22 keyed
+    # ones hand fewer rows, and still 6 groups close
     sampled = [d["samples"] for d in report.extras["pairs"] if d["prob"] > 0.0]
     groups = count_groups(sampled, BLOCK_SIZE)
     assert len(sampled) == 436 and groups == 6

@@ -406,6 +406,22 @@ def test_conditional_unbiased_at_sampler_level(rng):
     assert mean == pytest.approx(oracle, rel=0.05)
 
 
+def each_term_alone(g, terms, class_fn, seed):
+    """(mean, hits, samples) of each ``(event, n_samples, tag, key)`` term run
+    alone: ``pinned_term``, or ``run_conditional_mc`` on its own stream."""
+    alone = []
+    for event, n, tag, key in terms:
+        def fn(rows, key=key):
+            return class_fn(rows, np.full(len(rows), key))
+
+        sampler = ConditionalSampler(g, event)
+        if sampler.is_deterministic:
+            alone.append(pinned_term(sampler, fn))
+        else:
+            alone.append((*run_conditional_mc(sampler, fn, n, SampleStream(seed, tag, g.n)), n))
+    return alone
+
+
 def test_grouped_terms_equal_each_term_run_alone(rng):
     g = random_graph(rng, 4, 5, max_support=3)
     evaluator = FunctionalEvaluator(g, Functional.MST)
@@ -426,21 +442,86 @@ def test_grouped_terms_equal_each_term_run_alone(rng):
         (pinned if n == 1 else narrow if k % 2 else None, n, f"term-{k}", k + 1)
         for k, n in enumerate(sizes)
     ]
-    alone = []
-    for event, n, tag, key in terms:
-        sampler = ConditionalSampler(g, event)
-
-        def fn(rows, key=key):
-            return class_fn(rows, np.full(len(rows), key))
-
-        if sampler.is_deterministic:
-            alone.append(pinned_term(sampler, fn))
-        else:
-            stream = SampleStream(3, tag, g.n)
-            alone.append((*run_conditional_mc(sampler, fn, n, stream), n))
+    alone = each_term_alone(g, terms, class_fn, seed=3)
     assert [samples for _, _, samples in alone] == sizes
     for threads in (1, 3):
         assert estimate_conditional(g, iter(terms), class_fn, seed=3, threads=threads) == alone
+
+
+def keyed_class_fn(g, calls):
+    """A keyed MST ``class_fn`` that records the rows of each call."""
+    evaluator = FunctionalEvaluator(g, Functional.MST)
+
+    def class_fn(rows, keys):
+        calls.append(len(rows))
+        return evaluator.values(rows) * keys, (rows[:, 0] % 2 == keys % 2).astype(int)
+
+    return class_fn
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_keyed_terms_group_by_the_classes_they_hand_class_fn(threads):
+    # 60 terms of 2,500 samples, support at most 50: their classes fill one
+    # group, where closing by samples drawn made 30
+    g = random_graph(rng_for(31), 4, 6)
+    rng = rng_for(32)
+    terms = []
+    while len(terms) < 60:
+        allowed = np.zeros((g.n, g.m), dtype=bool)
+        for v in range(g.n):
+            points = np.flatnonzero(g.probs[v] > 0.0)
+            size = min(len(points), int(rng.integers(1, 4)))
+            allowed[v, rng.choice(points, size=size, replace=False)] = True
+        event = Event(allowed, np.zeros(g.n, dtype=bool))
+        if 1 < ConditionalSampler(g, event).support <= 50:
+            terms.append((event, 2500, f"keyed-{len(terms)}", len(terms) + 1))
+    calls: list = []
+    class_fn = keyed_class_fn(g, calls)
+    got = estimate_conditional(g, terms, class_fn, seed=4, threads=threads)
+    rows = sum(calls)
+    assert len(calls) == -(-rows // BLOCK_SIZE) == 1
+    assert got == each_term_alone(g, terms, class_fn, seed=4)
+
+
+def test_one_class_terms_close_their_groups_by_the_samples_they_hold(monkeypatch):
+    # support 2, but the second outcome has probability 1e-15: each term of
+    # BLOCK_SIZE - 1 samples hands class_fn one row and holds 4,095 samples
+    g = StochasticGraph(
+        ["v0", "v1"], line_space(0.0, 1.0, 3.0),
+        np.array([[1.0 - 1e-15, 1e-15, 0.0], [0.0, 0.0, 1.0]]),
+    )
+    n = BLOCK_SIZE - 1
+    terms = [(None, n, f"one-{k}", k + 1) for k in range(150)]
+    held, run = [], mc_module.run_conditional_mc
+
+    def recorded(sampler, class_fn, n_samples, stream, threads=1, blocks=None):
+        held.append(None if blocks is None else blocks[0][1].dtype)
+        return run(sampler, class_fn, n_samples, stream, threads, blocks)
+
+    monkeypatch.setattr(mc_module, "run_conditional_mc", recorded)
+    calls: list = []
+    class_fn = keyed_class_fn(g, calls)
+    got = estimate_conditional(g, terms, class_fn, seed=6)
+    per_group = -(-64 * BLOCK_SIZE // n)  # 65 terms reach 64 blocks of samples
+    assert calls == [per_group, per_group, 150 - 2 * per_group]
+    assert (per_group - 1) * n < 64 * BLOCK_SIZE  # waiting: under 512 KiB of uint16
+    assert held == [np.dtype(np.uint16)] * 150
+    assert got == each_term_alone(g, terms, class_fn, seed=6)
+
+
+def test_campaign_cc_instance_solves_its_nearest_neighbors_in_few_calls(monkeypatch):
+    # the acceptance suite's eu-5-6 at the cc cap: 166 keyed pair terms
+    calls = []
+    kernel = cc_module._nn_indices
+
+    def counted(space, idx):
+        calls.append(len(idx))
+        return kernel(space, idx)
+
+    monkeypatch.setattr(cc_module, "_nn_indices", counted)
+    report = estimate_ecc(gen_graph("euclidean-uniform", 5, 6, 14), 0.25, 1, budget_cap=2500)
+    assert len([d for d in report.extras["pairs"] if d["prob"] > 0.0]) == 166
+    assert 1 <= len(calls) <= 3
 
 
 class FixedStream:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -301,6 +304,27 @@ def test_uniforms_are_multiples_of_2_to_the_minus_53():
         u = SampleStream(seed, tag, draws).uniforms(3, 2000) * 2.0**53
         assert (u == np.floor(u)).all() and u.min() >= 0 and u.max() < 2.0**53
         assert len(np.unique(u % 2)) == 2  # not all of them even: 53 bits are used
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_uniforms_equal_a_fresh_philox_on_every_thread(threads):
+    # each thread reuses one Philox; its draws must be those of a new one
+    # keyed by sha256("seed:tag") at counter start * width / 4
+    cases = [
+        (1, "a", 5, 0, 7), (7, "cc/p0/p1/mutual", 16, 3, 2000), (2**40, "", 1, 10**6, 1),
+        (5, "wide", 33, 2**70, 3), (1, "a", 5, 11, 40), (9, "b", 12, 0, 1),
+    ] * 4
+
+    def both(case):
+        seed, tag, draws, start, count = case
+        stream = SampleStream(seed, tag, draws)
+        key = int.from_bytes(hashlib.sha256(f"{seed}:{tag}".encode()).digest()[:16], "little")
+        fresh = Generator(Philox(key=key, counter=start * stream.width // 4))
+        return stream.uniforms(start, count).tobytes(), fresh.random(count * stream.width).tobytes()
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pairs = list(pool.map(both, cases))
+    assert all(got == want for got, want in pairs)
 
 
 def test_sampling_deterministic_and_partition_independent():
