@@ -265,6 +265,10 @@ def _cmd_compare(args) -> int:
     for e in estimators:
         if e not in ESTIMATORS:
             raise ValidationError(f"unknown estimator {e!r}")
+    for what, given in (("estimator", estimators), ("instance", args.instances)):
+        repeated = [x for i, x in enumerate(given) if x in given[:i]]
+        if repeated:  # each would write its rows twice
+            raise ValidationError(f"{what} {repeated[0]!r} given more than once")
     if args.seeds < 1:
         raise ValidationError("seed count must be at least 1")
     _warn_budget(args)

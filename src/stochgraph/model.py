@@ -12,6 +12,7 @@ package events are ``Event`` index masks; ``EventSpec.to_event`` converts.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -124,6 +125,16 @@ class MetricSpace:
 
     def d(self, a: Union[str, int], b: Union[str, int]) -> float:
         return float(self.dist[self.index(a), self.index(b)])
+
+    @functools.cached_property
+    def padded_dist(self) -> np.ndarray:
+        """``dist`` with one more row and column of +inf, flattened and
+        read-only: entry a * (m + 1) + b is d(a, b), and index m is a point
+        at infinite distance from every point.  Built on first use; threads
+        racing to build it build equal tables."""
+        pad = np.pad(self.dist, (0, 1), constant_values=np.inf).reshape(-1)
+        pad.flags.writeable = False
+        return pad
 
 
 def _point_id_index(space: MetricSpace, point) -> int:

@@ -135,25 +135,34 @@ def _chunks(B: int, row_bytes: int) -> Iterator[slice]:
 # ---------------------------------------------------------------------------
 
 def _mst_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
-    """Prim's algorithm on every row at once, one gathered distance row per step."""
+    """Prim's algorithm on every row at once, one gathered distance row per step.
+
+    ``live`` holds each row's points with every tree point replaced by m, so
+    gathering the new tree point's row of ``space.padded_dist`` at ``live``
+    reads +inf at the tree points and no tree mask is kept.
+    """
     B, k = idx.shape
     if k <= 1:
         return np.zeros(B)
-    dist = space.dist
-    rows = np.arange(B)
-    in_tree = np.zeros((B, k), dtype=bool)
-    in_tree[:, 0] = True
-    best = dist[idx[:, :1], idx]
-    best[:, 0] = np.inf
-    picked = np.empty((B, k - 1))
-    for step in range(k - 1):
-        j = best.argmin(axis=1)
-        picked[:, step] = best[rows, j]
-        in_tree[rows, j] = True
-        best[rows, j] = np.inf
-        np.minimum(best, np.where(in_tree, np.inf, dist[idx[rows, j][:, None], idx]), out=best)
+    m, pad = space.m, space.padded_dist
+    picked = np.empty((k - 1, B))
+    for part in _chunks(B, 32 * k):  # four (rows, k) temporaries of 8-byte items
+        live = idx[part].astype(np.intp)
+        at = np.arange(0, live.size, k)  # flat position of each row's column 0
+        offset = live.reshape(-1) * (m + 1)  # where each entry's row starts in pad
+        live[:, 0] = m
+        best = pad.take(offset[at, None] + live)
+        for step in range(k - 1):
+            cell = best.argmin(axis=1)
+            cell += at
+            best.take(cell, out=picked[step, part])
+            if step == k - 2:
+                break
+            best.put(cell, np.inf)
+            live.put(cell, m)
+            np.minimum(best, pad.take(offset.take(cell)[:, None] + live), out=best)
     # 256 rows' lists at a time die young: no collection promotes thousands of them
-    return np.array([math.fsum(p) for s in range(0, B, 256) for p in picked[s : s + 256].tolist()])
+    return np.array([math.fsum(p) for s in range(0, B, 256) for p in picked[:, s : s + 256].T.tolist()])
 
 
 def mst_length(space: MetricSpace, points: Sequence) -> float:

@@ -21,10 +21,18 @@ solved and stored; a ``warm`` one already holds every set.  One more block,
 instance (``euclidean-uniform 16 24``, generator seed 1), whose keys take two
 int64 words, so the fold of several words into one key is timed too.
 
+``test_calibration`` never calls the package: it is fixed numpy and Python
+work shaped like the MST kernel (a gather, ``argmin`` and ``minimum`` over a
+4096 x 16 array, then one ``math.fsum`` per row).  Its time tracks only the
+host's speed, so a kernel case divided by it compares runs made at
+different host speeds.
+
 The file name keeps it out of the default ``test_*.py`` collection.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +75,24 @@ def test_kernel(benchmark, name, k, B):
     benchmark.group = f"{name} k={k}"
     out = benchmark(KERNELS[name], SPACE, idx)
     assert len(out.total if name == "nn" else out) == B
+
+
+CALIBRATION_TABLE = np.random.default_rng(7).random(4096 * 16)
+CALIBRATION_INDEX = np.random.default_rng(8).integers(0, 4096 * 15, (4096, 16))
+
+
+def calibration_work() -> list[float]:
+    """Fixed work on fixed data; nothing from the package."""
+    best = CALIBRATION_TABLE.take(CALIBRATION_INDEX)
+    for _ in range(15):
+        j = best.argmin(axis=1)
+        np.minimum(best, CALIBRATION_TABLE.take(CALIBRATION_INDEX + j[:, None]), out=best)
+    return [math.fsum(row) for row in best.tolist()]
+
+
+def test_calibration(benchmark):
+    benchmark.group = "calibration"
+    assert len(benchmark(calibration_work)) == 4096
 
 
 def oracle_chunk() -> np.ndarray:

@@ -329,6 +329,19 @@ def test_compare_without_estimators_is_invalid(instance_path, estimators, capsys
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("repeat", ["estimator", "instance"])
+def test_compare_with_a_repeated_estimator_or_instance_is_invalid(instance_path, repeat, capsys):
+    path = str(instance_path)
+    if repeat == "estimator":
+        args, name = ["compare", path, "--estimators", "mst-home,cc, mst-home"], "mst-home"
+    else:
+        args, name = ["compare", path, path, "--estimators", "mst-home"], path
+    assert main(args + ["--epsilon", "0.25", "--seeds", "1", "--budget-cap", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == f"invalid: {repeat} {name!r} given more than once"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["exact", "compare"])
 def test_negative_enumeration_cap_is_invalid_and_cap_0_refuses(instance_path, capsys, command):
     args = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from stochgraph import (
     find_home,
     mst_length,
 )
+
+from stochgraph.generate import gen_graph
 
 from conftest import euclidean_space, random_graph, rng_for
 
@@ -163,6 +166,18 @@ def test_more_than_64_nodes():
     report = estimate_emst(g, 0.25, seed=1, budget_cap=10)
     assert report.value > 0.0
     assert all(t.samples <= 10 for t in report.terms)
+
+
+def test_ladder_instance_is_bit_identical_at_two_threads():
+    # two 4096-sample blocks on two pool threads; each fresh graph's space
+    # builds its padded distance table in whichever thread solves first
+    docs = []
+    for threads in (1, 2):
+        g = gen_graph("euclidean-uniform", 16, 24, 1)
+        doc = estimate_emst(g, 0.25, seed=1, budget_cap=8192, threads=threads).to_dict()
+        assert doc.pop("threads") == threads
+        docs.append(json.dumps(doc, sort_keys=True))
+    assert docs[0] == docs[1]
 
 
 def test_scaling_equivariance_same_seed():

@@ -277,6 +277,68 @@ def test_batched_mst_matches_tree_enumeration(k):
     assert got.tolist() == [mst_by_tree_enumeration(space, r) for r in rows.tolist()]
 
 
+def big_grid_space() -> MetricSpace:
+    """A 6 x 6 integer grid plus four co-located copies: ties everywhere."""
+    xy = [[x, y] for x in range(6) for y in range(6)] + [[0, 0], [2, 3], [2, 3], [5, 1]]
+    return MetricSpace([f"q{i}" for i in range(len(xy))], coords=np.array(xy, dtype=float))
+
+
+def mst_by_kruskal(space: MetricSpace, row) -> float:
+    """One row's MST weight by Kruskal over ``edge_order``; a repeated point
+    adds a zero edge."""
+    points = set(row)
+    parent = {p: p for p in points}
+
+    def root(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    lengths = [0.0] * (len(row) - len(points))
+    for a, b in zip(*edge_order(space)):
+        if a in points and b in points and root(a) != root(b):
+            parent[root(a)] = root(b)
+            lengths.append(float(space.dist[a, b]))
+    return math.fsum(lengths)
+
+
+@pytest.mark.parametrize("k", [8, 12, 16, 32])
+def test_batched_mst_matches_kruskal_past_enumeration(k):
+    space = big_grid_space()
+    rows = random_rows(rng_for(650 + k), space.m, k, 60, distinct=False)
+    rows[:10, 1] = rows[:10, 0]  # every row of these repeats a point
+    got = _mst_indices(space, rows)
+    assert any(len(set(r)) < k for r in rows[10:].tolist())
+    assert got.tolist() == [mst_by_kruskal(space, r) for r in rows.tolist()]
+
+
+def test_batched_mst_row_does_not_depend_on_its_batch_at_k16():
+    rng = rng_for(660)
+    space = big_grid_space()
+    rows = random_rows(rng, space.m, 16, 1500, distinct=False)  # several kernel chunks
+    whole = _mst_indices(space, rows)
+    alone = np.concatenate([_mst_indices(space, rows[i : i + 1]) for i in range(len(rows))])
+    perm = rng.permutation(len(rows))
+    assert whole.tobytes() == alone.tobytes()
+    assert _mst_indices(space, rows[perm]).tobytes() == whole[perm].tobytes()
+
+
+def test_padded_distance_table_is_read_only_and_built_once():
+    space = big_grid_space()
+    m = space.m
+    rows = random_rows(rng_for(661), m, 5, 10, distinct=False)
+    _mst_indices(space, rows)
+    pad = space.padded_dist
+    _mst_indices(space, rows)
+    assert space.padded_dist is pad
+    assert not pad.flags.writeable
+    with pytest.raises(ValueError):
+        pad[0] = 1.0
+    table = pad.reshape(m + 1, m + 1)
+    assert np.array_equal(table[:m, :m], space.dist)
+    assert np.isposinf(table[m]).all() and np.isposinf(table[:, m]).all()
+
+
 @pytest.mark.parametrize("k", [0, 2, 4, 6, 8])
 def test_batched_mpm_matches_subset_dp(k):
     space = grid_space()
