@@ -38,8 +38,6 @@ from .model import (
     load_instance,
     node_mass,
     realization_probability,
-    set_distance,
-    set_set_distance,
 )
 from .mpm import HomeClustering, estimate_empm, find_home_clusters
 from .mst_dp import estimate_emst_dp
@@ -52,7 +50,6 @@ from .solvers import (
     NNGraph,
     cc_length,
     edge_key,
-    longest_nn_edge,
     mpm_length,
     mst_length,
     nn_graph,
@@ -98,7 +95,6 @@ __all__ = [
     "instance_from_dict",
     "instance_to_dict",
     "load_instance",
-    "longest_nn_edge",
     "mpm_length",
     "mst_length",
     "nn_graph",
@@ -107,8 +103,6 @@ __all__ = [
     "prob_nearest",
     "realization_probability",
     "sample",
-    "set_distance",
-    "set_set_distance",
     "split_points",
     "tree_sum",
 ]

@@ -54,7 +54,10 @@ def estimate_by_homes(
     returns every node v's probability mass on the points ``mask[v]``; the
     two estimators sum these masses in different orders, which can differ in
     the last bit, so each supplies its own.  ``all_home`` and ``near`` are
-    the (U, mu_lb) Chernoff bounds of the all-home and near(v) terms.  Run
+    the (U, mu_lb) Chernoff bounds of the all-home and near(v) terms, both
+    linear in D and formed with D's mantissa ``math.frexp(diameter)[0]`` in
+    place of D: they are the bounds divided by 2**frexp(D)[1], exactly, so
+    they give the same budgets, and a tiny D cannot underflow them.  Run
     parameters (seed, epsilon, budget scale and cap, threads) and the stream
     tag prefix come from ``report``.
     """
@@ -131,7 +134,8 @@ def estimate_by_homes(
     results = estimate_conditional(
         g, jobs, evaluator.class_fn, seed=report.seed, threads=report.threads
     )
+    exponent = math.frexp(diameter)[1]  # mu_lb was formed at D's mantissa
     for (term, mu_lb), (mean, _, samples) in zip(pending, results):
         term.value, term.mean, term.samples = term.probability * mean, mean, samples
-        term.possibly_negligible = mean < 0.5 * mu_lb
+        term.possibly_negligible = mean < 0.5 * math.ldexp(mu_lb, exponent)
     report.flags["epsilon_split"] = "half to sampling error, half to truncation"

@@ -153,6 +153,9 @@ def pinned_term(
     return float(vals[0]), int(hits[0]), 1
 
 
+_RESUM_BELOW = 2.0**-969  # 2**53 times the least normal double
+
+
 def run_conditional_mc(
     sampler: Optional[ConditionalSampler],
     class_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
@@ -175,17 +178,24 @@ def run_conditional_mc(
     otherwise each block is drawn here, when it is reduced.
 
     Values are summed times ``scale``, a power of two below 1 / n_samples, so
-    no sum of finite values overflows; above the subnormal range that is exact.
+    no sum of finite values overflows; above the subnormal range that is
+    exact.  Tiny values lose bits when scaled below it, so a term whose
+    blocks' scaled sums are all under ``_RESUM_BELOW`` is summed again
+    unscaled, where it cannot overflow.
     """
     n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
     scale = 2.0 ** -int(n_samples).bit_length()
 
-    def process(b: int) -> tuple[float, int]:
+    def process(b: int) -> tuple[float, Optional[float], int]:
         classes, inverse = draw_classes(sampler, stream, n_samples, b) if blocks is None else blocks[b]
         vals, hits = class_fn(classes)
-        vals = np.asarray(vals, dtype=float)
-        hits = np.asarray(hits, dtype=np.int64)
-        return tree_sum(vals[inverse] * scale), int(hits[inverse].sum())
+        vals = np.asarray(vals, dtype=float)[inverse]
+        hits = int(np.asarray(hits, dtype=np.int64)[inverse].sum())
+        total = tree_sum(vals * scale)
+        if abs(total) >= _RESUM_BELOW:
+            return total, None, hits
+        # the scaled values may have lost bits; many blocks are all zero
+        return total, tree_sum(vals) if vals.any() else 0.0, hits
 
     if threads > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -193,8 +203,11 @@ def run_conditional_mc(
     else:
         results = [process(b) for b in range(n_blocks)]
 
-    total = tree_sum(np.array([s for s, _ in results]))
-    hits = sum(h for _, h in results)
+    hits = sum(h for _, _, h in results)
+    total = tree_sum(np.array([s for s, _, _ in results]))
+    unscaled = [u for _, u, _ in results]
+    if None not in unscaled and any(unscaled):
+        return tree_sum(np.array(unscaled)) / n_samples, hits
     return total / n_samples / scale, hits
 
 

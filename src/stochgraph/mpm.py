@@ -11,6 +11,7 @@ and D the largest cluster diameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -127,7 +128,7 @@ def estimate_empm(
         threads=threads,
     )
     clustering = find_home_clusters(g, epsilon)  # checks the inputs
-    D = clustering.max_diameter
+    f = math.frexp(clustering.max_diameter)[0]  # the bounds are formed at D's mantissa
     n, m = g.n, g.m
     report.extras["homes"] = clustering.to_dict(g)
     estimate_by_homes(
@@ -135,9 +136,9 @@ def estimate_empm(
         g,
         Functional.MPM,
         [clustering.clusters[ci] for ci in clustering.home_of],
-        D,
+        clustering.max_diameter,
         lambda mask: np.array([float(g.probs[v, row].sum()) for v, row in enumerate(mask)]),
-        all_home=(n * D, epsilon * D / (64.0 * n * m**5)),
-        near=((n / epsilon) * D + (n + 1) * D, epsilon * D / (128.0 * n * m**5)),
+        all_home=(n * f, epsilon * f / (64.0 * n * m**5)),
+        near=((n / epsilon) * f + (n + 1) * f, epsilon * f / (128.0 * n * m**5)),
     )
     return report.finish()

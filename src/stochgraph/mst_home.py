@@ -8,6 +8,7 @@ is home.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,15 +103,15 @@ def estimate_emst(
     else:
         home = find_home(g, epsilon)  # checks the inputs
         report.extras["home"] = home.to_dict(g.space)
-        D = home.diameter
+        f = math.frexp(home.diameter)[0]  # the bounds are formed at D's mantissa
         estimate_by_homes(
             report,
             g,
             Functional.MST,
             [list(home.members)] * g.n,
-            D,
+            home.diameter,
             lambda mask: g.probs[:, mask[0]].sum(axis=1),  # one home for all
-            all_home=(g.n * D, D * epsilon * epsilon / (32.0 * g.m * g.m)),
-            near=((g.n / epsilon) * D + g.n * D, D * epsilon * epsilon / (64.0 * g.m * g.m)),
+            all_home=(g.n * f, f * epsilon * epsilon / (32.0 * g.m * g.m)),
+            near=((g.n / epsilon) * f + g.n * f, f * epsilon * epsilon / (64.0 * g.m * g.m)),
         )
     return report.finish()

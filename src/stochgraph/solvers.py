@@ -6,11 +6,14 @@ point set per row, and solves every row in one call; a row's value never
 depends on the other rows of its block.  The public functions are one-row
 calls on point ids.
 
-All lengths are recomputed from the chosen edge/pair multiset with
-``math.fsum``, so two optimal solutions with the same true total produce the
-same float.  Edge comparisons never use raw lengths alone: ``EdgeKey`` breaks
-ties by endpoint indices under the space's canonical point order, which
-replaces the usual "perturb so no two edges have equal length" assumption.
+All lengths are recomputed from the chosen edge/pair multiset as its
+correctly rounded sum, so two optimal solutions with the same true total
+produce the same float.  The batched kernels sum a block's rows with
+``exact_sums``, which certifies each vectorized sum equal to ``math.fsum``'s
+and falls back to ``math.fsum`` where it cannot.  Edge comparisons never use
+raw lengths alone: ``EdgeKey`` breaks ties by endpoint indices under the
+space's canonical point order, which replaces the usual "perturb so no two
+edges have equal length" assumption.
 """
 
 from __future__ import annotations
@@ -130,6 +133,56 @@ def _chunks(B: int, row_bytes: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, B, step))
 
 
+_SUM_MIN_ENTRIES = 512  # measured: below it, one fsum per column beats ~20 numpy calls
+
+
+def exact_sums(x: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each column of a (K, B) float array, bit for bit.
+
+    One error-free extraction (Rump, Ogita and Oishi) splits every entry at
+    sigma, a power of two at least 2K times the block's largest magnitude:
+    q = (x + sigma) - sigma and p = x - q are exact, each q is a multiple of
+    u*sigma (u = 2**-53) and |p| <= u*sigma.  A column's q's sum exactly,
+    every partial sum being a multiple of u*sigma no larger than sigma; its
+    p's sum within gamma_(K-1) * K*u*sigma <= K*K*u*u*sigma of their exact
+    sum (K*K*u < 1; additions below the normal range are exact).  With
+    r = fl(hi + lo) and its exact remainder t (TwoSum), the exact column sum
+    lies within |t| + K*K*u*u*sigma of r, so r is its correctly rounded
+    value, fsum's result, when that distance is below half the gap from |r|
+    down to the next float.  Rounding is monotone, so the float test
+    2 * fl(|t| + bound) < gap implies the exact one.  Columns it cannot
+    settle (zero or tiny sums, near-ties, heavy cancellation), blocks with
+    a non-finite or huge entry and blocks under ``_SUM_MIN_ENTRIES`` entries
+    take ``math.fsum``.
+    """
+    K, B = x.shape
+    if x.size >= _SUM_MIN_ENTRIES and K < 1 << 26:
+        top = max(x.max(), -x.min())  # nan when any entry is
+        e = math.frexp(top)[1] + (K - 1).bit_length() + 1  # 2**e >= 2K * top
+        if math.isfinite(top) and e <= 1023:
+            sigma = math.ldexp(1.0, max(e, -900))  # sigma and the bound stay normal
+            w = x + sigma
+            w -= sigma
+            hi = w.sum(axis=0)
+            lo = np.subtract(x, w, out=w).sum(axis=0)
+            r = hi + lo
+            z = r - hi
+            t = hi - (r - z)
+            lo -= z
+            t += lo
+            np.abs(t, out=t)
+            t += sigma * (K * K * 2.0**-106)
+            t += t
+            np.abs(r, out=hi)
+            hi -= np.nextafter(hi, 0.0)
+            ok = t < hi
+            if not ok.all():
+                bad = np.flatnonzero(~ok)
+                r[bad] = [math.fsum(col) for col in x[:, bad].T.tolist()]
+            return r
+    return np.array([math.fsum(col) for col in x.T.tolist()], dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # Minimum spanning tree
 # ---------------------------------------------------------------------------
@@ -161,8 +214,7 @@ def _mst_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
             best.put(cell, np.inf)
             live.put(cell, m)
             np.minimum(best, pad.take(offset.take(cell)[:, None] + live), out=best)
-    # 256 rows' lists at a time die young: no collection promotes thousands of them
-    return np.array([math.fsum(p) for s in range(0, B, 256) for p in picked[:, s : s + 256].T.tolist()])
+    return exact_sums(picked)
 
 
 def mst_length(space: MetricSpace, points: Sequence) -> float:
@@ -225,10 +277,10 @@ def _mpm_enumerate(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
     min S * (1 + 4hu) rounded to a double from below.  (Where min S is below
     the normal range and that bound fails, sums up to min S are exact, so an
     optimal matching has S = E* <= min S.)  Every optimal matching is thus a
-    candidate.  ``math.fsum`` of a candidate's weights is its exact weight
-    correctly rounded, and rounding is monotone, so the least candidate fsum
-    is E* correctly rounded: the float that fsum of any exact optimum, such
-    as blossom's in ``_mpm_blossom``, gives.
+    candidate.  ``exact_sums`` of a candidate's weights, ``math.fsum``'s
+    float, is its exact weight correctly rounded, and rounding is monotone,
+    so the least candidate sum is E* correctly rounded: the float that fsum
+    of any exact optimum, such as blossom's in ``_mpm_blossom``, gives.
     """
     B, k = idx.shape
     h = k // 2
@@ -245,8 +297,7 @@ def _mpm_enumerate(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
         for col in columns[1:]:
             S += np.take(w, col, axis=1, out=term)
         r, m = np.divmod(np.flatnonzero(S <= S.min(axis=1, keepdims=True) * slack), M)
-        fsums = [math.fsum(x) for x in w[r[:, None], matchings[m]].tolist()]
-        np.minimum.at(out[rows], r, fsums)
+        np.minimum.at(out[rows], r, exact_sums(w[r, matchings[m].T]))
     return out
 
 
@@ -309,16 +360,15 @@ def _cc_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
     if k < 2:
         raise DomainError(f"cycle cover needs at least 2 points, got {k}")
     cols = np.arange(k)
-    out = []
+    lengths = np.empty((k, B))
     for rows in _chunks(B, 8 * k * k):
         D = space.dist[idx[rows, :, None], idx[rows, None, :]]
         # Forbid fixed points with a cost above any derangement's, so the
         # optimum never reads the diagonal.
         D[:, cols, cols] = (k * (D.max(axis=(1, 2)) + 1.0))[:, None]
         chosen = np.array([linear_sum_assignment(Dr)[1] for Dr in D])  # row r's column
-        lengths = D[np.arange(len(D))[:, None], cols, chosen]
-        out.extend(math.fsum(x) for x in lengths.tolist())
-    return np.array(out)
+        lengths[:, rows] = D[np.arange(len(D)), cols[:, None], chosen.T]
+    return exact_sums(lengths)
 
 
 def cc_length(space: MetricSpace, points: Sequence) -> float:
@@ -347,7 +397,7 @@ class NNBlock(NamedTuple):
     """Nearest-neighbor graphs of a block, one row each."""
 
     nearest: np.ndarray  # (B, k): column of each point's nearest neighbor
-    total: np.ndarray  # (B,): fsum of the distinct edge lengths
+    total: np.ndarray  # (B,): correctly rounded sum of the distinct edge lengths
     longest: np.ndarray  # (B, 2): point indices (lo, hi) of the longest edge
 
 
@@ -366,7 +416,8 @@ def _nn_indices(space: MetricSpace, idx: np.ndarray) -> NNBlock:
             "nearest-neighbor graph needs distinct points; split co-located nodes first"
         )
     cols = np.arange(k)
-    nearest, total, longest = [], [], []
+    lengths = np.empty((k, B))
+    nearest, longest = [], []
     for chunk in _chunks(B, 8 * k * k):
         at = idx[chunk]
         D = space.dist[at[:, :, None], at[:, None, :]]
@@ -378,12 +429,12 @@ def _nn_indices(space: MetricSpace, idx: np.ndarray) -> NNBlock:
         # a mutual pair is one edge: keep it from its lower column only
         kept = (near[rows, near] != cols) | (cols < near)
         length = np.where(kept, D[rows, lo, hi], 0.0)
-        total.extend(math.fsum(x) for x in length.tolist())
+        lengths[:, chunk] = length.T
         top = kept & (length == length.max(axis=1, keepdims=True))
         e = np.where(top, lo * k + hi, -1).argmax(axis=1)
         nearest.append(near)
         longest.append(np.stack([at[r, lo[r, e]], at[r, hi[r, e]]], axis=1))
-    return NNBlock(np.concatenate(nearest), np.array(total), np.concatenate(longest))
+    return NNBlock(np.concatenate(nearest), exact_sums(lengths), np.concatenate(longest))
 
 
 def nn_graph(space: MetricSpace, points: Sequence) -> NNGraph:

@@ -37,6 +37,10 @@ terms of the acceptance suite's ``eu-5-6`` cc instance
 cold ``_PairValues.class_fn``: every term is keyed (support at most 2,500),
 so this is the per-group floor of campaign-small's cc op without planning.
 
+``test_calibration`` is ``bench_solvers.py``'s host-speed case, fixed
+numpy and ``math.fsum`` work that never calls the package, so a case here
+divided by it compares runs made at different host speeds.
+
 The file name keeps it out of the default ``test_*.py`` collection.
 """
 
@@ -59,6 +63,8 @@ from stochgraph.model import Event, pinned_event
 from stochgraph.rng import SampleStream
 from stochgraph.sampling import ConditionalSampler
 from stochgraph.solvers import fill_memo
+
+from bench_solvers import calibration_work
 
 G = gen_graph("euclidean-uniform", 8, 12, 1)
 
@@ -191,3 +197,8 @@ def test_keyed_group(benchmark):
     report = cc.estimate_ecc(CAMPAIGN_CC, 0.25, 1, budget_cap=2500)
     sampled = [d for d in report.extras["pairs"] if d["prob"] > 0.0]
     assert [(d["indicator_hits"], d["samples"]) for d in sampled] == [r[1:] for r in results]
+
+
+def test_calibration(benchmark):
+    benchmark.group = "calibration"
+    assert len(benchmark(calibration_work)) == 4096

@@ -21,6 +21,12 @@ solved and stored; a ``warm`` one already holds every set.  One more block,
 instance (``euclidean-uniform 16 24``, generator seed 1), whose keys take two
 int64 words, so the fold of several words into one key is timed too.
 
+``test_row_sums`` times ``exact_sums`` against one ``math.fsum`` per
+column on a (K, B) block of uniform [0, 1) lengths, K in {3, 9, 15, 31} (the
+edge counts of the MST kernel at k = 4, 10, 16, 32) and B in {1, 64, 4096}:
+below ``_SUM_MIN_ENTRIES`` entries the helper runs the same fsum loop, so the
+pairs record where its vectorized pass starts to pay.
+
 ``test_calibration`` never calls the package: it is fixed numpy and Python
 work shaped like the MST kernel (a gather, ``argmin`` and ``minimum`` over a
 4096 x 16 array, then one ``math.fsum`` per row).  Its time tracks only the
@@ -47,6 +53,7 @@ from stochgraph.solvers import (
     _mpm_indices,
     _mst_indices,
     _nn_indices,
+    exact_sums,
     fill_memo,
 )
 
@@ -75,6 +82,23 @@ def test_kernel(benchmark, name, k, B):
     benchmark.group = f"{name} k={k}"
     out = benchmark(KERNELS[name], SPACE, idx)
     assert len(out.total if name == "nn" else out) == B
+
+
+ROW_SUM_CASES = [
+    (way, K, B) for way in ("exact_sums", "fsum") for K in (3, 9, 15, 31) for B in (1, 64, 4096)
+]
+
+
+def fsum_columns(x: np.ndarray) -> np.ndarray:
+    return np.array([math.fsum(col) for col in x.T.tolist()], dtype=float)
+
+
+@pytest.mark.parametrize("way,K,B", ROW_SUM_CASES, ids=[f"{w}-K{k}-B{b}" for w, k, b in ROW_SUM_CASES])
+def test_row_sums(benchmark, way, K, B):
+    x = np.random.default_rng(100 * K + B).random((K, B))
+    benchmark.group = f"row sums K={K} B={B}"
+    out = benchmark(exact_sums if way == "exact_sums" else fsum_columns, x)
+    assert np.array_equal(out, fsum_columns(x))
 
 
 CALIBRATION_TABLE = np.random.default_rng(7).random(4096 * 16)

@@ -554,6 +554,26 @@ def test_epsilon_too_small_for_a_finite_budget_is_invalid(instance_4x5, capsys, 
     )
 
 
+@pytest.mark.parametrize("d", [1e-318, 1e-322])
+@pytest.mark.parametrize("functional", ["mst", "mpm"])
+def test_tiny_diameter_estimates_land_near_exact(tmp_path, functional, d):
+    """At a diameter this small the all-home and near(v) mean bounds formed
+    at D, and sample values times the engine's overflow scale, underflow."""
+    path, exact, est = tmp_path / "tiny.json", tmp_path / "exact.json", tmp_path / "est.json"
+    points = ["a", "b", "c", "e"]
+    path.write_text(json.dumps({
+        "points": points,
+        "distance_matrix": [[0.0 if p == q else d for q in points] for p in points],
+        "nodes": [{"id": "v0", "dist": {"a": 0.5, "b": 0.5}},
+                  {"id": "v1", "dist": {"c": 0.25, "e": 0.25, "a": 0.5}}],
+    }))
+    assert main(["exact", str(path), "--functional", functional, "-o", str(exact)]) == 0
+    args = ["estimate", functional, str(path), "--epsilon", "0.25", "--seed", "1"]
+    assert main(args + ["--budget-cap", "50", "-o", str(est)]) == 0
+    want, got = json.loads(exact.read_text())["value"], json.loads(est.read_text())["value"]
+    assert want > 0.0 and abs(got - want) <= 0.25 * want
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "command",

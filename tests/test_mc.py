@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +141,24 @@ def test_tree_sum_independent_of_chunk_boundaries():
     vals = rng.random(10_000)
     total = tree_sum(vals)
     assert tree_sum(vals.copy()) == total
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("unit", [2.0**-1074, 2.0**-1000, 2.0**1010])
+def test_mean_of_tiny_and_huge_values_is_exact(rng, threads, unit):
+    """Values of 1..5 units over three blocks: the mean is their exact sum
+    over n, correctly rounded.  Summed times the engine's overflow scale, the
+    subnormal units would lose bits; the 2**1010 units overflow unscaled."""
+    g = random_graph(rng, 3, 5)
+    n = 2 * BLOCK_SIZE + 7
+    sampler, stream = ConditionalSampler(g), SampleStream(3, "tiny", g.n)
+
+    def class_fn(rows):
+        return (1 + rows[:, -1] % 5) * unit, np.zeros(len(rows), dtype=int)
+
+    mean, _ = run_conditional_mc(sampler, class_fn, n, stream, threads)
+    units = 1 + np.sort(sampler.draw_block(stream, 0, n), axis=1)[:, -1] % 5
+    assert mean == float(Fraction(int(units.sum()), n) * Fraction(unit))
 
 
 def test_class_fn_gets_each_block_distinct_sorted_classes(rng):

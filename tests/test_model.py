@@ -39,11 +39,9 @@ from stochgraph import (
     node_mass,
     realization_probability,
     sample,
-    set_distance,
-    set_set_distance,
 )
 from stochgraph.generate import gen_instance
-from stochgraph.model import Event
+from stochgraph.model import Event, set_distance, set_set_distance
 from stochgraph.sampling import ABSENT_IDX, node_outcomes
 
 from conftest import enumerate_realizations, random_graph, rng_for

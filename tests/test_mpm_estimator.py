@@ -17,8 +17,8 @@ from stochgraph import (
     find_home_clusters,
     mpm_length,
     node_mass,
-    set_set_distance,
 )
+from stochgraph.model import set_set_distance
 
 from conftest import euclidean_space, random_graph, rng_for
 

@@ -22,7 +22,6 @@ from stochgraph import (
     estimate_emst_dp,
     find_home,
     find_home_clusters,
-    longest_nn_edge,
     mpm_length,
     mst_length,
     nn_graph,
@@ -45,6 +44,8 @@ from stochgraph.solvers import (
     _mst_indices,
     _nn_indices,
     edge_order,
+    exact_sums,
+    longest_nn_edge,
 )
 
 from conftest import (
@@ -516,6 +517,115 @@ def test_nn_longest_edge_ties_on_split_copies():
 
 
 # ---------------------------------------------------------------------------
+# Certified row sums
+# ---------------------------------------------------------------------------
+
+def fsums(x: np.ndarray) -> np.ndarray:
+    return np.array([math.fsum(col) for col in x.T.tolist()], dtype=float)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+ROW_SUM_ENTRY = st.one_of(
+    st.floats(0.0, 2.0**1000),  # lengths: zeros, subnormals and large values
+    st.floats(-(2.0**1000), 2.0**1000),  # both signs, so sums cancel
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1000)),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0**-53, 2.0**-1074, 2.0**-1022, 2.0**1000]),
+)
+
+
+@st.composite
+def row_sum_blocks(draw) -> np.ndarray:
+    """A (K, B) block, K in [0, 40]; some columns are exact or near half-ulp
+    ties a + ulp(a)/2 (+ a nudge far below the ulp), which only fsum settles."""
+    K = draw(st.integers(0, 40))
+    cols = []
+    for _ in range(draw(st.integers(1, 6))):
+        col = draw(st.lists(ROW_SUM_ENTRY, min_size=K, max_size=K))
+        if K >= 2 and draw(st.booleans()):
+            a = draw(st.floats(2.0**-1000, 2.0**1000))
+            nudge = draw(st.sampled_from([0.0, 1.0, -1.0])) * math.ulp(a) * 2.0**-60
+            col = [a, math.ulp(a) / 2, nudge] + [0.0] * K
+            col = col[:K]
+        cols.append(col)
+    return np.array(cols, dtype=float).reshape(len(cols), K).T
+
+
+FILLERS = [
+    np.full(40, 2.0**900),  # raises the block's extraction point far above most columns
+    np.full(40, 2.0**-1060),
+    np.random.default_rng(0).random(40),
+]
+
+
+@given(row_sum_blocks(), st.integers(0, 2), st.integers(0, 700))
+@settings(max_examples=300, deadline=None)
+def test_exact_sums_equal_fsum_bit_for_bit(x, filler, pad):
+    """At the default crossover, with the extraction forced on every block,
+    and with the block between filler columns: every column's sum is fsum's,
+    whatever the other columns hold."""
+    K, B = x.shape
+    want = fsums(x)
+    assert same_bits(exact_sums(x), want)
+    fill = np.repeat(FILLERS[filler][:K, None], pad, axis=1)
+    wide = np.concatenate([fill[:, : pad // 2], x, fill[:, pad // 2 :]], axis=1)
+    default = solvers._SUM_MIN_ENTRIES
+    try:
+        solvers._SUM_MIN_ENTRIES = 1
+        assert same_bits(exact_sums(x), want)
+        assert same_bits(exact_sums(wide)[pad // 2 : pad // 2 + B], want)
+    finally:
+        solvers._SUM_MIN_ENTRIES = default
+    assert same_bits(exact_sums(wide)[pad // 2 : pad // 2 + B], want)
+
+
+def test_exact_sums_settles_what_the_vectorized_sum_cannot():
+    """Columns whose float sum r = fl(hi + lo) is not fsum's, next to 1,000
+    plain ones: only the fsum fallback gets them right."""
+    tie = [1.0, 2.0**-53, 0.0]  # exact half-ulp tie: even, so 1.0
+    above = [1.0, 2.0**-53, 2.0**-106]  # just above the tie: 1 + 2**-52
+    cancel = [2.0**60, 1.0, -(2.0**60)]  # all but 1.0 cancels
+    subnormal = [2.0**-1074, 2.0**-1074, 0.0]
+    zeros = [0.0, -0.0, 0.0]
+    cols = [tie, above, cancel, subnormal, zeros]
+    x = np.concatenate([np.array(cols).T, np.random.default_rng(1).random((3, 1000))], axis=1)
+    out = exact_sums(x)
+    assert same_bits(out, fsums(x))
+    assert out[:5].tolist() == [1.0, 1.0 + 2.0**-52, 1.0, 2.0**-1073, 0.0]
+
+
+def test_exact_sums_non_finite_and_overflowing_columns_match_fsum():
+    x = np.ones((3, 600))
+    x[0, 5] = math.inf
+    x[1, 6] = math.nan
+    out = exact_sums(x)
+    assert out[5] == math.inf and math.isnan(out[6])
+    assert (np.delete(out, [5, 6]) == 3.0).all()
+    x[2, 7], x[0, 7] = -math.inf, math.inf
+    with pytest.raises(ValueError):
+        math.fsum(x[:, 7].tolist())
+    with pytest.raises(ValueError):
+        exact_sums(x)
+    y = np.ones((3, 600))
+    y[:, 9] = [1e308, 1e308, -1e308]
+    with pytest.raises(OverflowError):
+        math.fsum(y[:, 9].tolist())
+    with pytest.raises(OverflowError):
+        exact_sums(y)
+    big = np.full((40, 600), 2.0**1017)  # 2K times the largest entry overflows
+    assert same_bits(exact_sums(big), fsums(big))
+
+
+@pytest.mark.parametrize("K,B", [(0, 5), (5, 0), (0, 0), (1, 600), (40, 1)])
+def test_exact_sums_empty_and_thin_blocks(K, B):
+    x = np.random.default_rng(K + B).random((K, B))
+    out = exact_sums(x)
+    assert out.dtype == np.float64 and same_bits(out, fsums(x))
+
+
+# ---------------------------------------------------------------------------
 # edge_order and the planners that read it
 # ---------------------------------------------------------------------------
 
@@ -791,3 +901,14 @@ def test_one_digit_words_give_the_default_results(monkeypatch, kind, functional,
     assert run_case(kind, functional, g) == default
     assert keys == default_keys
     assert max(widths) == g.n
+
+
+@pytest.mark.parametrize("kind,functional,name", MEMO_CASES[:2] + MEMO_CASES[5:8])
+def test_results_do_not_depend_on_the_row_sum_crossover(monkeypatch, kind, functional, name):
+    """Every kernel block summed by extraction, or every one by fsum: the
+    results equal the default ones bit for bit."""
+    g = suite_graph(name)
+    default = run_case(kind, functional, g)
+    for entries in (1, 1 << 62):
+        monkeypatch.setattr(solvers, "_SUM_MIN_ENTRIES", entries)
+        assert run_case(kind, functional, g) == default
