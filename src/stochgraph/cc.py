@@ -37,7 +37,7 @@ from .mc import (
 from .model import Event, MetricSpace, StochasticGraph, mass_in, pinned_event
 from .rng import SampleStream
 from .sampling import ConditionalSampler
-from .solvers import _cc_indices, _nn_indices, edge_order, fill_memo
+from .solvers import PointSetMemo, _cc_indices, _nn_indices, edge_order
 
 _SLACK = 1e-9  # relative float slack in per-sample sandwich assertions
 
@@ -184,11 +184,11 @@ def _check_rows(ok: np.ndarray, message: str, **values) -> None:
 
 
 class _PairValues:
-    """Shared per-run caches of realized point sets, by ``fill_memo`` key.
+    """Shared per-run memos of realized point sets (``PointSetMemo``).
 
-    ``nn`` maps a set to (NN total, longest nearest-neighbor edge as
-    lo * m + hi) and is filled for every sampled set; ``cc`` maps a set to
-    its cycle cover and is filled only for the sets a pair term asks for,
+    ``nn`` holds a set's NN total and longest nearest-neighbor edge as
+    lo * m + hi and is filled for every sampled set; ``cc`` holds a set's
+    cycle cover and is filled only for the sets a pair term asks for,
     those whose longest edge is the term's pair.  Enforces the
     per-realization sandwiches: NN/k <= longest <= NN on every solved set,
     and NN <= CC <= 2 NN on every solved cycle cover.
@@ -196,8 +196,8 @@ class _PairValues:
 
     def __init__(self, g: StochasticGraph):
         self.space = g.space
-        self.nn: dict = {}
-        self.cc: dict = {}
+        self.nn = PointSetMemo(g.m, g.n)
+        self.cc = PointSetMemo(g.m, g.n)
 
     def get(self, rows: np.ndarray) -> np.ndarray:
         """Longest nearest-neighbor edge (lo * m + hi) of each row of a
@@ -206,8 +206,8 @@ class _PairValues:
         Uncached point sets are solved with one call of the kernel per
         present count.
         """
-        keys = fill_memo(rows, self.nn, self._solve_nn, self.space.m)
-        return np.array([self.nn[key][1] for key in keys])
+        slots = self.nn.find(rows, self._solve_nn)
+        return self.nn.values[1][slots]
 
     def class_fn(self, rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values, indicators) of row-sorted classes, each for the pair term
@@ -229,8 +229,8 @@ class _PairValues:
 
     def cycle_covers(self, rows: np.ndarray) -> np.ndarray:
         """CC of each row of a row-sorted block already passed to ``get``."""
-        keys = fill_memo(rows, self.cc, self._solve_cc, self.space.m)
-        return np.array([self.cc[key] for key in keys])
+        slots = self.cc.find(rows, self._solve_cc)
+        return self.cc.values[0][slots]
 
     def _solve_nn(self, idx: np.ndarray):
         nn = _nn_indices(self.space, idx)
@@ -241,18 +241,18 @@ class _PairValues:
             "longest-edge sandwich violated: NN={NN}, longest={longest}, k={k}",
             NN=total, longest=lam, k=k,
         )
-        return zip(total.tolist(), (lo * self.space.m + hi).tolist())
+        return total, lo * self.space.m + hi
 
     def _solve_cc(self, idx: np.ndarray):
         cc = _cc_indices(self.space, idx)
         # every set here was passed to get, so this only reads NN totals
-        keys = fill_memo(idx, self.nn, self._solve_nn, self.space.m)
-        total = np.array([self.nn[key][0] for key in keys])
+        slots = self.nn.find(idx, self._solve_nn)
+        total = self.nn.values[0][slots]
         _check_rows(
             (total * (1.0 - _SLACK) <= cc) & (cc <= 2.0 * total * (1.0 + _SLACK) + 1e-300),
             "cycle-cover sandwich violated: NN={NN}, CC={CC}", NN=total, CC=cc,
         )
-        return cc.tolist()
+        return (cc,)
 
 
 def _finish(term: PairTerm, mean: float, hits: int, samples: int) -> None:

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: validate, gen, solve, exact, estimate {mst|mpm|cc}, compare.
-Exit codes: 0 success, 2 validation failure, 3 budget/cap refusal,
-4 internal assertion.  Output is deterministic for a fixed configuration and
+Exit codes: 0 success, 2 validation failure, 3 budget/cap refusal or not
+enough memory, 4 internal assertion.  Output is deterministic for a fixed configuration and
 seed; timing is only emitted when --with-timing is given.
 """
 
@@ -306,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except EnumerationCapError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSAL
+    except MemoryError as exc:
+        print(f"refused: not enough memory: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
     except (ValidationError, DomainError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)

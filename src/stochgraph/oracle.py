@@ -9,6 +9,7 @@ reproducible bit for bit and independent of the order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from enum import Enum
 from typing import Union
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import DomainError, EnumerationCapError
 from .model import Event, EventSpec, StochasticGraph, as_event, event_probability
 from .sampling import node_outcomes
-from .solvers import _cc_indices, _mpm_indices, _mst_indices, _nn_indices, fill_memo
+from .solvers import PointSetMemo, _cc_indices, _mpm_indices, _mst_indices, _nn_indices
 
 DEFAULT_CAP = 10_000_000
 CHUNK = 4096  # realizations per values() call in enumerate_term
@@ -38,16 +39,17 @@ class FunctionalEvaluator:
     """Evaluates a functional on realized point sets of a graph, memoized.
 
     All supported functionals depend only on the multiset of realized points,
-    so the cache is keyed by point set, as ``fill_memo`` keys it.  Conventions
-    for degenerate realizations (possible in existential mode): MST of <=1
-    point is 0; MPM of 0 points is 0 and of an odd count is an error; CC and
-    the nearest-neighbor functionals of <2 points are 0.
+    so the values sit in one ``PointSetMemo`` under the graph's m and n,
+    shared by every thread that calls ``values``.  Conventions for
+    degenerate realizations (possible in existential mode): MST of <=1 point
+    is 0; MPM of 0 points is 0 and of an odd count is an error; CC and the
+    nearest-neighbor functionals of <2 points are 0.
     """
 
     def __init__(self, g: StochasticGraph, functional: Functional):
         self.space = g.space
         self.functional = Functional(functional)
-        self._cache: dict = {}
+        self._memo = PointSetMemo(g.m, g.n)
 
     def values(self, rows: np.ndarray) -> np.ndarray:
         """Values of a block of row-sorted realizations (-1 for absent).
@@ -55,18 +57,18 @@ class FunctionalEvaluator:
         Uncached point sets are solved with one kernel call per present
         count; rows sharing a point set share its value.
         """
-        keys = fill_memo(rows, self._cache, lambda idx: self._compute(idx).tolist(), self.space.m)
+        slots = self._memo.find(rows, lambda idx: (self._compute(idx),))
         # one memo read for every caller: perfbench's tracer times value()
-        return np.array([self.value(key) for key in keys], dtype=float)
+        return np.array([self.value(slot) for slot in slots.tolist()], dtype=float)
 
     def class_fn(self, rows: np.ndarray, keys=None) -> tuple[np.ndarray, np.ndarray]:
         """``values(rows)`` and zero indicator hits: the ``class_fn`` form
         the Monte Carlo engine takes.  The rows' term ``keys`` are not read."""
         return self.values(rows), np.zeros(len(rows), dtype=np.int64)
 
-    def value(self, key) -> float:
-        """Cached value of one point set, by the key ``fill_memo`` returned."""
-        return self._cache[key]
+    def value(self, slot: int) -> float:
+        """Cached value of one point set, by the slot ``find`` returned."""
+        return self._memo.values[0][slot]
 
     def value_of_assignment(self, assignment) -> float:
         return float(self.values(np.sort([assignment], axis=1))[0])
@@ -112,7 +114,10 @@ def enumerate_term(
     indices; each probability is the left-to-right product of its nodes'
     outcome probabilities.  The products Pr[r] * f(r) are summed by one
     ``math.fsum``, so the term is their correctly rounded sum, whatever the
-    chunking.
+    chunking.  Where the largest distance is below 0.5, the values are first
+    scaled up by 2**s, s = -frexp(largest distance)[1], and the sum scaled
+    back once: products that would fall below the normal range keep their
+    relative precision, and any other product rounds exactly as unscaled.
     """
     check_cap(cap)
     table = node_outcomes(g, event)
@@ -124,17 +129,19 @@ def enumerate_term(
         return 0.0, 0
 
     evaluator = FunctionalEvaluator(g, functional)
+    top = float(g.space.dist.max(initial=0.0))
+    s = -math.frexp(top)[1] if 0.0 < top < 0.5 else 0
 
-    def products():
-        for start in range(0, count, CHUNK):
-            digits = np.unravel_index(np.arange(start, min(start + CHUNK, count)), radices)
-            prob = np.ones(len(digits[0]))
-            for (_, weights), d in zip(table, digits):
-                prob *= weights[d]
-            rows = np.sort(np.column_stack([outs[d] for (outs, _), d in zip(table, digits)]), axis=1)
-            yield from (prob * evaluator.values(rows)).tolist()
+    def products(start: int) -> list[float]:
+        digits = np.unravel_index(np.arange(start, min(start + CHUNK, count)), radices)
+        prob = np.ones(len(digits[0]))
+        for (_, weights), d in zip(table, digits):
+            prob *= weights[d]
+        rows = np.sort(np.column_stack([outs[d] for (outs, _), d in zip(table, digits)]), axis=1)
+        return (prob * np.ldexp(evaluator.values(rows), s)).tolist()
 
-    return math.fsum(products()), count
+    chunks = map(products, range(0, count, CHUNK))
+    return math.ldexp(math.fsum(itertools.chain.from_iterable(chunks)), -s), count
 
 
 def exact_term(

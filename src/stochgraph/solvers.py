@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -65,6 +66,30 @@ def edge_order(space: MetricSpace) -> tuple[np.ndarray, np.ndarray]:
 # Blocks of realization classes
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def rank_table(m: int, n: int) -> Optional[np.ndarray]:
+    """Terms of the multiset rank sum_j C(row[j] + 1 + j, j + 1) of a sorted
+    row of n point indices in [-1, m), or None when C(m + n, n) >= 2**63.
+
+    Returns a read-only flat int64 table holding C(x + j, j + 1) at
+    j * (m + 1) + x, for x = row[j] + 1 in [0, m].  The y_j = x_j + j of a
+    sorted row rise strictly in [0, m + n), so the rank is the combinatorial
+    number of an n-subset: a bijection of the rows onto [0, C(m + n, n)),
+    every partial sum within int64.  A leading -1 adds C(j, j + 1) = 0, so a
+    k-wide block read through the table's last k columns gives each set the
+    rank of its padded n-wide row.  Column j is the running sum of column
+    j - 1 (hockey stick), each entry at most the largest rank.
+    """
+    if math.comb(m + n, n) >= 2**63:
+        return None
+    columns = [np.arange(m + 1, dtype=np.int64)]
+    for _ in range(n - 1):
+        columns.append(np.cumsum(columns[-1]))
+    table = np.concatenate(columns)
+    table.flags.writeable = False
+    return table
+
+
 @functools.cache
 def place_values(m: int, n: int) -> tuple[np.ndarray, int]:
     """Place values of the key sum((row[j] + 1) * (m + 1)**(n - 1 - j)) of n
@@ -89,33 +114,138 @@ def place_values(m: int, n: int) -> tuple[np.ndarray, int]:
     return powers, (m + 1) ** w
 
 
-def fill_memo(rows: np.ndarray, memo: dict, solve: Callable, m: int) -> list:
-    """Memo key of each row of a row-sorted block of indices in [-1, m) (-1
-    absent, sorted first), after adding to ``memo`` the point sets it lacks.
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_inverse=True)`` of a
+    non-empty array, from one unstable argsort: a key's first index is the
+    least index among its copies."""
+    order = keys.argsort()
+    ordered = keys[order]
+    head = np.empty(len(keys), dtype=bool)
+    head[0] = True
+    head[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(head)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(head) - 1
+    return ordered[starts], np.minimum.reduceat(order, starts), inverse
 
-    A key is the row's exact number under ``place_values``, its words folded
-    into one Python int; -1 entries add nothing, so a set has one key at any
-    width.  ``solve`` maps a (B, k) block of distinct k-point sets to their
-    values; it is called once per present count, ascending, sets in
-    first-occurrence order.
+
+class PointSetMemo:
+    """Values of realized point sets, each set solved once, shared by threads.
+
+    ``find(rows, solve)`` takes a row-sorted block of point indices in
+    [-1, m) (-1 absent, sorted first) at most n wide and returns each row's
+    slot in ``values``, after solving the sets the memo lacks.  ``solve`` maps a
+    (B, k) block of distinct k-point sets to a tuple of value arrays; it is
+    called once per present count, ascending, on the first row of each new
+    set, in first-occurrence order.
+
+    A row's key is one int64, its multiset rank under ``rank_table(m, n)``,
+    or, where the rank could reach 2**63, its ``place_values(m, n)`` words
+    viewed as one ``np.void``; a block k wide reads the last k columns of
+    the table or rows of the words, so a set has one key at any width.  Keys sit in sorted runs,
+    each at most half the size of the one before, so a block is looked up
+    with one ``searchsorted`` per run and a set is merged O(log) times.
+    Slots never move and ``values`` only grows, so a slot reads the same
+    value from any later ``values``.  Threads solve outside the lock and
+    merge under it; a set two threads solved at once is kept once.
     """
-    powers, base = place_values(m, rows.shape[1])
-    words = ((rows + 1) @ powers).T.tolist()
-    keys = words[0]
-    for word in words[1:]:
-        keys = [key * base + x for key, x in zip(keys, word)]
-    first: dict = {}
-    for i, key in enumerate(keys):
-        if key not in memo and key not in first:
-            first[key] = i
-    if first:
-        present = (rows >= 0).sum(axis=1).tolist()
-        for k in sorted({present[i] for i in first.values()}):
-            at = [i for i in first.values() if present[i] == k]
-            # a view when every row is new: small cold blocks skip a gather
-            sets = rows[slice(None) if len(at) == len(rows) else at, rows.shape[1] - k:]
-            memo.update(zip([keys[i] for i in at], solve(sets)))
-    return keys
+
+    def __init__(self, m: int, n: int):
+        self.n = n
+        self.values: tuple = ()  # one array per value, grown by doubling
+        self._count = 0
+        self._runs: tuple = ()  # (sorted keys, their slots), largest first
+        self._lock = threading.Lock()
+        self._table = rank_table(m, n)
+        if self._table is not None:
+            self._offsets = np.arange(n) * (m + 1) + 1
+        else:
+            self._powers = place_values(m, n)[0]
+            self._void = np.dtype((np.void, 8 * self._powers.shape[1]))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """One key per row of a row-sorted block."""
+        w = rows.shape[1]
+        if self._table is not None:
+            at = rows + self._offsets[self.n - w:]
+            # in range by construction; "clip" skips take's buffered bounds check
+            self._table.take(at, out=at, mode="clip")
+            return at.sum(axis=1)
+        words = (rows + 1) @ self._powers[self.n - w:]
+        return np.ascontiguousarray(words).view(self._void).reshape(-1)
+
+    def find(self, rows: np.ndarray, solve: Callable[[np.ndarray], tuple]) -> np.ndarray:
+        """Slot of each row's set in ``values``, solving the sets not held."""
+        if not len(rows):
+            return np.zeros(0, dtype=np.intp)
+        runs = self._runs
+        keys, first, inverse = _distinct(self.keys(rows))
+        slots = self._lookup(runs, keys)
+        new = np.flatnonzero(slots < 0)
+        if new.size:
+            new = new[np.argsort(first[new])]  # first-occurrence order
+            at = first[new]
+            w = rows.shape[1]
+            if w and rows[at, 0].min() < 0:
+                present = np.count_nonzero(rows[at] >= 0, axis=1)
+            else:
+                present = np.full(len(at), w)
+            counts = np.unique(present)
+            if len(counts) > 1:
+                order = np.argsort(present, kind="stable")
+                new, at, present = new[order], at[order], present[order]
+            solved = []
+            for k in counts.tolist():
+                sel = at[present == k]
+                # a view when every row is new: cold blocks skip a gather
+                sets = rows[:, w - k:] if len(sel) == len(rows) else rows[sel, w - k:]
+                solved.append(solve(sets))
+            values = [np.concatenate(c) for c in zip(*solved)]
+            slots[new] = self._merge(runs, keys[new], values)
+        return slots[inverse]
+
+    @staticmethod
+    def _lookup(runs: tuple, keys: np.ndarray) -> np.ndarray:
+        """Slot of each of the sorted ``keys`` in ``runs``; -1 if absent."""
+        slots = np.full(len(keys), -1, dtype=np.intp)
+        for run, run_slots in runs:
+            at = np.minimum(np.searchsorted(run, keys), len(run) - 1)
+            hit = run[at] == keys
+            slots[hit] = run_slots[at[hit]]
+        return slots
+
+    def _merge(self, runs: tuple, keys: np.ndarray, values: list) -> np.ndarray:
+        """Slots of distinct ``keys`` missing from ``runs``, after storing
+        the ``values`` of those no other thread stored since."""
+        with self._lock:
+            if self._runs is runs:
+                slots = np.full(len(keys), -1, dtype=np.intp)
+            else:
+                slots = self._lookup(self._runs, keys)
+            new = np.flatnonzero(slots < 0)
+            if new.size:
+                start, end = self._count, self._count + new.size
+                slots[new] = np.arange(start, end)
+                stored = list(self.values) or [np.empty(0, dtype=v.dtype) for v in values]
+                for i, v in enumerate(values):
+                    if len(stored[i]) < end:
+                        grown = np.empty(max(end, 2 * len(stored[i])), dtype=stored[i].dtype)
+                        grown[:start] = stored[i][:start]
+                        stored[i] = grown
+                    stored[i][start:end] = v[new]
+                # values before runs: a slot is found only once it is stored
+                self.values, self._count = tuple(stored), end
+                new = new[np.argsort(keys[new])]
+                runs = list(self._runs) + [(keys[new], slots[new])]
+                while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+                    (a, sa), (b, sb) = runs.pop(-2), runs.pop()
+                    at = np.searchsorted(a, b)
+                    runs.append((np.insert(a, at, b), np.insert(sa, at, sb)))
+                self._runs = tuple(runs)
+        return slots
 
 
 def _one_row(space: MetricSpace, points: Sequence) -> np.ndarray:

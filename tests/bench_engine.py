@@ -14,11 +14,11 @@ is row-sorted whole and its rows are its classes).  Each case times one call:
 - ``block``: ``run_conditional_mc`` over one block with a constant
   ``class_fn``, so no solver runs.
 
-``test_two_word_classes`` times an unconditioned block of ladder-large's MST
-instance (``euclidean-uniform 16 24``, generator seed 1) from its drawn rows
-to one ``fill_memo`` key per row: ``block_classes`` row-sorts it, and
-``fill_memo`` with a cold memo and a constant ``solve`` finds its distinct
-point sets, whose keys take two int64 words.
+``test_ladder_mst_classes`` times an unconditioned block of ladder-large's
+MST instance (``euclidean-uniform 16 24``, generator seed 1) from its drawn
+rows to one value per row: ``block_classes`` row-sorts it, and a cold
+``PointSetMemo`` with a constant ``solve`` finds its distinct point sets by
+their int64 rank keys, and each row's value is read back.
 
 Two cases time cc on the benchmark's ladder-large cc instance
 (``euclidean-uniform 10 14``, generator seed 1):
@@ -62,7 +62,7 @@ from stochgraph.mc import (
 from stochgraph.model import Event, pinned_event
 from stochgraph.rng import SampleStream
 from stochgraph.sampling import ConditionalSampler
-from stochgraph.solvers import fill_memo
+from stochgraph.solvers import PointSetMemo
 
 from bench_solvers import calibration_work
 
@@ -104,20 +104,24 @@ def test_engine_layer(benchmark, term, layer):
         assert mean == 1.0
 
 
-TWO_WORDS = gen_graph("euclidean-uniform", 16, 24, 1)
+LADDER_MST = gen_graph("euclidean-uniform", 16, 24, 1)
 
 
-def test_two_word_classes(benchmark):
-    sampler = ConditionalSampler(TWO_WORDS)
+def test_ladder_mst_classes(benchmark):
+    sampler = ConditionalSampler(LADDER_MST)
     assert sampler.lookups is None
-    rows = sampler.draw_block(SampleStream(1, "bench", TWO_WORDS.n), 0, BLOCK_SIZE)
+    rows = sampler.draw_block(SampleStream(1, "bench", LADDER_MST.n), 0, BLOCK_SIZE)
+    memos = []
 
-    def keys() -> list:
+    def values() -> np.ndarray:
         classes, _ = block_classes(sampler, rows.copy())
-        return fill_memo(classes, {}, lambda idx: [0.0] * len(idx), TWO_WORDS.m)
+        memos.append(PointSetMemo(LADDER_MST.m, LADDER_MST.n))
+        slots = memos[-1].find(classes, lambda idx: (np.zeros(len(idx)),))
+        return memos[-1].values[0][slots]
 
     benchmark.group = "classes"
-    assert len(set(benchmark(keys))) == len(np.unique(np.sort(rows, axis=1), axis=0))
+    assert len(benchmark(values)) == BLOCK_SIZE
+    assert len(memos[-1]) == len(np.unique(np.sort(rows, axis=1), axis=0))
 
 
 LADDER_CC = gen_graph("euclidean-uniform", 10, 14, 1)

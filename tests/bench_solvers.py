@@ -10,16 +10,19 @@ blossom once per row, so its cost per row does not depend on B; there it is
 measured at B = 64 instead of 4096, where k = 32 would take over a minute
 per round.
 
-The ``fill_memo`` cases time the memo layer alone, with a constant
-``solve``: one 4096-row chunk of the oracle's enumeration of the benchmark's
-oracle-exact ``mst-10-12`` instance (``euclidean-uniform 10 12``, generator
-seed 4), built as ``enumerate_term`` builds it, and blocks of its first 2 and
-50 distinct point sets, the sizes the Monte Carlo estimators pass on
-campaign-small and ladder-large.  A ``cold`` memo is empty, so every set is
-solved and stored; a ``warm`` one already holds every set.  One more block,
-``two-words-4096``, is a 4096-row unconditioned block of ladder-large's MST
-instance (``euclidean-uniform 16 24``, generator seed 1), whose keys take two
-int64 words, so the fold of several words into one key is timed too.
+The ``point_set_memo`` cases time the memo layer alone, with a constant
+``solve``, from a block to its values: ``PointSetMemo.find`` and the gather
+of each row's value.  The blocks are one 4096-row chunk of the oracle's
+enumeration of the benchmark's oracle-exact ``mst-10-12`` instance
+(``euclidean-uniform 10 12``, generator seed 4), built as ``enumerate_term``
+builds it, and blocks of its first 2 and 50 distinct point sets, the sizes
+the Monte Carlo estimators pass on campaign-small and ladder-large.  A
+``cold`` memo is empty, so every set is solved and stored; a ``warm`` one
+already holds every set.  Two more blocks are 4096-row unconditioned blocks:
+``n16-4096`` of ladder-large's MST instance (``euclidean-uniform 16 24``,
+generator seed 1), whose int64 rank keys reach 6.3e10, and ``n32-4096`` of
+``euclidean-uniform 32 48`` (generator seed 1), whose rank would pass 2**63,
+so its keys are ``np.void`` views of three int64 words.
 
 ``test_row_sums`` times ``exact_sums`` against one ``math.fsum`` per
 column on a (K, B) block of uniform [0, 1) lengths, K in {3, 9, 15, 31} (the
@@ -53,8 +56,8 @@ from stochgraph.solvers import (
     _mpm_indices,
     _mst_indices,
     _nn_indices,
+    PointSetMemo,
     exact_sums,
-    fill_memo,
 )
 
 M = 64
@@ -132,8 +135,8 @@ def distinct_sets(rows: np.ndarray, B: int) -> np.ndarray:
     return rows[first[:B]]
 
 
-def constant_solve(idx: np.ndarray) -> list[float]:
-    return [1.0] * len(idx)
+def constant_solve(idx: np.ndarray) -> tuple[np.ndarray]:
+    return (np.ones(len(idx)),)
 
 
 def sampled_block(g) -> np.ndarray:
@@ -144,29 +147,36 @@ def sampled_block(g) -> np.ndarray:
 
 
 MEMO_GRAPH = gen_graph("euclidean-uniform", 10, 12, 4)
-TWO_WORD_GRAPH = gen_graph("euclidean-uniform", 16, 24, 1)
+N16_GRAPH = gen_graph("euclidean-uniform", 16, 24, 1)
+N32_GRAPH = gen_graph("euclidean-uniform", 32, 48, 1)
 CHUNK_ROWS = oracle_chunk()
 MEMO_BLOCKS = {
-    "oracle-4096": (CHUNK_ROWS, MEMO_GRAPH.m),
-    "sets-2": (distinct_sets(CHUNK_ROWS, 2), MEMO_GRAPH.m),
-    "sets-50": (distinct_sets(CHUNK_ROWS, 50), MEMO_GRAPH.m),
-    "two-words-4096": (sampled_block(TWO_WORD_GRAPH), TWO_WORD_GRAPH.m),
+    "oracle-4096": (CHUNK_ROWS, MEMO_GRAPH),
+    "sets-2": (distinct_sets(CHUNK_ROWS, 2), MEMO_GRAPH),
+    "sets-50": (distinct_sets(CHUNK_ROWS, 50), MEMO_GRAPH),
+    "n16-4096": (sampled_block(N16_GRAPH), N16_GRAPH),
+    "n32-4096": (sampled_block(N32_GRAPH), N32_GRAPH),
 }
+
+
+def memo_values(rows: np.ndarray, memo: PointSetMemo) -> np.ndarray:
+    slots = memo.find(rows, constant_solve)  # before reading values, which it may grow
+    return memo.values[0][slots]
 
 
 @pytest.mark.parametrize("memo", ["cold", "warm"])
 @pytest.mark.parametrize("block", list(MEMO_BLOCKS))
-def test_fill_memo(benchmark, block, memo):
-    rows, m = MEMO_BLOCKS[block]
-    benchmark.group = f"fill_memo {block}"
+def test_point_set_memo(benchmark, block, memo):
+    rows, g = MEMO_BLOCKS[block]
+    benchmark.group = f"point_set_memo {block}"
     if memo == "warm":
-        warm: dict = {}
-        fill_memo(rows, warm, constant_solve, m)
-        keys = benchmark(fill_memo, rows, warm, constant_solve, m)
+        warm = PointSetMemo(g.m, g.n)
+        memo_values(rows, warm)
+        values = benchmark(memo_values, rows, warm)
     else:
-        keys = benchmark.pedantic(
-            fill_memo,
-            setup=lambda: ((rows, {}, constant_solve, m), {}),
+        values = benchmark.pedantic(
+            memo_values,
+            setup=lambda: ((rows, PointSetMemo(g.m, g.n)), {}),
             rounds=2000 if len(rows) < 100 else 200,
         )
-    assert len(keys) == len(rows)
+    assert (values == 1.0).all() and len(values) == len(rows)

@@ -134,6 +134,22 @@ def test_exact_cap_refusal(instance_path):
     assert code == 3
 
 
+def test_out_of_memory_is_a_refusal(monkeypatch, capsys):
+    """A command that runs out of memory (``gen euclidean-uniform 3
+    99999999999`` asks numpy for terabytes) exits 3 with one line, not a
+    traceback.  The command is patched to raise, so nothing is allocated."""
+    import stochgraph.cli as cli
+
+    def no_memory(args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setitem(cli._COMMANDS, "gen", no_memory)
+    assert main(["gen", "euclidean-uniform", "3", "99999999999"]) == 3
+    assert capsys.readouterr().err == (
+        "refused: not enough memory: Unable to allocate 7.28 TiB for an array\n"
+    )
+
+
 def test_estimate_outputs_report(tmp_path, instance_path):
     out = tmp_path / "report.json"
     code = main(

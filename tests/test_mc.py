@@ -404,9 +404,10 @@ def test_conditional_thread_count_invariance(rng):
 
 
 def test_conditional_thread_count_invariance_with_two_word_keys(rng):
-    # 25**16 passes int64, so the engine keys each row by two int64 words
+    # 25**16 passes int64, so ``place_values`` splits a row into two words;
+    # the memo keys it by its multiset rank, C(40, 16) < 2**63, in one
     g = random_graph(rng, 16, 24, max_support=3)
-    assert (g.m + 1) ** g.n >= 2**63
+    assert (g.m + 1) ** g.n >= 2**63 > math.comb(g.m + g.n, g.n)
     means = {
         threads: one_term(
             g, None, mst_class_fn(g), 2 * 4096 + 500, seed=4, tag="threads", threads=threads

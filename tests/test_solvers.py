@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,6 +38,7 @@ from stochgraph.cc import split_points
 from stochgraph.generate import gen_graph
 from stochgraph.model import mass_in
 from stochgraph.oracle import enumerate_term
+from stochgraph.sampling import node_outcomes
 from stochgraph.solvers import (
     _cc_indices,
     _matchings,
@@ -754,31 +758,51 @@ def test_find_home_clusters_matches_threshold_graph_reference():
 
 
 # ---------------------------------------------------------------------------
-# Memo keys
+# Point-set memo
 # ---------------------------------------------------------------------------
-
-def constant_solve(idx: np.ndarray) -> list[float]:
-    return [0.0] * len(idx)
-
-
-def memo_keys(rows: np.ndarray, m: int) -> list:
-    return solvers.fill_memo(rows, {}, constant_solve, m)
-
 
 def present_sets(rows: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(x for x in row if x >= 0) for row in rows.tolist()]
 
 
+def rank_fits(m: int, n: int) -> bool:
+    return math.comb(m + n, n) < 2**63
+
+
+def largest_rank_m(n: int, cap: int) -> int:
+    """The largest m <= cap whose n-wide rank keys fit an int64."""
+    lo, hi = 1, cap
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if rank_fits(mid, n) else (lo, mid - 1)
+    return lo
+
+
 @st.composite
-def padded_blocks(draw, max_n: int = 8, max_m: int = 12):
+def padded_blocks(draw, max_n: int = 8, max_m: int = 12, rank: bool = False):
     """A row-sorted block of point indices in [-1, m), -1 for absent, with
-    repeated rows and repeated points, and its m."""
-    n, m = draw(st.integers(1, max_n)), draw(st.integers(1, max_m))
+    repeated rows and repeated points, and its m; with ``rank``, m is at
+    most the largest whose rank keys fit an int64 at this width."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, largest_rank_m(n, max_m) if rank else max_m))
     entry = st.just(-1) | st.integers(-1, m - 1)
     pool = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=8))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
     rows = np.sort(np.array([pool[i] for i in picks], dtype=np.intp).reshape(-1, n), axis=1)
     return rows, m
+
+
+@contextlib.contextmanager
+def keyed_by(key_kind: str):
+    """Memos built inside take int64 rank keys ("rank"), or the void-word
+    keys that replace them when the rank could reach 2**63 ("void")."""
+    real = solvers.rank_table
+    if key_kind == "void":
+        solvers.rank_table = lambda m, n: None
+    try:
+        yield
+    finally:
+        solvers.rank_table = real
 
 
 def test_place_values_split_keys_into_int64_words():
@@ -802,16 +826,48 @@ def test_place_values_split_keys_into_int64_words():
         assert narrow.tolist() == wide[40 - k:, wide.shape[1] - narrow.shape[1]:].tolist()
 
 
-@given(padded_blocks(max_n=40, max_m=2**20))
-@settings(max_examples=300, deadline=None)
-def test_memo_keys_are_equal_exactly_for_equal_point_sets(case):
-    """Keys of blocks up to 40 wide with m up to 2**20, so up to 14 words."""
-    rows, m = case
-    keys, sets = memo_keys(rows, m), present_sets(rows)
-    n = rows.shape[1]
-    assert keys == [
-        sum((x + 1) * (m + 1) ** (n - 1 - j) for j, x in enumerate(row)) for row in rows.tolist()
+@pytest.mark.parametrize("m, n", [(3, 4), (5, 3), (6, 5)])
+def test_rank_is_a_bijection_onto_the_binomial_range(m, n):
+    """Every sorted row of n entries in [-1, m) (a multiset of points, -1
+    absent) gets sum_j C(row[j] + 1 + j, j + 1), and the ranks are exactly
+    0 .. C(m + n, n) - 1."""
+    rows = np.array(list(itertools.combinations_with_replacement(range(-1, m), n)), dtype=np.intp)
+    keys = solvers.PointSetMemo(m, n).keys(rows)
+    assert keys.dtype == np.int64
+    assert keys.tolist() == [
+        sum(math.comb(x + 1 + j, j + 1) for j, x in enumerate(row)) for row in rows.tolist()
     ]
+    assert sorted(keys.tolist()) == list(range(math.comb(m + n, n)))
+
+
+def test_rank_table_gives_way_to_void_keys_at_2_to_the_63():
+    assert solvers.rank_table(24, 16) is not None  # ladder-large's mst instance: 6.3e10
+    assert solvers.rank_table(102, 10) is not None  # the split cc ladder: below 2**63
+    assert solvers.rank_table(48, 32) is None  # n = 32 takes void keys
+    for n in (5, 16, 31):  # tables of at most 2 MB
+        m = largest_rank_m(n, 2**20)
+        assert m < 2**20
+        assert solvers.rank_table(m, n) is not None and solvers.rank_table(m + 1, n) is None
+    table = solvers.rank_table(6, 5)
+    assert not table.flags.writeable
+    assert table.tolist() == [math.comb(x + j, j + 1) for j in range(5) for x in range(7)]
+
+
+def check_keys(rows: np.ndarray, m: int, key_kind: str) -> None:
+    n = rows.shape[1]
+    memo = solvers.PointSetMemo(m, n)
+    assert (memo._table is None) == (key_kind == "void")
+    keys, sets = memo.keys(rows), present_sets(rows)
+    if key_kind == "rank":
+        assert keys.tolist() == [
+            sum(math.comb(x + 1 + j, j + 1) for j, x in enumerate(row)) for row in rows.tolist()
+        ]
+    else:
+        words = [sum((x + 1) * (m + 1) ** (n - 1 - j) for j, x in enumerate(row)) for row in rows.tolist()]
+        powers, base = solvers.place_values(m, n)
+        c = powers.shape[1]
+        as_words = [[w // base ** (c - 1 - i) % base for i in range(c)] for w in words]
+        assert keys.tobytes() == np.array(as_words, dtype=np.int64).tobytes()
     for i in range(len(rows)):
         for j in range(len(rows)):
             assert (keys[i] == keys[j]) == (sets[i] == sets[j])
@@ -819,30 +875,186 @@ def test_memo_keys_are_equal_exactly_for_equal_point_sets(case):
     for k in set(map(len, sets)):
         at = [i for i, s in enumerate(sets) if len(s) == k]
         unpadded = np.array([sets[i] for i in at], dtype=np.intp).reshape(len(at), k)
-        assert memo_keys(unpadded, m) == [keys[i] for i in at]
+        assert memo.keys(unpadded).tobytes() == keys[at].tobytes()
+    if key_kind == "rank":
+        solvers.rank_table.cache_clear()  # a table at m = 2**20 holds 8 MB a column
 
 
-@given(padded_blocks(), st.data())
+@given(padded_blocks(max_n=40, max_m=2**20, rank=True))
 @settings(max_examples=300, deadline=None)
-def test_fill_memo_solves_missing_sets_once_per_count_in_first_occurrence_order(case, data):
+def test_rank_keys_are_equal_exactly_for_equal_point_sets(case):
+    """Rank keys up to 40 wide with m up to 2**20, wherever they fit an int64."""
+    check_keys(*case, "rank")
+
+
+@given(padded_blocks(max_n=40, max_m=2**20))
+@settings(max_examples=300, deadline=None)
+def test_memo_keys_are_equal_exactly_for_equal_point_sets(case):
+    """Void keys of blocks up to 40 wide with m up to 2**20, so up to 14
+    words, with the rank table withheld; and rank keys wherever they fit."""
     rows, m = case
-    keys, sets = memo_keys(rows, m), present_sets(rows)
-    cached = data.draw(st.sets(st.sampled_from(sets)))
-    memo = {key: s for key, s in zip(keys, sets) if s in cached}
-    expected: dict[int, list] = {}
-    for s in sets:
-        if s not in cached and s not in expected.setdefault(len(s), []):
-            expected[len(s)].append(s)
+    if rank_fits(m, rows.shape[1]):
+        check_keys(rows, m, "rank")
+    with keyed_by("void"):
+        check_keys(rows, m, "void")
+
+
+@pytest.mark.parametrize("key_kind", ["rank", "void"])
+@given(padded_blocks(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_memo_solves_missing_sets_once_per_count_in_first_occurrence_order(key_kind, case, data):
+    rows, m = case
+    sets = present_sets(rows)
+    ids = {s: i for i, s in enumerate(dict.fromkeys(sets))}  # one number per set
     calls = []
 
     def solve(idx):
         calls.append(idx.copy())
-        return [tuple(row) for row in idx.tolist()]
+        return (np.array([ids[s] for s in present_sets(idx)], dtype=np.int64),)
 
-    assert solvers.fill_memo(rows, memo, solve, m) == keys
-    assert [idx.shape[1] for idx in calls] == sorted(expected)
-    assert [present_sets(idx) for idx in calls] == [expected[k] for k in sorted(expected)]
-    assert [memo[key] for key in keys] == sets
+    with keyed_by(key_kind):
+        memo = solvers.PointSetMemo(m, rows.shape[1])
+    assert (memo._table is None) == (key_kind == "void")
+    cached = list(data.draw(st.sets(st.sampled_from(sets))))
+    if cached:
+        width = max(map(len, cached))
+        held = np.array([(-1,) * (width - len(s)) + s for s in cached], dtype=np.intp)
+        memo.find(held.reshape(len(cached), width), solve)
+    calls.clear()
+    expected: dict[int, list] = {}
+    for s in sets:
+        if s not in cached and s not in expected.setdefault(len(s), []):
+            expected[len(s)].append(s)
+    slots = memo.find(rows, solve)
+    assert [idx.shape[1] for idx in calls] == [k for k in sorted(expected) if expected[k]]
+    assert [present_sets(idx) for idx in calls] == [expected[k] for k in sorted(expected) if expected[k]]
+    assert memo.values[0][slots].tolist() == [ids[s] for s in sets]
+    assert len(memo) == len(ids)
+    # a second pass finds every set and solves nothing
+    assert memo.find(rows, solve).tolist() == slots.tolist()
+    assert len(calls) == len([k for k in expected if expected[k]])
+
+
+def test_memo_grows_past_many_runs_and_keeps_every_slot():
+    """Blocks of new sets, old sets and both: every slot keeps its value as
+    the memo's sorted runs merge, and each set is held once."""
+    rng = rng_for(77)
+    memo = solvers.PointSetMemo(30, 4)
+    seen: dict[tuple, int] = {}
+    weights = 31 ** np.arange(3, -1, -1)  # a set's number: absent entries add 0
+
+    def solve(idx):
+        return ((idx + 1) @ weights[4 - idx.shape[1]:],)
+
+    for b in range(40):
+        rows = np.sort(rng.integers(-1, 30, size=(int(rng.integers(1, 300)), 4)), axis=1)
+        slots = memo.find(rows, solve)
+        for row, slot in zip(rows.tolist(), slots.tolist()):
+            assert seen.setdefault(tuple(row), slot) == slot
+        assert (memo.values[0][slots] == (rows + 1) @ weights).all()
+        sizes = [len(run) for run, _ in memo._runs]
+        assert all(2 * b < a for a, b in zip(sizes, sizes[1:]))
+    assert len(memo) == len(seen) == sum(len(run) for run, _ in memo._runs)
+
+
+def realization_rows(g: StochasticGraph) -> np.ndarray:
+    """Every realization of ``g``, row-sorted, in mixed-radix order."""
+    table = node_outcomes(g, None)
+    digits = np.unravel_index(np.arange(math.prod(len(o) for o, _ in table)), [len(o) for o, _ in table])
+    return np.sort(np.column_stack([outs[d] for (outs, _), d in zip(table, digits)]), axis=1)
+
+
+def in_two_threads(work, *blocks, patch=None):
+    """``work(block)`` for each block, the two runs on their own threads.
+    ``patch(wrap)`` installs ``wrap`` around a solver; the first solve of
+    each thread waits until the other thread is solving too, so both solve
+    their shared sets before either merges."""
+    barrier, local = threading.Barrier(2), threading.local()
+
+    def wrap(solver):
+        def waiting(*args):
+            out = solver(*args)
+            if not getattr(local, "met", False):
+                local.met = True
+                barrier.wait(timeout=30)
+            return out
+        return waiting
+
+    patch(wrap)
+    results: list = [None, None]
+    errors: list = []
+
+    def run(i):
+        try:
+            results[i] = work(blocks[i])
+        except BaseException as exc:  # surfaced in the main thread
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors, errors
+    return results
+
+
+def overlapping_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two shuffled blocks that share about a third of their rows."""
+    rng = rng_for(91)
+    third = len(rows) // 3
+    a, b = rows[: 2 * third], rows[third:]
+    return a[rng.permutation(len(a))], b[rng.permutation(len(b))]
+
+
+def held_once(memo: solvers.PointSetMemo, rows: np.ndarray) -> bool:
+    """The memo holds exactly the sets of ``rows``, each at one slot."""
+    keys = [run for run, _ in memo._runs]
+    held = np.concatenate(keys) if keys else np.zeros(0)
+    slots = np.concatenate([s for _, s in memo._runs]) if keys else np.zeros(0)
+    distinct = len(set(present_sets(rows)))
+    return len(memo) == len(held) == len(np.unique(held)) == len(set(slots.tolist())) == distinct
+
+
+@pytest.mark.parametrize("key_kind", ["rank", "void"])
+def test_threads_sharing_an_evaluator_get_the_single_thread_values(monkeypatch, key_kind):
+    g = gen_graph("euclidean-uniform", 5, 6, 14)  # eu-5-6 of the suite
+    blocks = overlapping_blocks(realization_rows(g))
+    with keyed_by(key_kind):
+        alone = [oracle.FunctionalEvaluator(g, Functional.MST).values(b) for b in blocks]
+        shared = oracle.FunctionalEvaluator(g, Functional.MST)
+    compute = oracle.FunctionalEvaluator._compute
+    both = in_two_threads(
+        shared.values, *blocks,
+        patch=lambda wrap: monkeypatch.setattr(oracle.FunctionalEvaluator, "_compute", wrap(compute)),
+    )
+    assert [v.tobytes() for v in both] == [v.tobytes() for v in alone]
+    assert held_once(shared._memo, np.concatenate(blocks))
+
+
+@pytest.mark.parametrize("key_kind", ["rank", "void"])
+def test_threads_sharing_pair_values_get_the_single_thread_values(monkeypatch, key_kind):
+    sp = split_points(gen_graph("euclidean-uniform", 5, 6, 14))
+    blocks = overlapping_blocks(realization_rows(sp.graph))
+
+    def work(values, rows):
+        longest = values.get(rows)
+        return longest, values.cycle_covers(rows[longest == longest.max()])
+
+    with keyed_by(key_kind):
+        alone = [work(cc_module._PairValues(sp.graph), b) for b in blocks]
+        shared = cc_module._PairValues(sp.graph)
+    nn = cc_module._nn_indices
+    both = in_two_threads(
+        lambda rows: work(shared, rows), *blocks,
+        patch=lambda wrap: monkeypatch.setattr(cc_module, "_nn_indices", wrap(nn)),
+    )
+    for (longest, cc), (want_longest, want_cc) in zip(both, alone):
+        assert longest.tobytes() == want_longest.tobytes() and cc.tobytes() == want_cc.tobytes()
+    assert held_once(shared.nn, np.concatenate(blocks))
+    cc_rows = [b[longest == longest.max()] for b, (longest, _) in zip(blocks, alone)]
+    assert held_once(shared.cc, np.concatenate(cc_rows))
 
 
 def suite_graph(name: str) -> StochasticGraph:
@@ -874,32 +1086,34 @@ def run_case(kind: str, functional: str, g: StochasticGraph):
 
 @pytest.mark.parametrize("kind,functional,name", MEMO_CASES)
 def test_one_digit_words_give_the_default_results(monkeypatch, kind, functional, name):
-    """With ``place_values`` patched to one base-(m + 1) digit per word, every
-    key is folded from n words, yet the memo keys and the results equal the
-    default ones bit for bit."""
+    """With the rank table withheld and ``place_values`` patched to one
+    base-(m + 1) digit per word, every memo keys its sets by n-word void
+    keys, yet each block's slots and the results equal the default (int64
+    rank key) ones bit for bit."""
     g = suite_graph(name)
-    keys: list = []
+    found: list = []  # (rank keyed, rows, slots) of every memo lookup
+    find = solvers.PointSetMemo.find
 
-    def recording(fill):
-        def wrapped(*args):
-            out = fill(*args)
-            keys.extend(out)
-            return out
-        return wrapped
+    def recording(self, rows, solve):
+        slots = find(self, rows, solve)
+        found.append((self._table is not None, rows.tolist(), slots.tolist()))
+        return slots
 
-    for module in (oracle, cc_module):
-        monkeypatch.setattr(module, "fill_memo", recording(module.fill_memo))
+    monkeypatch.setattr(solvers.PointSetMemo, "find", recording)
     default = run_case(kind, functional, g)
-    default_keys, keys[:] = keys[:], []
+    default_found, found[:] = found[:], []
+    assert default_found and all(ranked for ranked, _, _ in default_found)
     widths = []
 
     def one_digit(m, n):
         widths.append(n)
         return np.eye(n, dtype=np.int64), m + 1
 
+    monkeypatch.setattr(solvers, "rank_table", lambda m, n: None)
     monkeypatch.setattr(solvers, "place_values", one_digit)
     assert run_case(kind, functional, g) == default
-    assert keys == default_keys
+    assert not any(ranked for ranked, _, _ in found)
+    assert [f[1:] for f in found] == [f[1:] for f in default_found]
     assert max(widths) == g.n
 
 
