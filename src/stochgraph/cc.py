@@ -30,11 +30,10 @@ from .mc import (
     EstimateReport,
     TermReport,
     estimate_conditional,
-    pinned_term,
     run_conditional_mc,
     sample_count,
 )
-from .model import Event, MetricSpace, StochasticGraph, mass_in, pinned_event
+from .model import Event, MetricSpace, StochasticGraph, pinned_event
 from .rng import SampleStream
 from .sampling import ConditionalSampler
 from .solvers import PointSetMemo, _cc_indices, _nn_indices, edge_order
@@ -130,30 +129,35 @@ def _resolve_pair(sp: SplitSpace, s, t) -> tuple[int, int, int, int]:
     return si, ti, v, u
 
 
-def _pair_prob(sp: SplitSpace, s, t, mutual: bool) -> float:
-    si, ti, v, u = _resolve_pair(sp, s, t)
+def _masses(g: StochasticGraph, outside: np.ndarray) -> list[float]:
+    """``mass_in(g, w, outside)`` of every node w, as one row-sum:
+    ``np.compress`` gives C-ordered rows, each summed by numpy's 1-D
+    pairwise routine, as ``mass_in`` sums its one row."""
+    return (np.compress(outside, g.probs, axis=1).sum(axis=1) + g.outcome_probs[:, -1]).tolist()
+
+
+def _pair_prob(sp: SplitSpace, si: int, ti: int, v: int, u: int, outside: np.ndarray) -> float:
+    """Pr[v at si, u at ti, every other node in ``outside`` or absent]: the
+    ``_masses`` of the other nodes multiplied in node order."""
     if v < 0 or u < 0:
         return 0.0
-    g = sp.graph
-    outside = _outside(sp, si, ti, mutual)
-    prob = float(g.probs[v, si]) * float(g.probs[u, ti])
-    for w in range(g.n):
-        if w not in (v, u):
-            mass = mass_in(g, w, outside)
-            if mass == 0.0:
-                return 0.0
-            prob *= mass
-    return prob
+    masses = _masses(sp.graph, outside)
+    masses[v] = masses[u] = 1.0  # exact factors
+    if 0.0 in masses:  # no need to multiply further
+        return 0.0
+    return math.prod(masses, start=float(sp.graph.probs[v, si]) * float(sp.graph.probs[u, ti]))
 
 
 def prob_nearest(sp: SplitSpace, s: Union[str, int], t: Union[str, int]) -> float:
     """Exact probability that t is the realized nearest neighbor of s."""
-    return _pair_prob(sp, s, t, mutual=False)
+    si, ti, v, u = _resolve_pair(sp, s, t)
+    return _pair_prob(sp, si, ti, v, u, _outside(sp, si, ti, False))
 
 
 def prob_mutual_nearest(sp: SplitSpace, s: Union[str, int], t: Union[str, int]) -> float:
     """Exact probability that s and t are each other's nearest neighbors."""
-    return _pair_prob(sp, s, t, mutual=True)
+    si, ti, v, u = _resolve_pair(sp, s, t)
+    return _pair_prob(sp, si, ti, v, u, _outside(sp, si, ti, True))
 
 
 @dataclass
@@ -260,32 +264,23 @@ def _finish(term: PairTerm, mean: float, hits: int, samples: int) -> None:
 
 
 def _plan_term(
-    sp: SplitSpace,
-    s: Union[str, int],
-    t: Union[str, int],
-    n_samples: int,
-    *,
-    mutual: bool = False,
+    sp: SplitSpace, si: int, ti: int, v: int, u: int, n_samples: int, *, mutual: bool = False
 ) -> tuple[PairTerm, Optional[tuple[Event, int, str, int]]]:
-    """The pair term with its exact probability and, when that is positive,
-    its ``(event, n_samples, tag, key)`` term for ``estimate_conditional``;
-    the key is the pair as lo * m + hi, the longest edge the term counts."""
-    si, ti, v, u = _resolve_pair(sp, s, t)
-    g = sp.graph
-    kind = "mutual" if mutual else f"nearest({g.space.point_ids[si]}->{g.space.point_ids[ti]})"
-    term = PairTerm(
-        s=g.space.point_ids[si],
-        t=g.space.point_ids[ti],
-        node_s=g.node_ids[v] if v >= 0 else "",
-        node_t=g.node_ids[u] if u >= 0 else "",
-        kind=kind,
-    )
-    prob = prob_mutual_nearest(sp, si, ti) if mutual else prob_nearest(sp, si, ti)
-    if prob <= 0.0:
+    """The pair term of resolved points si, ti (owners v, u) with its exact
+    probability and, when that is positive, its ``(event, n_samples, tag,
+    key)`` term for ``estimate_conditional``: v at si, u at ti, every other
+    node outside the ball or absent.  The key is the pair as lo * m + hi,
+    the longest edge the term counts."""
+    g, ids = sp.graph, sp.graph.space.point_ids
+    kind = "mutual" if mutual else f"nearest({ids[si]}->{ids[ti]})"
+    nodes = [g.node_ids[w] if w >= 0 else "" for w in (v, u)]
+    term = PairTerm(ids[si], ids[ti], *nodes, kind)
+    outside = _outside(sp, si, ti, mutual)
+    term.prob = _pair_prob(sp, si, ti, v, u, outside)
+    if term.prob <= 0.0:
         return term, None
-    term.prob = prob
     lo, hi = (si, ti) if si < ti else (ti, si)
-    event = pinned_event(g, _outside(sp, si, ti, mutual), v, si, u, ti)
+    event = pinned_event(g, outside, v, si, u, ti)
     return term, (event, n_samples, f"cc/{term.s}/{term.t}/{kind}", lo * g.m + hi)
 
 
@@ -306,10 +301,10 @@ def estimate_pair_term(
     is the longest nearest-neighbor edge.  The returned estimate is the
     conditioning probability times that mean; its expectation is exactly
     Pr[A_s(t)] * E[CC | A_s(t)].  The term runs alone, through
-    ``run_conditional_mc`` (or ``pinned_term``), and equals the same term of
-    ``estimate_ecc`` bit for bit.
+    ``run_conditional_mc`` (one sample if its event pins every node), and
+    equals the same term of ``estimate_ecc`` bit for bit.
     """
-    term, sampled = _plan_term(sp, s, t, n_samples, mutual=mutual)
+    term, sampled = _plan_term(sp, *_resolve_pair(sp, s, t), n_samples, mutual=mutual)
     if sampled is None:
         return term
     event, _, tag, key = sampled
@@ -319,12 +314,9 @@ def estimate_pair_term(
         return values.class_fn(rows, np.full(len(rows), key))
 
     sampler = ConditionalSampler(sp.graph, event)
-    if sampler.is_deterministic:
-        _finish(term, *pinned_term(sampler, class_fn))
-    else:
-        stream = SampleStream(seed, tag, sp.graph.n)
-        mean, hits = run_conditional_mc(sampler, class_fn, n_samples, stream, threads)
-        _finish(term, mean, hits, n_samples)
+    n = 1 if sampler.is_deterministic else n_samples  # a pinned event's one realization
+    stream = SampleStream(seed, tag, sp.graph.n)
+    _finish(term, *run_conditional_mc(sampler, class_fn, n, stream, threads), n)
     return term
 
 
@@ -371,18 +363,20 @@ def estimate_ecc(
     def pair_terms():
         """Plan each edge's three pair terms; yield those to be sampled."""
         for a in range(work.m):
-            if sp.owner[a] < 0:
+            v = sp.owner[a]
+            if v < 0:
                 continue
             for b in range(a + 1, work.m):
-                if sp.owner[b] < 0 or sp.owner[b] == sp.owner[a]:
+                u = sp.owner[b]
+                if u < 0 or u == v:
                     continue
-                planned = [_plan_term(sp, a, b, used), _plan_term(sp, b, a, used)]
+                planned = [_plan_term(sp, a, b, v, u, used), _plan_term(sp, b, a, u, v, used)]
                 t_ab, t_ba = planned[0][0], planned[1][0]
                 # the mutual event lies inside both directional ones
                 if t_ab.prob == 0.0 or t_ba.prob == 0.0:
                     t_mut = PairTerm(t_ab.s, t_ab.t, t_ab.node_s, t_ab.node_t, "mutual")
                 else:
-                    planned.append(_plan_term(sp, a, b, used, mutual=True))
+                    planned.append(_plan_term(sp, a, b, v, u, used, mutual=True))
                     t_mut = planned[2][0]
                 edges.append((a, b, t_ab, t_ba, t_mut))
                 for term, job in planned:

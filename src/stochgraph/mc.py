@@ -6,7 +6,10 @@ samples make the failure probability at most delta.
 
 Determinism: sample i draws from a counter-based substream owned by its index,
 blocks have a fixed size, and aggregation is a fixed-fan-in pairwise tree over
-sample order, so the result is bit-identical at any worker count.
+sample order, so the result is bit-identical at any worker count.  The small
+terms of a group are reduced together: those of one sample count are stacked
+and each row is summed by the same tree (``tree_sums``), so each term equals
+its run alone.
 """
 
 from __future__ import annotations
@@ -25,16 +28,21 @@ from .rng import STREAM_VERSION, SampleStream
 from .sampling import BLOCK_SIZE, ConditionalSampler, draw_terms
 
 
+def tree_sums(a: np.ndarray) -> np.ndarray:
+    """Pairwise (fan-in 2) sum of each row of a 2-D array in column order,
+    an odd last column carried up a level; one row is summed as 1-D."""
+    k = len(a)
+    a = a[0] if k == 1 else a.T
+    while len(a) > 1:
+        half = len(a) // 2
+        paired = a[0 : 2 * half : 2] + a[1 : 2 * half : 2]
+        a = np.concatenate([paired, a[2 * half :]]) if len(a) % 2 else paired
+    return a[:1].reshape(-1) if len(a) else np.zeros(k)
+
+
 def tree_sum(values) -> float:
     """Pairwise (fan-in 2) sum in index order; independent of chunking."""
-    a = np.asarray(values, dtype=float).ravel()
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        half = a.size // 2
-        paired = a[0 : 2 * half : 2] + a[1 : 2 * half : 2]
-        a = np.concatenate([paired, a[2 * half :]]) if a.size % 2 else paired
-    return float(a[0])
+    return float(tree_sums(np.asarray(values, dtype=float).reshape(1, -1))[0])
 
 
 def chernoff_budget(U: float, mu_lower: float, epsilon: float, delta: float) -> int:
@@ -142,73 +150,68 @@ def pinned_classes(sampler: ConditionalSampler) -> np.ndarray:
     return np.sort([[int(o[0]) for o in sampler.outcomes]], axis=1)
 
 
-def pinned_term(
-    sampler: ConditionalSampler,
-    class_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-) -> tuple[float, int, int]:
-    """(mean, indicator_hits, samples) of a term whose event pins every node:
-    ``class_fn`` runs once on that realization, outside the engine, and it
-    counts as one sample."""
-    vals, hits = class_fn(pinned_classes(sampler))
-    return float(vals[0]), int(hits[0]), 1
-
-
 _RESUM_BELOW = 2.0**-969  # 2**53 times the least normal double
+
+
+def block_sums(
+    vals: np.ndarray, hits: np.ndarray, starts: Sequence[int], inverses: Sequence, n_samples: int
+) -> list[tuple[float, Optional[float], int]]:
+    """(scaled sum, unscaled sum or None, indicator hits) of each block
+    ``vals[start + inverse]``, ``hits[start + inverse]`` of a term of
+    n_samples, the blocks stacked and reduced row by row by ``tree_sums``.
+    Values are summed times a power of two below 1 / n_samples, so no sum of
+    finite values overflows; above the subnormal range that is exact.  A
+    block whose scaled sum is under ``_RESUM_BELOW`` may have lost bits, and
+    is summed again unscaled."""
+    at = np.array(inverses, dtype=np.intp)
+    at += np.array(starts)[:, None]
+    vals, hits = np.asarray(vals, dtype=float)[at], np.asarray(hits, dtype=np.int64)[at]
+    totals = tree_sums(vals * 2.0 ** -int(n_samples).bit_length()).tolist()
+    low = [r for r, total in enumerate(totals) if not abs(total) >= _RESUM_BELOW]  # and NaN
+    unscaled = dict.fromkeys(low, 0.0)  # an all-zero block sums to 0.0
+    resum = np.array(low, dtype=np.intp)[vals[low].any(axis=1)] if low else []
+    if len(resum):
+        unscaled.update(zip(resum.tolist(), tree_sums(vals[resum]).tolist()))
+    rows = zip(totals, hits.sum(axis=1).tolist())
+    return [(total, unscaled.get(r), h) for r, (total, h) in enumerate(rows)]
 
 
 def run_conditional_mc(
     sampler: Optional[ConditionalSampler],
-    class_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    class_fn: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]],
     n_samples: int,
     stream: Optional[SampleStream],
     threads: int = 1,
-    blocks: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None,
+    sums: Optional[Sequence[tuple[float, Optional[float], int]]] = None,
 ) -> tuple[float, int]:
     """Mean of a per-realization value over n_samples conditional draws.
 
     ``class_fn`` maps a ``BLOCK_SIZE`` block's (B, n) array of row-sorted
     realization classes (point indices, -1 for absent; a point set may
     appear more than once) to (values, indicators), one of each per class;
-    it is called once per block and may cache.  Values are summed in sample
-    order.  Returns (mean, indicator_hits).
-
-    ``blocks``, when given, holds ``draw_classes`` of each block of these
-    draws, drawn beforehand (``estimate_conditional`` solves the classes of
-    many terms at once), and ``sampler`` and ``stream`` are not read;
-    otherwise each block is drawn here, when it is reduced.
-
-    Values are summed times ``scale``, a power of two below 1 / n_samples, so
-    no sum of finite values overflows; above the subnormal range that is
-    exact.  Tiny values lose bits when scaled below it, so a term whose
-    blocks' scaled sums are all under ``_RESUM_BELOW`` is summed again
-    unscaled, where it cannot overflow.
+    it is called once per block and may cache.  Each block is drawn with
+    ``draw_classes`` and reduced by ``block_sums``; ``sums``, if given, are
+    the blocks' sums, reduced beforehand, and nothing else is read.  The mean
+    is the ``tree_sum`` of the blocks' unscaled sums if each has one and one
+    is not 0, else of their scaled sums, unscaled.  Returns (mean, hits).
     """
     n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
-    scale = 2.0 ** -int(n_samples).bit_length()
 
     def process(b: int) -> tuple[float, Optional[float], int]:
-        classes, inverse = draw_classes(sampler, stream, n_samples, b) if blocks is None else blocks[b]
-        vals, hits = class_fn(classes)
-        vals = np.asarray(vals, dtype=float)[inverse]
-        hits = int(np.asarray(hits, dtype=np.int64)[inverse].sum())
-        total = tree_sum(vals * scale)
-        if abs(total) >= _RESUM_BELOW:
-            return total, None, hits
-        # the scaled values may have lost bits; many blocks are all zero
-        return total, tree_sum(vals) if vals.any() else 0.0, hits
+        classes, inverse = draw_classes(sampler, stream, n_samples, b)
+        return block_sums(*class_fn(classes), [0], [inverse], n_samples)[0]
 
-    if threads > 1 and n_blocks > 1:
+    if sums is not None:
+        results = sums
+    elif threads > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(process, range(n_blocks)))
     else:
         results = [process(b) for b in range(n_blocks)]
-
-    hits = sum(h for _, _, h in results)
-    total = tree_sum(np.array([s for s, _, _ in results]))
-    unscaled = [u for _, u, _ in results]
+    totals, unscaled, hits = zip(*results)
     if None not in unscaled and any(unscaled):
-        return tree_sum(np.array(unscaled)) / n_samples, hits
-    return total / n_samples / scale, hits
+        return tree_sum(unscaled) / n_samples, sum(hits)
+    return tree_sum(totals) / n_samples / 2.0 ** -int(n_samples).bit_length(), sum(hits)
 
 
 _HELD_INVERSE = np.min_scalar_type(BLOCK_SIZE)  # uint16
@@ -235,8 +238,8 @@ def estimate_conditional(
     sample.  A term whose support is at most its sample count draws its block
     on joining and is keyed, any other when ``group_classes`` draws the
     group's.  One ``class_fn`` call solves the row-sorted classes of the
-    whole group, and each term is reduced on its slice of the values, so it
-    equals the term run alone.
+    whole group; its terms are reduced by ``block_sums``, stacked by sample
+    count, so each equals its run alone.
 
     A group closes once the rows it will hand ``class_fn`` reach
     ``BLOCK_SIZE``: a pinned term's one row, a keyed term's classes, a
@@ -260,17 +263,19 @@ def estimate_conditional(
             np.concatenate([classes for _, _, _, classes, _ in group]),
             np.repeat([key for _, key, _, _, _ in group], counts),
         )
-        ends = np.cumsum(counts)[:-1]
-        vals = np.split(np.asarray(vals, dtype=float), ends)
-        hits = np.split(np.asarray(hits, dtype=np.int64), ends)
-        for (i, _, n, classes, inverse), v, h in zip(group, vals, hits):
+        stacks: dict = {}  # n_samples -> [(position, start, inverse)]
+        for (i, _, n, _, inverse), start in zip(group, np.cumsum([0] + counts[:-1]).tolist()):
             if inverse is None:
-                results[i] = (float(v[0]), int(h[0]), 1)
+                results[i] = (float(vals[start]), int(hits[start]), 1)
             else:
-                mean, term_hits = run_conditional_mc(
-                    None, lambda _classes, vh=(v, h): vh, n, None, blocks=[(classes, inverse)]
-                )
-                results[i] = (mean, term_hits, n)
+                stacks.setdefault(n, []).append((i, start, inverse))
+        for n, stack in stacks.items():
+            step = max(1, 4 * BLOCK_SIZE // n)  # samples block_sums gathers at once
+            for c in range(0, len(stack), step):
+                positions, starts, inverses = zip(*stack[c : c + step])
+                for i, sums in zip(positions, block_sums(vals, hits, starts, inverses, n)):
+                    # one engine run per term: perfbench's tracer counts samples by these runs
+                    results[i] = (*run_conditional_mc(None, None, n, None, sums=[sums]), n)
 
     for i, (event, n_samples, tag, key) in enumerate(terms):
         results.append(None)

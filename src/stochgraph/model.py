@@ -380,11 +380,12 @@ def pinned_event(g: StochasticGraph, base: np.ndarray, v: int, s: int, u: int, t
     """Node v at point s, node u at point t, and every other node inside
     ``base`` (a point mask, or an n×m mask with one row per node) or, in
     existential mode, absent."""
-    allowed = np.broadcast_to(base, (g.n, g.m)).copy()
-    allowed[[v, u]] = False
+    allowed = np.empty((g.n, g.m), dtype=bool)
+    allowed[:] = base
+    allowed[v] = allowed[u] = False
     allowed[v, s] = allowed[u, t] = True
     absent = np.full(g.n, g.presence_mode == EXISTENTIAL)
-    absent[[v, u]] = False
+    absent[v] = absent[u] = False
     return Event(allowed, absent)
 
 

@@ -25,11 +25,21 @@ Two cases time cc on the benchmark's ladder-large cc instance
 
 - ``cc-builds``: one ``ConditionalSampler`` for each directional
   nearest-neighbor event of the split space;
+- ``cc-plan``: the pair planning of ``estimate_ecc`` alone at cap 50, for
+  every pair its two directional terms and, when both are positive, its
+  mutual one: probabilities and events, no sampling;
 - ``cc-terms``: ``estimate_ecc`` at cap 50, seed 1001, one thread: every
   pair term, its probabilities, sampling and class solving;
 - ``group-draw``: the blocks of 80 of those events (support above 50) at
   50 samples each, from their samplers and streams to each term's classes,
   drawn per term (``draw_classes``) or as one group (``group_classes``).
+
+``group-reduce`` times the reduction of one group's small terms from the
+values and indicators its ``class_fn`` call returned: 81 terms of 50
+samples (a ladder-large cc group), 10 % of their values nonzero.  It is
+reduced ``stacked``, as ``estimate_conditional`` does (``block_sums`` over
+the stacked terms, then ``run_conditional_mc(..., sums=...)`` per term), or
+``per-term``, one ``block_sums`` row per term.
 
 ``keyed-group`` times ``estimate_conditional`` over the 166 planned pair
 terms of the acceptance suite's ``eu-5-6`` cc instance
@@ -54,6 +64,7 @@ from stochgraph.generate import gen_graph
 from stochgraph.mc import (
     BLOCK_SIZE,
     block_classes,
+    block_sums,
     draw_classes,
     estimate_conditional,
     group_classes,
@@ -174,20 +185,33 @@ def test_group_draw(benchmark, way):
 CAMPAIGN_CC = gen_graph("euclidean-uniform", 5, 6, 14)
 
 
+def plan_pairs(sp: cc.SplitSpace, n_samples: int) -> list:
+    """The ``(event, n_samples, tag, key)`` term of every pair term that
+    ``estimate_ecc`` samples, planned as it plans them, in its order."""
+    owner, m, planned = sp.owner, sp.graph.m, []
+    for a in range(m):
+        for b in range(a + 1, m):
+            v, u = owner[a], owner[b]
+            if v < 0 or u < 0 or v == u:
+                continue
+            terms = [cc._plan_term(sp, a, b, v, u, n_samples), cc._plan_term(sp, b, a, u, v, n_samples)]
+            if terms[0][1] is not None and terms[1][1] is not None:
+                terms.append(cc._plan_term(sp, a, b, v, u, n_samples, mutual=True))
+            planned.extend(job for _, job in terms if job is not None)
+    return planned
+
+
+def test_cc_pair_planning(benchmark):
+    sp = cc.split_points(LADDER_CC)
+    sp.rank  # built once, as in a run
+    benchmark.group = "cc-plan"
+    assert len(benchmark(plan_pairs, sp, 50)) == 436
+
+
 def cc_pair_terms(g, n_samples: int) -> tuple:
-    """The split graph and the ``(event, n_samples, tag, key)`` term of every
-    pair term that ``estimate_ecc`` samples, in its order."""
+    """The split graph and its ``plan_pairs`` terms."""
     sp = cc.split_points(g)
-    owner, m = sp.owner, sp.graph.m
-    pairs = [
-        (a, b) for a in range(m) for b in range(a + 1, m)
-        if owner[a] >= 0 and owner[b] >= 0 and owner[a] != owner[b]
-    ]
-    planned = [
-        cc._plan_term(sp, s, t, n_samples, mutual=mutual)[1]
-        for a, b in pairs for s, t, mutual in ((a, b, False), (b, a, False), (a, b, True))
-    ]
-    return sp.graph, [term for term in planned if term is not None]
+    return sp.graph, plan_pairs(sp, n_samples)
 
 
 def test_keyed_group(benchmark):
@@ -201,6 +225,30 @@ def test_keyed_group(benchmark):
     report = cc.estimate_ecc(CAMPAIGN_CC, 0.25, 1, budget_cap=2500)
     sampled = [d for d in report.extras["pairs"] if d["prob"] > 0.0]
     assert [(d["indicator_hits"], d["samples"]) for d in sampled] == [r[1:] for r in results]
+
+
+@pytest.mark.parametrize("way", ["per-term", "stacked"])
+def test_group_reduce(benchmark, way):
+    rng = np.random.default_rng(1)
+    terms, n = 81, 50
+    vals = np.where(rng.random(terms * n) < 0.1, rng.random(terms * n), 0.0)
+    hits = (vals > 0.0).astype(np.int64)
+    starts = np.arange(0, terms * n, n).tolist()
+    inverses = [np.arange(n)] * terms
+
+    def stacked():
+        rows = block_sums(vals, hits, starts, inverses, n)
+        return [run_conditional_mc(None, None, n, None, sums=[row]) for row in rows]
+
+    def per_term():
+        return [
+            run_conditional_mc(None, None, n, None, sums=block_sums(vals, hits, [s], [i], n))
+            for s, i in zip(starts, inverses)
+        ]
+
+    benchmark.group = "group-reduce"
+    means = benchmark(stacked if way == "stacked" else per_term)
+    assert means == per_term()
 
 
 def test_calibration(benchmark):

@@ -29,6 +29,7 @@ import stochgraph.mc as mc_module
 from stochgraph.cc import _SLACK, _PairValues, pair_budget
 
 from stochgraph.generate import gen_graph
+from stochgraph.model import mass_in
 from stochgraph.sampling import BLOCK_SIZE
 
 from conftest import NNEventStats, count_groups, random_graph, rng_for
@@ -176,6 +177,33 @@ def test_prob_nearest_same_node_rejected():
     sp = split_points(g)
     with pytest.raises(DomainError):
         prob_nearest(sp, "p0", "p1")
+
+
+@pytest.mark.parametrize("mode", ["certain", "existential"])
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 9), (5, 40), (4, 140), (3, 230)])
+def test_row_sum_masses_equal_mass_in_bit_for_bit(mode, n, m):
+    # nodes own up to m points each, so split rows run past numpy's
+    # 128-element pairwise block once m is large
+    rng = rng_for(900 + m)
+    g = random_graph(rng, n, m, presence_mode=mode)
+    sp = split_points(g)
+    work = sp.graph
+    owned = np.bincount([v for v in sp.owner if v >= 0], minlength=n)
+    assert owned.max() >= 3 or m == 3
+    pairs = [
+        (a, b) for a in range(work.m) for b in range(work.m)
+        if a != b and sp.owner[a] >= 0 and sp.owner[b] >= 0 and sp.owner[a] != sp.owner[b]
+    ]
+    picked = rng.choice(len(pairs), size=min(len(pairs), 150), replace=False)
+    longest = 0
+    for a, b in (pairs[k] for k in picked):
+        for mutual in (False, True):
+            outside = cc_module._outside(sp, a, b, mutual)
+            longest = max(longest, int(outside.sum()))
+            masses = np.array(cc_module._masses(work, outside))
+            reference = np.array([mass_in(work, w, outside) for w in range(n)])
+            assert masses.tobytes() == reference.tobytes()
+    assert longest > 128 or m < 100
 
 
 def test_prob_nearest_matches_enumeration_on_random_instances(rng):
@@ -379,22 +407,20 @@ def ladder_cc_graph():
 def test_cycle_covers_are_solved_for_indicator_hits_only(monkeypatch):
     solved: list[tuple[int, ...]] = []
     hit_sets: set[tuple[int, ...]] = set()
-    cc_indices, run = cc_module._cc_indices, mc_module.run_conditional_mc
+    cc_indices, class_fn = cc_module._cc_indices, cc_module._PairValues.class_fn
 
     def recording_cc(space, idx):
         solved.extend(map(tuple, idx.tolist()))
         return cc_indices(space, idx)
 
-    def recording_run(sampler, class_fn, *args, **kwargs):
-        def recorded(rows):
-            values, hits = class_fn(rows)
-            hit_sets.update(tuple(row[row >= 0].tolist()) for row in rows[hits == 1])
-            return values, hits
-
-        return run(sampler, recorded, *args, **kwargs)
+    def recorded(self, rows, keys):
+        # every group's and every block's classes, before they are reduced
+        values, hits = class_fn(self, rows, keys)
+        hit_sets.update(tuple(row[row >= 0].tolist()) for row in rows[hits == 1])
+        return values, hits
 
     monkeypatch.setattr(cc_module, "_cc_indices", recording_cc)
-    monkeypatch.setattr(mc_module, "run_conditional_mc", recording_run)
+    monkeypatch.setattr(cc_module._PairValues, "class_fn", recorded)
     estimate_ecc(ladder_cc_graph(), 0.25, 1001, budget_cap=50)
     assert hit_sets
     assert sorted(solved) == sorted(hit_sets)
@@ -446,9 +472,30 @@ def test_grouped_pair_terms_equal_standalone_terms(name):
     report = estimate_ecc(g, 0.25, 1, budget_cap=50)
     sp = split_points(g)
     used = report.extras["pair_budget"]["used"]
+    index = sp.graph.space.index
     for d in report.extras["pairs"]:
         alone = estimate_pair_term(sp, d["s"], d["t"], used, 1, mutual=d["kind"] == "mutual")
         assert alone.to_dict() == d
+        by_index = estimate_pair_term(
+            sp, index(d["s"]), index(d["t"]), used, 1, mutual=d["kind"] == "mutual"
+        )
+        assert by_index.to_dict() == d
+
+
+def test_pair_terms_of_one_point_or_one_node_are_rejected():
+    space = line_space(0.0, 1.0, 2.0)
+    g = StochasticGraph(["v", "w"], space, {"v": {"p0": 0.5, "p1": 0.5}, "w": {"p2": 1.0}})
+    sp = split_points(g)
+    for s, t in (("p0", "p0"), (2, 2), ("p0", "p1"), (0, 1), ("p1", 0)):
+        for call in (
+            lambda: estimate_pair_term(sp, s, t, 10, 1),
+            lambda: estimate_pair_term(sp, s, t, 10, 1, mutual=True),
+            lambda: prob_nearest(sp, s, t),
+            lambda: prob_mutual_nearest(sp, s, t),
+        ):
+            with pytest.raises(DomainError):
+                call()
+    assert estimate_pair_term(sp, "p0", "p2", 10, 1).prob == estimate_pair_term(sp, 0, 2, 10, 1).prob
 
 
 def test_kernels_run_once_per_group_on_the_ladder_instance(monkeypatch):
@@ -511,9 +558,9 @@ def test_terms_of_a_block_or_more_run_on_the_thread_pool(monkeypatch):
     calls = []
     run = mc_module.run_conditional_mc
 
-    def recording(sampler, class_fn, n_samples, stream, threads=1, blocks=None):
-        calls.append((n_samples, threads, blocks))
-        return run(sampler, class_fn, n_samples, stream, threads, blocks)
+    def recording(sampler, class_fn, n_samples, stream, threads=1, sums=None):
+        calls.append((n_samples, threads, sums))
+        return run(sampler, class_fn, n_samples, stream, threads, sums)
 
     monkeypatch.setattr(mc_module, "run_conditional_mc", recording)
     reports = [estimate_ecc(g, 0.25, 7, budget_cap=BLOCK_SIZE + 1, threads=th) for th in (1, 3)]

@@ -38,8 +38,8 @@ from stochgraph.mc import (
     apply_budget_scale,
     block_classes,
     group_classes,
-    pinned_term,
     run_conditional_mc,
+    tree_sums,
 )
 from stochgraph.model import Event
 from stochgraph.oracle import FunctionalEvaluator
@@ -141,6 +141,25 @@ def test_tree_sum_independent_of_chunk_boundaries():
     vals = rng.random(10_000)
     total = tree_sum(vals)
     assert tree_sum(vals.copy()) == total
+
+
+def pairwise_reference(xs: list) -> float:
+    """Fan-in 2 sum in index order, an odd last value carried up a level."""
+    while len(xs) > 1:
+        xs = [xs[i] + xs[i + 1] for i in range(0, len(xs) - 1, 2)] + xs[len(xs) - len(xs) % 2 :]
+    return xs[0] if xs else 0.0
+
+
+def test_tree_sums_pair_each_row_in_index_order():
+    # magnitudes 2**-60 .. 2**60 of both signs, so every grouping shows in the bits
+    rng = rng_for(3)
+    for width in [0, 1, 2, 3, 5, 7, 8, 13, 50, 129]:
+        for rows in (1, 2, 9):
+            a = rng.random((rows, width)) * 2.0 ** rng.integers(-60, 61, (rows, width))
+            a *= rng.choice([-1.0, 1.0], (rows, width))
+            expected = [pairwise_reference(row) for row in a.tolist()]
+            assert tree_sums(a).tolist() == expected
+            assert [tree_sum(row) for row in a] == expected
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -428,26 +447,28 @@ def test_conditional_unbiased_at_sampler_level(rng):
 
 def each_term_alone(g, terms, class_fn, seed):
     """(mean, hits, samples) of each ``(event, n_samples, tag, key)`` term run
-    alone: ``pinned_term``, or ``run_conditional_mc`` on its own stream."""
+    alone: ``run_conditional_mc`` on its own stream, over one sample if its
+    event pins every node."""
     alone = []
     for event, n, tag, key in terms:
         def fn(rows, key=key):
             return class_fn(rows, np.full(len(rows), key))
 
         sampler = ConditionalSampler(g, event)
-        if sampler.is_deterministic:
-            alone.append(pinned_term(sampler, fn))
-        else:
-            alone.append((*run_conditional_mc(sampler, fn, n, SampleStream(seed, tag, g.n)), n))
+        n = 1 if sampler.is_deterministic else n
+        alone.append((*run_conditional_mc(sampler, fn, n, SampleStream(seed, tag, g.n)), n))
     return alone
 
 
 def test_grouped_terms_equal_each_term_run_alone(rng):
     g = random_graph(rng, 4, 5, max_support=3)
     evaluator = FunctionalEvaluator(g, Functional.MST)
+    tiny = 2.0**-1060  # an MST value times this is subnormal
 
     def class_fn(rows, keys):
-        return evaluator.values(rows) * keys, (rows[:, -1] % 3 == keys % 3).astype(int)
+        # values times a positive key; all zero for key 0; subnormal for a negative key
+        weight = np.where(keys > 0, keys, np.where(keys < 0, tiny, 0.0))
+        return evaluator.values(rows) * weight, (rows[:, -1] % 3 == keys % 3).astype(int)
 
     pinned = np.zeros((g.n, g.m), dtype=bool)
     pinned[np.arange(g.n), g.probs.argmax(axis=1)] = True
@@ -464,8 +485,25 @@ def test_grouped_terms_equal_each_term_run_alone(rng):
     ]
     alone = each_term_alone(g, terms, class_fn, seed=3)
     assert [samples for _, _, samples in alone] == sizes
-    for threads in (1, 3):
+    for threads in (1, 2, 3):
         assert estimate_conditional(g, iter(terms), class_fn, seed=3, threads=threads) == alone
+
+    def kinds(key):  # the same terms with all-zero, subnormal and plain values
+        return [(e, n, f"{tag}/{key}", key * k) for e, n, tag, k in terms]
+
+    # groups mixing sample counts (1 to 2,000) and value kinds; and 20 keyed
+    # terms of 2,000 samples in one group, more than one stack of them
+    counts = [1, 50, 5, 1, 500, 50, 5, 2000, 1, 50]
+    mixed = [(narrow if k % 3 else None, n, f"mixed-{k}", k % 3 - 1) for k, n in enumerate(counts)]
+    stacked = [(narrow, 2000, f"stacked-{k}", k % 3 - 1) for k in range(20)]
+    assert ConditionalSampler(g, narrow).support <= 2000
+    assert 20 * 2000 > 4 * BLOCK_SIZE  # a stack gathers at most 4 blocks of samples
+    for case in (kinds(0), kinds(-1), mixed * 3, stacked):
+        alone = each_term_alone(g, case, class_fn, seed=5)
+        for threads in (1, 2):
+            assert estimate_conditional(g, iter(case), class_fn, seed=5, threads=threads) == alone
+    tiny_means = [mean for mean, _, _ in each_term_alone(g, kinds(-1), class_fn, seed=5)]
+    assert all(0.0 < mean < 2.0**-1022 for mean in tiny_means)  # the unscaled re-sums
 
 
 def keyed_class_fn(g, calls):
@@ -512,13 +550,13 @@ def test_one_class_terms_close_their_groups_by_the_samples_they_hold(monkeypatch
     )
     n = BLOCK_SIZE - 1
     terms = [(None, n, f"one-{k}", k + 1) for k in range(150)]
-    held, run = [], mc_module.run_conditional_mc
+    held, reduce = [], mc_module.block_sums
 
-    def recorded(sampler, class_fn, n_samples, stream, threads=1, blocks=None):
-        held.append(None if blocks is None else blocks[0][1].dtype)
-        return run(sampler, class_fn, n_samples, stream, threads, blocks)
+    def recorded(vals, hits, starts, inverses, n_samples):
+        held.extend(inverse.dtype for inverse in inverses)
+        return reduce(vals, hits, starts, inverses, n_samples)
 
-    monkeypatch.setattr(mc_module, "run_conditional_mc", recorded)
+    monkeypatch.setattr(mc_module, "block_sums", recorded)
     calls: list = []
     class_fn = keyed_class_fn(g, calls)
     got = estimate_conditional(g, terms, class_fn, seed=6)
