@@ -4,7 +4,10 @@ Each private kernel (``_mst_indices``, ``_mpm_indices``, ``_cc_indices``,
 ``_nn_indices``) takes a ``(B, k)`` array of point indices, one realized
 point set per row, and solves every row in one call; a row's value never
 depends on the other rows of its block.  The public functions are one-row
-calls on point ids.
+calls on point ids.  Matchings of up to 12 points and cycle covers of up to
+5 are found by enumeration; larger ones import networkx's blossom and
+scipy's assignment solver at first use, so importing the package loads
+neither.
 
 All lengths are recomputed from the chosen edge/pair multiset as its
 correctly rounded sum, so two optimal solutions with the same true total
@@ -19,13 +22,13 @@ edges have equal length" assumption.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError
 from .model import MetricSpace
@@ -374,7 +377,7 @@ def _matchings(k: int) -> np.ndarray:
     A pair id indexes ``_pairs(k)``.  Column 0 pairs point 0 with each j > 0
     in turn; the other columns are the matchings of K_(k-2) relabelled onto
     the points left over.  The table is stored column by column, the order
-    ``_mpm_enumerate`` reads it in.
+    ``_least_sums`` reads it in.
     """
     if k == 0:
         out = np.zeros((1, 0), dtype=np.intp)
@@ -394,30 +397,31 @@ def _matchings(k: int) -> np.ndarray:
     return out
 
 
-def _mpm_enumerate(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
-    """Minimum perfect matchings by a float screen over all (k-1)!! matchings.
+def _least_sums(
+    space: MetricSpace, idx: np.ndarray, a: np.ndarray, b: np.ndarray, table: np.ndarray
+) -> np.ndarray:
+    """Each row's least correctly rounded candidate sum, by a float screen.
 
-    Each row's float sums S are accumulated left to right, one matching
-    column at a time.  The h = k/2 weights are nonnegative doubles, so
-    |S - E| <= g*E for a matching of exact weight E, with
+    Weight e of a row is ``space.dist[row[a[e]], row[b[e]]]``; each row of
+    ``table`` (stored column by column) lists the ids of the h weights one
+    candidate sums.  A row's float sums S are accumulated left to right, one
+    table column at a time.  The weights are nonnegative doubles, so
+    |S - E| <= g*E for a candidate of exact sum E, with
     g = (h-1)u / (1 - (h-1)u) and u = 2**-53; an addition that underflows
     is exact, so this holds at every magnitude.  Hence min S >= (1-g)*E*,
-    and an optimal matching has S <= (1+g)*E* <= min S * (1+g)/(1-g), less
+    and a least candidate has S <= (1+g)*E* <= min S * (1+g)/(1-g), less
     than min S * (1 + 4hu) * (1-u), which bounds the threshold
     min S * (1 + 4hu) rounded to a double from below.  (Where min S is below
-    the normal range and that bound fails, sums up to min S are exact, so an
-    optimal matching has S = E* <= min S.)  Every optimal matching is thus a
-    candidate.  ``exact_sums`` of a candidate's weights, ``math.fsum``'s
-    float, is its exact weight correctly rounded, and rounding is monotone,
-    so the least candidate sum is E* correctly rounded: the float that fsum
-    of any exact optimum, such as blossom's in ``_mpm_blossom``, gives.
+    the normal range and that bound fails, sums up to min S are exact, so a
+    least candidate has S = E* <= min S.)  Every least candidate thus
+    passes.  ``exact_sums`` of a passing candidate's weights, ``math.fsum``'s
+    float, is its exact sum correctly rounded, and rounding is monotone, so
+    the least of them is E* correctly rounded: the float that fsum of any
+    exact optimum gives.
     """
-    B, k = idx.shape
-    h = k // 2
-    matchings = _matchings(k)
-    columns = matchings.T
-    M = len(matchings)
-    a, b = _pairs(k)
+    B = len(idx)
+    M, h = table.shape
+    columns = table.T
     slack = 1.0 + 4 * h * 2.0**-53
     out = np.full(B, np.inf)
     for rows in _chunks(B, 8 * max(M, len(a))):
@@ -427,7 +431,7 @@ def _mpm_enumerate(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
         for col in columns[1:]:
             S += np.take(w, col, axis=1, out=term)
         r, m = np.divmod(np.flatnonzero(S <= S.min(axis=1, keepdims=True) * slack), M)
-        np.minimum.at(out[rows], r, exact_sums(w[r, matchings[m].T]))
+        np.minimum.at(out[rows], r, exact_sums(w[r, table[m].T]))
     return out
 
 
@@ -472,7 +476,7 @@ def _mpm_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
     if k == 2:
         return space.dist[idx[:, 0], idx[:, 1]]
     if k <= _ENUMERATE_MAX:
-        return _mpm_enumerate(space, idx)
+        return _least_sums(space, idx, *_pairs(k), _matchings(k))
     return _mpm_blossom(space, idx)
 
 
@@ -485,10 +489,32 @@ def mpm_length(space: MetricSpace, points: Sequence) -> float:
 # Minimum cycle cover (2-cycles allowed, paying both directions)
 # ---------------------------------------------------------------------------
 
-def _cc_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
+_CC_ENUMERATE_MAX = 5  # measured: from 6 points (265 derangements) one assignment a row is faster
+
+
+@functools.cache
+def _derangements(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every fixed-point-free permutation p of k points, as ``_least_sums``
+    reads it: the cell endpoints (a, b) = divmod(range(k * k), k) of a
+    row's k x k distance table, and one row of the flat cells i * k + p[i]
+    per permutation, stored column by column."""
+    a, b = np.divmod(np.arange(k * k), k)
+    table = [
+        [i * k + j for i, j in enumerate(p)]
+        for p in itertools.permutations(range(k))
+        if all(i != j for i, j in enumerate(p))
+    ]
+    table = np.asfortranarray(np.array(table, dtype=np.intp))
+    for x in (a, b, table):
+        x.flags.writeable = False
+    return a, b, table
+
+
+def _cc_assign(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
+    """Minimum cycle covers by one assignment per row."""
+    from scipy.optimize import linear_sum_assignment  # loaded on first use: only k > 5 needs it
+
     B, k = idx.shape
-    if k < 2:
-        raise DomainError(f"cycle cover needs at least 2 points, got {k}")
     cols = np.arange(k)
     lengths = np.empty((k, B))
     for rows in _chunks(B, 8 * k * k):
@@ -501,8 +527,25 @@ def _cc_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
     return exact_sums(lengths)
 
 
+def _cc_indices(space: MetricSpace, idx: np.ndarray) -> np.ndarray:
+    """Minimum cycle covers: a fixed-point-free assignment of least length.
+
+    Up to ``_CC_ENUMERATE_MAX`` points every derangement (1, 2, 9 and 44 at
+    k = 2 ... 5) is screened by ``_least_sums``; above that each row solves
+    the assignment problem with fixed points priced out, and scipy is
+    imported at the first such row.  Both give the optimum correctly
+    rounded.
+    """
+    B, k = idx.shape
+    if k < 2:
+        raise DomainError(f"cycle cover needs at least 2 points, got {k}")
+    if k <= _CC_ENUMERATE_MAX:
+        return _least_sums(space, idx, *_derangements(k))
+    return _cc_assign(space, idx)
+
+
 def cc_length(space: MetricSpace, points: Sequence) -> float:
-    """Exact minimum cycle cover length via the assignment-problem reduction.
+    """Exact minimum cycle cover length over a realized point multiset.
 
     A fixed-point-free assignment on the realized points is exactly a cover
     by cycles of length >= 2; a 2-cycle pays both directed copies of its edge.

@@ -5,7 +5,9 @@
 Each case solves a block of B random k-point sets (row-sorted, distinct
 points of a 64-point Euclidean space) with one call of a kernel, at
 k in {4, 8, 16, 32} and B in {1, 4096}.  Matching also runs at k = 12, the
-largest k it solves by enumerating every matching.  Above that it runs
+largest k it solves by enumerating every matching, and cycle cover at k = 5,
+the largest it solves by enumerating every derangement, and k = 6, the
+smallest it solves by one assignment per row.  Above 12 matching runs
 blossom once per row, so its cost per row does not depend on B; there it is
 measured at B = 64 instead of 4096, where k = 32 would take over a minute
 per round.
@@ -65,10 +67,11 @@ SPACE = MetricSpace(
     [f"p{i}" for i in range(M)], coords=np.random.default_rng(0).random((M, 2))
 )
 KERNELS = {"mst": _mst_indices, "mpm": _mpm_indices, "cc": _cc_indices, "nn": _nn_indices}
+SIZES = {"mpm": (4, 8, 12, 16, 32), "cc": (4, 5, 6, 8, 16, 32)}
 CASES = [
     (name, k, B)
     for name in KERNELS
-    for k in ((4, 8, 12, 16, 32) if name == "mpm" else (4, 8, 16, 32))
+    for k in SIZES.get(name, (4, 8, 16, 32))
     for B in ((1, 64) if name == "mpm" and k > 12 else (1, 4096))
 ]
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 from itertools import combinations
@@ -41,10 +43,11 @@ from stochgraph.oracle import enumerate_term
 from stochgraph.sampling import node_outcomes
 from stochgraph.solvers import (
     _cc_indices,
+    _least_sums,
     _matchings,
     _mpm_blossom,
-    _mpm_enumerate,
     _mpm_indices,
+    _pairs,
     _mst_indices,
     _nn_indices,
     edge_order,
@@ -187,6 +190,50 @@ def test_cc_matches_permutation_enumeration():
         space = euclidean_space(rng, k)
         pts = [f"p{i}" for i in range(k)]
         assert cc_length(space, pts) == cc_by_permutation_enumeration(space, pts)
+
+
+def cc_by_least_fsum(D: np.ndarray, row) -> float:
+    """The least correctly rounded length over every derangement of a row."""
+    k = len(row)
+    return min(
+        math.fsum(D[row[i], row[p[i]]] for i in range(k))
+        for p in itertools.permutations(range(k))
+        if all(p[i] != i for i in range(k))
+    )
+
+
+@pytest.mark.parametrize("kind", ["euclidean-uniform", "random-metric", "colocated-mass", "home-separated"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+def test_cc_kernel_is_the_least_fsum_over_derangements(k, kind):
+    # k <= 5 screens every derangement, k >= 6 solves assignments; co-located
+    # copies and repeated points give zero distances, home-separated exact ties
+    space = gen_graph(kind, 2, 9, 40 + k).space
+    rows = random_rows(rng_for(650 + k), space.m, k, 12, distinct=False)
+    rows[:4] = random_rows(rng_for(660 + k), space.m, k, 4, distinct=True)
+    got = _cc_indices(space, rows)
+    assert got.tolist() == [cc_by_least_fsum(space.dist, r) for r in rows.tolist()]
+
+
+def test_small_cycle_covers_never_import_scipy():
+    # suite instance eu-5-6 at the campaign's cc cap, then one 6-point cover
+    code = (
+        "import sys, stochgraph\n"
+        "from stochgraph.generate import gen_graph\n"
+        "g = gen_graph('euclidean-uniform', 5, 6, 14)\n"
+        "stochgraph.estimate_ecc(g, 0.25, 1, budget_cap=2500)\n"
+        "stochgraph.exact_expectation(g, 'cc')\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "print(stochgraph.cc_length(g.space, g.space.point_ids).hex())\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, value, after = proc.stdout.split()
+    space = gen_graph("euclidean-uniform", 5, 6, 14).space
+    assert (before, after) == ("False", "True")
+    assert float.fromhex(value) == cc_by_least_fsum(space.dist, list(range(6)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +509,8 @@ def matching_spaces() -> dict[str, MetricSpace]:
 def test_mpm_enumeration_equals_blossom_bit_for_bit(k, kind):
     space = matching_spaces()[kind]
     rows = random_rows(rng_for(680 + k), space.m, k, 20, distinct=False)
-    assert _mpm_enumerate(space, rows).tobytes() == _mpm_blossom(space, rows).tobytes()
+    enumerated = _least_sums(space, rows, *_pairs(k), _matchings(k))
+    assert enumerated.tobytes() == _mpm_blossom(space, rows).tobytes()
 
 
 def test_mpm_screen_keeps_a_matching_whose_float_sum_ranks_it_second():
