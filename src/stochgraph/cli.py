@@ -66,8 +66,8 @@ def _load_json_arg(spec: str):
             with open(spec[1:], "r", encoding="utf-8") as fh:
                 return json.load(fh)
         return json.loads(spec)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"not valid JSON ({exc})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"not valid UTF-8 JSON ({exc})") from None
 
 
 def _load_event(spec: str | None) -> EventSpec:

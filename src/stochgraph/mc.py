@@ -103,34 +103,39 @@ def apply_budget_scale(full_n: int, scale: float = 1.0, cap: Optional[int] = Non
     return max(1, math.ceil(n))
 
 
-def block_classes(sampler: ConditionalSampler, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def block_classes(
+    sampler: ConditionalSampler, rows: np.ndarray, keys: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(classes, inverse) of a drawn block: ``classes[inverse]`` is the block
     with each row sorted.
 
-    With ``sampler.lookups``, rows are keyed by outcome position, and the
-    classes are one row-sorted row per present key, so no two share an
-    outcome tuple; otherwise ``rows``, sorted in place, are their own classes.
+    With ``keys``, the rows' position keys from ``draw_block``, the classes
+    are one row-sorted row per present key, in key order, so no two share an
+    outcome tuple; a keyed support is at most ``BLOCK_SIZE``, so the inverse
+    is uint16.  Otherwise ``rows``, sorted in place, are their own classes.
     """
-    if sampler.lookups is None:
+    if keys is None:
         rows.sort(axis=1)
         return rows, np.arange(len(rows))
-    keys = sampler.position_keys(rows)
     present = np.flatnonzero(np.bincount(keys, minlength=sampler.support))
-    slot = np.empty(sampler.support, dtype=np.intp)
-    slot[keys] = np.arange(len(keys))  # any row of a key will do
+    # uint16 throughout: a cast on assignment costs more than the pick
+    slot = np.empty(sampler.support, dtype=np.uint16)
+    slot[keys] = np.arange(len(keys), dtype=np.uint16)  # any row of a key will do
     classes = rows[slot[present]]
     classes.sort(axis=1)
-    slot[present] = np.arange(len(present))
+    slot[present] = np.arange(len(present), dtype=np.uint16)
     return classes, slot[keys]
 
 
 def draw_classes(
     sampler: ConditionalSampler, stream: SampleStream, n_samples: int, b: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``block_classes`` of block ``b`` of a term's ``n_samples`` draws."""
+    """``block_classes`` of block ``b`` of a term's ``n_samples`` draws, keyed
+    by position when the support fits in one block."""
     start = b * BLOCK_SIZE
-    rows = sampler.draw_block(stream, start, min(BLOCK_SIZE, n_samples - start))
-    return block_classes(sampler, rows)
+    count = min(BLOCK_SIZE, n_samples - start)
+    keys = np.zeros(count, dtype=np.int64) if sampler.support <= BLOCK_SIZE else None
+    return block_classes(sampler, sampler.draw_block(stream, start, count, keys), keys)
 
 
 def group_classes(
@@ -214,7 +219,6 @@ def run_conditional_mc(
     return tree_sum(totals) / n_samples / 2.0 ** -int(n_samples).bit_length(), sum(hits)
 
 
-_HELD_INVERSE = np.min_scalar_type(BLOCK_SIZE)  # uint16
 _HELD_SAMPLES = 64 * BLOCK_SIZE  # 512 KiB of uint16 inverses
 
 
@@ -243,10 +247,10 @@ def estimate_conditional(
 
     A group closes once the rows it will hand ``class_fn`` reach
     ``BLOCK_SIZE``: a pinned term's one row, a keyed term's classes, a
-    deferred term's samples.  A keyed term has fewer than ``BLOCK_SIZE``
-    classes, so its inverse is held as uint16; the group also closes once
-    its terms hold 64 * ``BLOCK_SIZE`` samples, so a group waiting for its
-    next term holds at most 512 KiB of inverses.
+    deferred term's samples.  A keyed term's inverse is uint16
+    (``block_classes``); the group also closes once its terms hold
+    64 * ``BLOCK_SIZE`` samples, so a group waiting for its next term holds
+    at most 512 KiB of inverses.
     """
     results: list = []
     group: list = []  # [position, key, samples, classes, inverse]; inverse None if pinned
@@ -297,7 +301,6 @@ def estimate_conditional(
                 deferred.append((len(group), stream.uniforms(0, n_samples), sampler.table))
             else:
                 classes, inverse = draw_classes(sampler, stream, n_samples, 0)
-                inverse = inverse.astype(_HELD_INVERSE)
         del sampler  # a waiting term holds its drawn block, or its uniforms and table, only
         group.append([i, key, n_samples, classes, inverse])
         rows += n_samples if classes is None else len(classes)

@@ -534,6 +534,6 @@ def load_instance(path: str) -> StochasticGraph:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path}: not valid UTF-8 JSON ({exc})") from None
     return instance_from_dict(doc)

@@ -62,9 +62,11 @@ def find_home_clusters(g: StochasticGraph, epsilon: float) -> HomeClustering:
     The sweep walks the edges once in `edge_order`, labelling each
     component by its least point, and checks the two conditions where the
     edge length grows after a merge: the components change nowhere else.
-    It always terminates: once everything has merged into one component the
-    first condition holds with full mass and the second reduces to n being
-    even.
+    The first condition compares each node's mass outside its home with
+    theta: 1 - theta rounds to 1.0 at a tiny epsilon, which a row's float
+    sum may never reach.  So the sweep always terminates: once everything
+    has merged into one component no mass is outside (0.0 exactly) and the
+    second condition reduces to n being even.
     """
     check_inputs(g, epsilon)
     if g.n % 2 != 0:
@@ -80,7 +82,7 @@ def find_home_clusters(g: StochasticGraph, epsilon: float) -> HomeClustering:
     def settled(label: np.ndarray) -> bool:
         home = label[heaviest]
         return all(
-            float(g.probs[v, label == home[v]].sum()) >= 1.0 - theta for v in range(g.n)
+            float(g.probs[v, label != home[v]].sum()) <= theta for v in range(g.n)
         ) and not (np.unique(home, return_counts=True)[1] % 2).any()
 
     lo, hi = edge_order(g.space)

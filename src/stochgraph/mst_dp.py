@@ -64,7 +64,6 @@ def estimate_emst_dp(
     max_leaves = m * (m - 1) // 2
     delta_each = 1.0 / (8.0 * max(1, max_leaves))
     evaluator = FunctionalEvaluator(work, Functional.MST)
-    support = work.probs > 0.0
     outer_weights: list[float] = []
     leaves, leaf_terms = [], []  # (event, n_samples, tag, key) and its report
 
@@ -118,9 +117,7 @@ def estimate_emst_dp(
                 continue
             # v_i sits at u_i and w_j at r_j; everyone else stays inside the
             # prefix or is absent.
-            event = pinned_event(work, prefix & support, vi, ui, wj, rj)
-            if work.presence_mode == "certain" and not event.allowed.any(axis=1).all():
-                continue  # unreachable: the chain weight is 0 here
+            event = pinned_event(work, prefix, vi, ui, wj, rj)
             full = chernoff_budget(n * d_ij, d_ij, report.epsilon_mc, delta_each)
             tag = f"mst-dp/{space.point_ids[ui]}/{space.point_ids[rj]}"
             leaves.append((event, report.budget(full), tag, None))

@@ -55,11 +55,9 @@ class ConditionalSampler:
     cumulative probabilities along each row after renormalization, and
     ``support``, the number of outcome tuples.  Built on first read:
     ``outcomes[j]`` and ``cum[j]``, node ``j``'s allowed point indices (-1
-    for absent) and its slice of ``table``, and ``lookups`` (None above a
-    support of ``BLOCK_SIZE``): per node with several outcomes, ``(j, lookup)``
-    maps a point index (-1 reads the last entry) to its outcome position times
-    the node's C-order stride; ``position_keys`` sums them.  Raises
-    ``DomainError`` if a node has no mass under the event.
+    for absent) and its slice of ``table``.  ``draw_block`` can also give
+    each drawn row's position key.  Raises ``DomainError`` if a node has no
+    mass under the event.
     """
 
     def __init__(self, g: StochasticGraph, event: EventSpec | Event | None = None):
@@ -83,34 +81,22 @@ class ConditionalSampler:
     def cum(self) -> list[np.ndarray]:
         return [c[row] for c, row in zip(self.table, self.mask)]
 
-    @functools.cached_property
-    def lookups(self) -> list[tuple[int, np.ndarray]] | None:
-        if self.support > BLOCK_SIZE:
-            return None
-        lookups, stride = [], self.support
-        for j, outs in enumerate(self.outcomes):
-            r = len(outs)
-            stride //= r
-            if r > 1:
-                lookup = np.zeros(self.g.m + 1, dtype=np.int64)
-                lookup[outs] = np.arange(0, r * stride, stride)
-                lookups.append((j, lookup))
-        return lookups
-
     @property
     def is_deterministic(self) -> bool:
         """True when every node has exactly one possible outcome."""
         return self.support == 1
 
-    def position_keys(self, rows: np.ndarray) -> np.ndarray:
-        """Each row's position key in ``[0, support)``; needs ``lookups``."""
-        keys = np.zeros(len(rows), dtype=np.int64)
-        for j, lookup in self.lookups:
-            keys += lookup[rows[:, j]]
-        return keys
+    def draw_block(
+        self, stream: SampleStream, start: int, count: int, keys: np.ndarray | None = None
+    ) -> np.ndarray:
+        """(count, n) matrix of point indices for sample indices start..start+count-1.
 
-    def draw_block(self, stream: SampleStream, start: int, count: int) -> np.ndarray:
-        """(count, n) matrix of point indices for sample indices start..start+count-1."""
+        ``keys``, a zeroed int64 array of ``count`` entries, receives each
+        row's position key: the C-order index in ``[0, support)`` of its
+        tuple of outcome positions (node j's position is the index of its
+        outcome in ``outcomes[j]``), from the searches that draw the row.
+        The rows do not depend on it.
+        """
         n = self.g.n
         if n > stream.width:
             raise DomainError(
@@ -123,7 +109,11 @@ class ConditionalSampler:
                 out[:, j] = self.outcomes[j][0]
                 continue
             # cum ends in 1.0 exactly and u < 1, so every u lands inside
-            out[:, j] = self.outcomes[j][np.searchsorted(self.cum[j], u[:, j], side="right")]
+            at = np.searchsorted(self.cum[j], u[:, j], side="right")
+            out[:, j] = self.outcomes[j][at]
+            if keys is not None:  # Horner's rule over the mixed radix
+                keys *= len(self.cum[j])
+                keys += at
         return out
 
 

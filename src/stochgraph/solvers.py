@@ -93,30 +93,6 @@ def rank_table(m: int, n: int) -> Optional[np.ndarray]:
     return table
 
 
-@functools.cache
-def place_values(m: int, n: int) -> tuple[np.ndarray, int]:
-    """Place values of the key sum((row[j] + 1) * (m + 1)**(n - 1 - j)) of n
-    point indices in [-1, m), split into int64 words of w base-(m + 1)
-    digits, the most an int64 holds.
-
-    Returns a read-only (n, c) matrix, c = ceil(n / w), and the word base
-    (m + 1)**w: ``(rows + 1) @ powers`` gives each row's c words, most
-    significant first.  Words are counted from the row's end, so leading -1
-    entries give leading zero words, and the matrix for n is the last rows
-    and columns of the matrix for any wider block.
-    """
-    w = 1
-    while (m + 1) ** (w + 1) <= 2**63:
-        w += 1
-    c = max(1, -(-n // w))  # one zero word for an empty row
-    j = np.arange(n)
-    digit = n - 1 - j  # j's digit, counted from the row's end
-    powers = np.zeros((n, c), dtype=np.int64)
-    powers[j, c - 1 - digit // w] = (m + 1) ** (digit % w)
-    powers.flags.writeable = False
-    return powers, (m + 1) ** w
-
-
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``np.unique(keys, return_index=True, return_inverse=True)`` of a
     non-empty array, from one unstable argsort: a key's first index is the
@@ -142,10 +118,12 @@ class PointSetMemo:
     called once per present count, ascending, on the first row of each new
     set, in first-occurrence order.
 
-    A row's key is one int64, its multiset rank under ``rank_table(m, n)``,
-    or, where the rank could reach 2**63, its ``place_values(m, n)`` words
-    viewed as one ``np.void``; a block k wide reads the last k columns of
-    the table or rows of the words, so a set has one key at any width.  Keys sit in sorted runs,
+    A row's key is one int64, its multiset rank under ``rank_table(m, n)``;
+    a block k wide reads the table's last k columns.  Where the rank could
+    reach 2**63, the key is the row's own digits: ``rows + 1`` in the last k
+    columns of a zeroed (B, n) array of ``np.min_scalar_type(m)``, viewed as
+    one ``np.void``, so absent entries and missing columns alike read 0.
+    Either way a set has one key at any width.  Keys sit in sorted runs,
     each at most half the size of the one before, so a block is looked up
     with one ``searchsorted`` per run and a set is merged O(log) times.
     Slots never move and ``values`` only grows, so a slot reads the same
@@ -163,8 +141,8 @@ class PointSetMemo:
         if self._table is not None:
             self._offsets = np.arange(n) * (m + 1) + 1
         else:
-            self._powers = place_values(m, n)[0]
-            self._void = np.dtype((np.void, 8 * self._powers.shape[1]))
+            self._digit = np.min_scalar_type(m)
+            self._void = np.dtype((np.void, n * self._digit.itemsize))
 
     def __len__(self) -> int:
         return self._count
@@ -177,8 +155,9 @@ class PointSetMemo:
             # in range by construction; "clip" skips take's buffered bounds check
             self._table.take(at, out=at, mode="clip")
             return at.sum(axis=1)
-        words = (rows + 1) @ self._powers[self.n - w:]
-        return np.ascontiguousarray(words).view(self._void).reshape(-1)
+        digits = np.zeros((len(rows), self.n), dtype=self._digit)
+        np.add(rows, 1, out=digits[:, self.n - w:], casting="unsafe")
+        return digits.view(self._void).reshape(-1)
 
     def find(self, rows: np.ndarray, solve: Callable[[np.ndarray], tuple]) -> np.ndarray:
         """Slot of each row's set in ``values``, solving the sets not held."""

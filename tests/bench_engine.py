@@ -9,8 +9,9 @@ points each (support 8, so blocks are keyed by outcome position), and
 is row-sorted whole and its rows are its classes).  Each case times one call:
 
 - ``build``: ``ConditionalSampler(g, event)``;
-- ``draw``: ``draw_block`` of one full block;
-- ``classes``: ``block_classes`` of that block;
+- ``draw``: ``draw_block`` of one full block, with position keys when
+  the support fits in one block, as ``draw_classes`` draws it;
+- ``classes``: ``block_classes`` of that block (and its keys);
 - ``block``: ``run_conditional_mc`` over one block with a constant
   ``class_fn``, so no solver runs.
 
@@ -100,16 +101,21 @@ def constant_class_fn(rows):
 def test_engine_layer(benchmark, term, layer):
     sampler = ConditionalSampler(G, EVENTS[term])
     assert (sampler.support <= 8) == (term == "small")
-    assert (sampler.lookups is None) == (sampler.support > BLOCK_SIZE)
+    keyed = sampler.support <= BLOCK_SIZE
+
+    def draw():  # as draw_classes draws it: with position keys if keyed
+        keys = np.zeros(BLOCK_SIZE, dtype=np.int64) if keyed else None
+        return sampler.draw_block(stream, 0, BLOCK_SIZE, keys), keys
+
     stream = SampleStream(1, "bench", G.n)
-    rows = sampler.draw_block(stream, 0, BLOCK_SIZE)
+    rows, keys = draw()
     benchmark.group = layer
     if layer == "build":
         benchmark(ConditionalSampler, G, EVENTS[term])
     elif layer == "draw":
-        benchmark(sampler.draw_block, stream, 0, BLOCK_SIZE)
+        benchmark(draw)
     elif layer == "classes":
-        benchmark(lambda: block_classes(sampler, rows.copy()))
+        benchmark(lambda: block_classes(sampler, rows.copy(), keys))
     else:
         mean, _ = benchmark(run_conditional_mc, sampler, constant_class_fn, BLOCK_SIZE, stream)
         assert mean == 1.0
@@ -120,7 +126,7 @@ LADDER_MST = gen_graph("euclidean-uniform", 16, 24, 1)
 
 def test_ladder_mst_classes(benchmark):
     sampler = ConditionalSampler(LADDER_MST)
-    assert sampler.lookups is None
+    assert sampler.support > BLOCK_SIZE
     rows = sampler.draw_block(SampleStream(1, "bench", LADDER_MST.n), 0, BLOCK_SIZE)
     memos = []
 

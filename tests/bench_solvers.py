@@ -24,7 +24,7 @@ already holds every set.  Two more blocks are 4096-row unconditioned blocks:
 ``n16-4096`` of ladder-large's MST instance (``euclidean-uniform 16 24``,
 generator seed 1), whose int64 rank keys reach 6.3e10, and ``n32-4096`` of
 ``euclidean-uniform 32 48`` (generator seed 1), whose rank would pass 2**63,
-so its keys are ``np.void`` views of three int64 words.
+so its keys are ``np.void`` views of each row's 32 one-byte digits.
 
 ``test_row_sums`` times ``exact_sums`` against one ``math.fsum`` per
 column on a (K, B) block of uniform [0, 1) lengths, K in {3, 9, 15, 31} (the

@@ -570,6 +570,36 @@ def test_epsilon_too_small_for_a_finite_budget_is_invalid(instance_4x5, capsys, 
     )
 
 
+@pytest.mark.parametrize("epsilon, code", [("1e-13", 0), ("1e-300", 2)])
+def test_mpm_at_a_tiny_epsilon_settles_its_clusters(tmp_path, capsys, epsilon, code):
+    """At 1e-13, 1 - theta rounds to 1.0, above some nodes' float row sums."""
+    path = tmp_path / "eu45.json"
+    assert main(["gen", "euclidean-uniform", "4", "5", "--seed", "1", "-o", str(path)]) == 0
+    args = ["estimate", "mpm", str(path), "--epsilon", epsilon, "--seed", "1"]
+    assert main(args + ["--budget-cap", "5"]) == code
+    if code == 2:
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "invalid: epsilon is too small: the full sample budget is not finite"
+        )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate", "BAD"],
+        ["compare", "BAD", "--epsilon", "0.25", "--seeds", "1"],
+        ["solve", "INST", "--functional", "mst", "--realization", "@BAD"],
+        ["exact", "INST", "--functional", "mst", "--event", "@BAD"],
+    ],
+)
+def test_a_file_that_is_not_utf8_is_invalid(tmp_path, instance_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    args = [a.replace("BAD", str(bad)).replace("INST", str(instance_path)) for a in command]
+    assert main(args) == 2
+    assert "not valid UTF-8 JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("d", [1e-318, 1e-322])
 @pytest.mark.parametrize("functional", ["mst", "mpm"])
 def test_tiny_diameter_estimates_land_near_exact(tmp_path, functional, d):

@@ -37,6 +37,7 @@ from stochgraph.mc import (
     BLOCK_SIZE,
     apply_budget_scale,
     block_classes,
+    draw_classes,
     group_classes,
     run_conditional_mc,
     tree_sums,
@@ -198,7 +199,7 @@ def test_class_fn_gets_each_block_distinct_sorted_classes(rng):
     assert mean == tree_sum(rows[:, -1].astype(float)) / n
     assert hits == int((rows[:, 0] == rows[:, -1]).sum())
     # keyed by outcome position: one class per distinct outcome tuple
-    assert sampler.lookups is not None
+    assert sampler.support <= BLOCK_SIZE
     for b, block in enumerate(blocks):
         assert block.shape[1] == g.n
         assert np.all(block[:, 1:] >= block[:, :-1])
@@ -245,23 +246,25 @@ def test_position_keys_give_the_classes_of_sorted_rows(case):
     for seed in range(4):
         g = support_graph(rng_for(seed), sizes, m, existential)
         sampler = ConditionalSampler(g)
-        if sampler.support > BLOCK_SIZE:
-            assert sampler.lookups is None
-        else:
-            assert [j for j, _ in sampler.lookups] == [j for j, r in enumerate(sizes) if r > 1]
-        rows = sampler.draw_block(SampleStream(seed, case, g.n), 0, BLOCK_SIZE)
-        classes, inverse = block_classes(sampler, rows.copy())
+        stream = SampleStream(seed, case, g.n)
+        rows = sampler.draw_block(stream, 0, BLOCK_SIZE)
+        classes, inverse = draw_classes(sampler, stream, BLOCK_SIZE, 0)
         row_sorted = np.sort(rows, axis=1)
-        assert classes.dtype == rows.dtype and inverse.dtype == np.intp
+        assert classes.dtype == rows.dtype
         np.testing.assert_array_equal(classes[inverse], row_sorted)
-        if sampler.lookups is None:  # the whole block, row-sorted, is its classes
+        if sampler.support > BLOCK_SIZE:  # the whole block, row-sorted, is its classes
+            assert inverse.dtype == np.intp
             np.testing.assert_array_equal(classes, row_sorted)
             np.testing.assert_array_equal(inverse, np.arange(len(rows)))
         else:
+            assert inverse.dtype == np.uint16
             # rows share a class exactly when they share an outcome tuple
             tuples, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
             assert len(classes) == len(tuples)
             assert len(set(zip(inverse.tolist(), ref_inverse.ravel().tolist()))) == len(tuples)
+            # the unkeyed classes of the same rows hold the same rows
+            unkeyed, at = block_classes(sampler, rows.copy())
+            np.testing.assert_array_equal(classes[inverse], unkeyed[at])
         if case == "shared-points":  # distinct outcome tuples, one point set: one class each
             assert len(np.unique(classes, axis=0)) < len(classes) == len(tuples)
         if existential:
@@ -271,23 +274,38 @@ def test_position_keys_give_the_classes_of_sorted_rows(case):
 def test_position_keys_number_outcome_tuples_in_c_order():
     g = support_graph(rng_for(3), (2, 1, 3, 2), 4, existential=True)
     sampler = ConditionalSampler(g)
-    # every outcome tuple once, last node fastest
-    rows = np.array(np.meshgrid(*sampler.outcomes, indexing="ij")).reshape(g.n, -1).T
-    np.testing.assert_array_equal(sampler.position_keys(rows), np.arange(sampler.support))
+    stream = SampleStream(3, "c-order", g.n)
+    keys = np.zeros(BLOCK_SIZE, dtype=np.int64)
+    rows = sampler.draw_block(stream, 0, BLOCK_SIZE, keys)
+    # the rows do not depend on the keys
+    np.testing.assert_array_equal(rows, sampler.draw_block(stream, 0, BLOCK_SIZE))
+    # each node's outcome position, the last node fastest
+    outcomes = [o.tolist() for o in sampler.outcomes]
+    positions = [[outs.index(x) for x, outs in zip(row, outcomes)] for row in rows.tolist()]
+    sizes = [len(outs) for outs in outcomes]
+    np.testing.assert_array_equal(keys, np.ravel_multi_index(np.array(positions).T, sizes))
+    assert sorted(set(keys.tolist())) == list(range(sampler.support))
 
 
-def test_position_keyed_term_is_thread_invariant_and_matches_sorted_rows():
+def test_position_keyed_term_is_thread_invariant_and_matches_sorted_rows(monkeypatch):
     g = support_graph(rng_for(5), (3, 1, 4, 2, 3), 6, existential=True)
     sampler = ConditionalSampler(g)
-    assert sampler.lookups is not None
+    assert sampler.support <= BLOCK_SIZE
     class_fn = mst_class_fn(g)
     n = 2 * BLOCK_SIZE + 100  # three blocks
     runs = [
         run_conditional_mc(sampler, class_fn, n, SampleStream(2, "keyed", g.n), threads)
         for threads in (1, 2)
     ]
-    sampler.lookups = None  # the whole-block path
+    keyed, unkeyed = mc_module.block_classes, []
+
+    def whole_block(s, rows, keys=None):  # the path of a support above one block
+        unkeyed.append(keys is not None)
+        return keyed(s, rows)
+
+    monkeypatch.setattr(mc_module, "block_classes", whole_block)
     ref = run_conditional_mc(sampler, class_fn, n, SampleStream(2, "keyed", g.n), 1)
+    assert unkeyed == [True] * 3
     assert runs[0] == runs[1] == ref
     assert 0.0 < ref[0]
 
@@ -423,8 +441,8 @@ def test_conditional_thread_count_invariance(rng):
 
 
 def test_conditional_thread_count_invariance_with_two_word_keys(rng):
-    # 25**16 passes int64, so ``place_values`` splits a row into two words;
-    # the memo keys it by its multiset rank, C(40, 16) < 2**63, in one
+    # 25**16 digits pass int64, but the memo keys a row by its multiset
+    # rank, C(40, 16) < 2**63, in one
     g = random_graph(rng, 16, 24, max_support=3)
     assert (g.m + 1) ** g.n >= 2**63 > math.comb(g.m + g.n, g.n)
     means = {

@@ -18,9 +18,11 @@ from stochgraph import (
     mpm_length,
     node_mass,
 )
+from stochgraph.generate import gen_graph
 from stochgraph.model import set_set_distance
 
 from conftest import euclidean_space, random_graph, rng_for
+from test_acceptance import SUITE_SPEC
 
 
 def line_space(*xs):
@@ -63,6 +65,17 @@ def test_sweep_colocated_single_cluster():
     assert hc.merge_radius == 0.0
     assert hc.max_diameter == 0.0
     assert len(hc.clusters) == 1
+
+
+@pytest.mark.parametrize("name", ["cm-4-4", "hs-4-5"])
+def test_sweep_settles_where_one_minus_theta_rounds_to_1(name):
+    """At epsilon 1e-13, 1 - theta is 1.0, above a node's float row sum
+    (0.9999999999999998 on cm-4-4), so the sweep must settle on the mass
+    outside each home, which a full merge makes exactly 0."""
+    g = gen_graph(*next(spec for n, *spec in SUITE_SPEC if n == name))
+    hc = find_home_clusters(g, 1e-13)
+    assert 1.0 - hc.theta == 1.0
+    assert sorted(s for c in hc.clusters for s in c) == list(range(g.m))
 
 
 def test_sweep_odd_n_rejected():

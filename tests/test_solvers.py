@@ -842,7 +842,7 @@ def padded_blocks(draw, max_n: int = 8, max_m: int = 12, rank: bool = False):
 
 @contextlib.contextmanager
 def keyed_by(key_kind: str):
-    """Memos built inside take int64 rank keys ("rank"), or the void-word
+    """Memos built inside take int64 rank keys ("rank"), or the void digit
     keys that replace them when the rank could reach 2**63 ("void")."""
     real = solvers.rank_table
     if key_kind == "void":
@@ -853,25 +853,18 @@ def keyed_by(key_kind: str):
         solvers.rank_table = real
 
 
-def test_place_values_split_keys_into_int64_words():
-    powers, base = solvers.place_values(24, 16)  # ladder-large's mst instance
-    assert base == 25**13
-    # key = word 0 * base + word 1: entries 0-2 in word 0, 3-15 in word 1
-    assert powers.tolist() == [[25 ** (2 - j), 0] for j in range(3)] + [
-        [0, 25 ** (15 - j)] for j in range(3, 16)
-    ]
-    powers, base = solvers.place_values(1, 62)
-    assert base == 2**63
-    assert powers.tolist() == [[2**j] for j in range(61, -1, -1)]
-    powers, base = solvers.place_values(12, 10)
-    assert powers.tolist() == [[13**j] for j in range(9, -1, -1)]
-    assert not powers.flags.writeable
-    # words are counted from the row's end: a narrower block's matrix is the
-    # last rows and columns of a wider one's
-    wide, _ = solvers.place_values(24, 40)
-    for k in (1, 12, 13, 14, 26, 27, 39):
-        narrow, _ = solvers.place_values(24, k)
-        assert narrow.tolist() == wide[40 - k:, wide.shape[1] - narrow.shape[1]:].tolist()
+def test_void_keys_are_the_zero_padded_digits_of_each_row():
+    # n = 32, m = 48: the rank could pass 2**63, so keys are 32 one-byte digits
+    memo = solvers.PointSetMemo(48, 32)
+    assert memo._table is None
+    rows = np.array([[-1] * 30 + [0, 47], list(range(32))], dtype=np.intp)
+    keys = memo.keys(rows)
+    assert keys.dtype == np.dtype((np.void, 32))
+    assert [k.tobytes() for k in keys] == [bytes(30) + bytes([1, 48]), bytes(range(1, 33))]
+    # the same sets given 2 and 32 wide
+    assert memo.keys(rows[:1, 30:]).tobytes() == keys[:1].tobytes()
+    # digits take the least unsigned type that holds m
+    assert solvers.PointSetMemo(256, 40).keys(rows[:, 30:]).dtype.itemsize == 80
 
 
 @pytest.mark.parametrize("m, n", [(3, 4), (5, 3), (6, 5)])
@@ -910,12 +903,11 @@ def check_keys(rows: np.ndarray, m: int, key_kind: str) -> None:
         assert keys.tolist() == [
             sum(math.comb(x + 1 + j, j + 1) for j, x in enumerate(row)) for row in rows.tolist()
         ]
-    else:
-        words = [sum((x + 1) * (m + 1) ** (n - 1 - j) for j, x in enumerate(row)) for row in rows.tolist()]
-        powers, base = solvers.place_values(m, n)
-        c = powers.shape[1]
-        as_words = [[w // base ** (c - 1 - i) % base for i in range(c)] for w in words]
-        assert keys.tobytes() == np.array(as_words, dtype=np.int64).tobytes()
+    else:  # each entry + 1 as one digit of the least width that holds m
+        width = 1 if m < 2**8 else 2 if m < 2**16 else 4
+        assert keys.tobytes() == b"".join(
+            (x + 1).to_bytes(width, sys.byteorder) for row in rows.tolist() for x in row
+        )
     for i in range(len(rows)):
         for j in range(len(rows)):
             assert (keys[i] == keys[j]) == (sets[i] == sets[j])
@@ -938,8 +930,9 @@ def test_rank_keys_are_equal_exactly_for_equal_point_sets(case):
 @given(padded_blocks(max_n=40, max_m=2**20))
 @settings(max_examples=300, deadline=None)
 def test_memo_keys_are_equal_exactly_for_equal_point_sets(case):
-    """Void keys of blocks up to 40 wide with m up to 2**20, so up to 14
-    words, with the rank table withheld; and rank keys wherever they fit."""
+    """Void keys of blocks up to 40 wide with m up to 2**20, so digits of 1,
+    2 or 4 bytes, with the rank table withheld; and rank keys wherever they
+    fit."""
     rows, m = case
     if rank_fits(m, rows.shape[1]):
         check_keys(rows, m, "rank")
@@ -1134,10 +1127,9 @@ def run_case(kind: str, functional: str, g: StochasticGraph):
 
 @pytest.mark.parametrize("kind,functional,name", MEMO_CASES)
 def test_one_digit_words_give_the_default_results(monkeypatch, kind, functional, name):
-    """With the rank table withheld and ``place_values`` patched to one
-    base-(m + 1) digit per word, every memo keys its sets by n-word void
-    keys, yet each block's slots and the results equal the default (int64
-    rank key) ones bit for bit."""
+    """With the rank table withheld, every memo keys its sets by void keys
+    of one base-(m + 1) digit a byte, yet each block's slots and the results
+    equal the default (int64 rank key) ones bit for bit."""
     g = suite_graph(name)
     found: list = []  # (rank keyed, rows, slots) of every memo lookup
     find = solvers.PointSetMemo.find
@@ -1152,13 +1144,14 @@ def test_one_digit_words_give_the_default_results(monkeypatch, kind, functional,
     default_found, found[:] = found[:], []
     assert default_found and all(ranked for ranked, _, _ in default_found)
     widths = []
+    init = solvers.PointSetMemo.__init__
 
-    def one_digit(m, n):
+    def void_keyed(self, m, n):
+        init(self, m, n)
         widths.append(n)
-        return np.eye(n, dtype=np.int64), m + 1
 
     monkeypatch.setattr(solvers, "rank_table", lambda m, n: None)
-    monkeypatch.setattr(solvers, "place_values", one_digit)
+    monkeypatch.setattr(solvers.PointSetMemo, "__init__", void_keyed)
     assert run_case(kind, functional, g) == default
     assert not any(ranked for ranked, _, _ in found)
     assert [f[1:] for f in found] == [f[1:] for f in default_found]
