@@ -30,12 +30,10 @@ from .mc import (
     EstimateReport,
     TermReport,
     estimate_conditional,
-    run_conditional_mc,
+    run_conditional_mc,  # unused; perfbench's tracer swaps it
     sample_count,
 )
 from .model import Event, MetricSpace, StochasticGraph, pinned_event
-from .rng import SampleStream
-from .sampling import ConditionalSampler
 from .solvers import PointSetMemo, _cc_indices, _nn_indices, edge_order
 
 _SLACK = 1e-9  # relative float slack in per-sample sandwich assertions
@@ -292,7 +290,6 @@ def estimate_pair_term(
     seed: int,
     *,
     mutual: bool = False,
-    threads: int = 1,
 ) -> PairTerm:
     """Indicator-weighted sample mean for one conditioned pair event.
 
@@ -300,23 +297,14 @@ def estimate_pair_term(
     ``mutual``); each sample contributes CC times the indicator that (s, t)
     is the longest nearest-neighbor edge.  The returned estimate is the
     conditioning probability times that mean; its expectation is exactly
-    Pr[A_s(t)] * E[CC | A_s(t)].  The term runs alone, through
-    ``run_conditional_mc`` (one sample if its event pins every node), and
-    equals the same term of ``estimate_ecc`` bit for bit.
+    Pr[A_s(t)] * E[CC | A_s(t)].  The term runs alone through
+    ``estimate_conditional`` and equals the same term of ``estimate_ecc``
+    bit for bit.
     """
     term, sampled = _plan_term(sp, *_resolve_pair(sp, s, t), n_samples, mutual=mutual)
-    if sampled is None:
-        return term
-    event, _, tag, key = sampled
-    values = _PairValues(sp.graph)
-
-    def class_fn(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return values.class_fn(rows, np.full(len(rows), key))
-
-    sampler = ConditionalSampler(sp.graph, event)
-    n = 1 if sampler.is_deterministic else n_samples  # a pinned event's one realization
-    stream = SampleStream(seed, tag, sp.graph.n)
-    _finish(term, *run_conditional_mc(sampler, class_fn, n, stream, threads), n)
+    if sampled is not None:
+        [result] = estimate_conditional(sp.graph, [sampled], _PairValues(sp.graph).class_fn, seed=seed)
+        _finish(term, *result)
     return term
 
 
@@ -384,9 +372,7 @@ def estimate_ecc(
                         sampled.append(term)
                         yield job
 
-    results = estimate_conditional(
-        work, pair_terms(), _PairValues(work).class_fn, seed=seed, threads=threads
-    )
+    results = estimate_conditional(work, pair_terms(), _PairValues(work).class_fn, seed=seed)
     for term, result in zip(sampled, results):
         _finish(term, *result)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .campaign import ESTIMATORS, csv_text, run_campaign, run_estimator
@@ -90,10 +89,8 @@ def _add_run_settings(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-scale", type=float, default=1.0)
     p.add_argument("--budget-cap", type=int, default=None,
                    help="hard per-term sample cap")
-    # argparse parses a string default as if it were given, so a malformed
-    # STOCHGRAPH_THREADS fails exactly as the same --threads value does.
-    p.add_argument("--threads", type=int, default=os.environ.get("STOCHGRAPH_THREADS", "1"),
-                   help="worker threads (default: $STOCHGRAPH_THREADS, else 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="recorded in the report only; every run is single-threaded")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -58,7 +58,7 @@ def estimate_by_homes(
     linear in D and formed with D's mantissa ``math.frexp(diameter)[0]`` in
     place of D: they are the bounds divided by 2**frexp(D)[1], exactly, so
     they give the same budgets, and a tiny D cannot underflow them.  Run
-    parameters (seed, epsilon, budget scale and cap, threads) and the stream
+    parameters (seed, epsilon, budget scale and cap) and the stream
     tag prefix come from ``report``.
     """
     n, m = g.n, g.m
@@ -131,9 +131,7 @@ def estimate_by_homes(
             if term > 0.0:
                 report.terms.append(TermReport(f"far({vname})", term, "far-field"))
 
-    results = estimate_conditional(
-        g, jobs, evaluator.class_fn, seed=report.seed, threads=report.threads
-    )
+    results = estimate_conditional(g, jobs, evaluator.class_fn, seed=report.seed)
     exponent = math.frexp(diameter)[1]  # mu_lb was formed at D's mantissa
     for (term, mu_lb), (mean, _, samples) in zip(pending, results):
         term.value, term.mean, term.samples = term.probability * mean, mean, samples

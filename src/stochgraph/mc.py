@@ -6,7 +6,8 @@ samples make the failure probability at most delta.
 
 Determinism: sample i draws from a counter-based substream owned by its index,
 blocks have a fixed size, and aggregation is a fixed-fan-in pairwise tree over
-sample order, so the result is bit-identical at any worker count.  The small
+sample order, so the result does not depend on how samples are grouped into
+blocks or terms.  Every block runs on the calling thread.  The small
 terms of a group are reduced together: those of one sample count are stacked
 and each row is summed by the same tree (``tree_sums``), so each term equals
 its run alone.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # unused; perfbench's tracer swaps it
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
@@ -186,7 +187,6 @@ def run_conditional_mc(
     class_fn: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]],
     n_samples: int,
     stream: Optional[SampleStream],
-    threads: int = 1,
     sums: Optional[Sequence[tuple[float, Optional[float], int]]] = None,
 ) -> tuple[float, int]:
     """Mean of a per-realization value over n_samples conditional draws.
@@ -200,20 +200,12 @@ def run_conditional_mc(
     is the ``tree_sum`` of the blocks' unscaled sums if each has one and one
     is not 0, else of their scaled sums, unscaled.  Returns (mean, hits).
     """
-    n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
-
-    def process(b: int) -> tuple[float, Optional[float], int]:
-        classes, inverse = draw_classes(sampler, stream, n_samples, b)
-        return block_sums(*class_fn(classes), [0], [inverse], n_samples)[0]
-
-    if sums is not None:
-        results = sums
-    elif threads > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(process, range(n_blocks)))
-    else:
-        results = [process(b) for b in range(n_blocks)]
-    totals, unscaled, hits = zip(*results)
+    if sums is None:
+        sums = []
+        for b in range((n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE):
+            classes, inverse = draw_classes(sampler, stream, n_samples, b)
+            sums += block_sums(*class_fn(classes), [0], [inverse], n_samples)
+    totals, unscaled, hits = zip(*sums)
     if None not in unscaled and any(unscaled):
         return tree_sum(unscaled) / n_samples, sum(hits)
     return tree_sum(totals) / n_samples / 2.0 ** -int(n_samples).bit_length(), sum(hits)
@@ -228,7 +220,6 @@ def estimate_conditional(
     class_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     *,
     seed: int,
-    threads: int = 1,
 ) -> list[tuple[float, int, int]]:
     """(mean, indicator_hits, samples) of each ``(event, n_samples, tag, key)``
     term: the sample mean of ``class_fn`` under the conditioning event, drawn
@@ -237,13 +228,12 @@ def estimate_conditional(
     ``class_fn(rows, keys)`` is as in ``run_conditional_mc``, and ``keys``
     holds each row's term key.  Terms are read lazily, in order.  A term of
     ``BLOCK_SIZE`` samples or more runs at once through ``run_conditional_mc``,
-    block by block on the ``threads`` pool.  A smaller term frees its sampler
-    and waits in a group; a pinned term gives its one realization, one
-    sample.  A term whose support is at most its sample count draws its block
-    on joining and is keyed, any other when ``group_classes`` draws the
-    group's.  One ``class_fn`` call solves the row-sorted classes of the
-    whole group; its terms are reduced by ``block_sums``, stacked by sample
-    count, so each equals its run alone.
+    block by block.  A smaller term frees its sampler and waits in a group; a
+    pinned term gives its one realization, one sample.  A term whose support
+    is at most its sample count draws its block on joining and is keyed, any
+    other when ``group_classes`` draws the group's.  One ``class_fn`` call
+    solves the row-sorted classes of the whole group; its terms are reduced
+    by ``block_sums``, stacked by sample count, so each equals its run alone.
 
     A group closes once the rows it will hand ``class_fn`` reach
     ``BLOCK_SIZE``: a pinned term's one row, a keyed term's classes, a
@@ -294,7 +284,7 @@ def estimate_conditional(
                 def term_fn(rows: np.ndarray, key=key):
                     return class_fn(rows, np.full(len(rows), key))
 
-                mean, hits = run_conditional_mc(sampler, term_fn, n_samples, stream, threads)
+                mean, hits = run_conditional_mc(sampler, term_fn, n_samples, stream)
                 results[i] = (mean, hits, n_samples)
                 continue
             if sampler.support > n_samples:  # rows mostly distinct: drawn with the group
@@ -351,7 +341,7 @@ class EstimateReport:
     epsilon_mc: Optional[float] = None
     budget_scale: float = 1.0
     budget_cap: Optional[int] = None
-    threads: int = 1
+    threads: int = 1  # recorded only: every block runs on the calling thread
     flags: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
     elapsed: float = 0.0

@@ -130,8 +130,7 @@ class MetricSpace:
     def padded_dist(self) -> np.ndarray:
         """``dist`` with one more row and column of +inf, flattened and
         read-only: entry a * (m + 1) + b is d(a, b), and index m is a point
-        at infinite distance from every point.  Built on first use; threads
-        racing to build it build equal tables."""
+        at infinite distance from every point.  Built on first use."""
         pad = np.pad(self.dist, (0, 1), constant_values=np.inf).reshape(-1)
         pad.flags.writeable = False
         return pad
@@ -147,14 +146,6 @@ def _point_id_index(space: MetricSpace, point) -> int:
     return space.index(point)
 
 
-def set_distance(space: MetricSpace, p: Union[str, int], H: Iterable) -> float:
-    """Closest distance from point ``p`` to the nonempty point set ``H``."""
-    idx = space.indices(H)
-    if not idx:
-        raise DomainError("set_distance: empty point set")
-    return float(space.dist[space.index(p), idx].min())
-
-
 def diam(space: MetricSpace, H: Iterable) -> float:
     """max pairwise distance within the nonempty point set ``H``."""
     idx = space.indices(H)
@@ -162,14 +153,6 @@ def diam(space: MetricSpace, H: Iterable) -> float:
         raise DomainError("diam: empty point set")
     sub = space.dist[np.ix_(idx, idx)]
     return float(sub.max())
-
-
-def set_set_distance(space: MetricSpace, H1: Iterable, H2: Iterable) -> float:
-    """min over s in H1, t in H2 of d(s, t); both sets must be nonempty."""
-    i1, i2 = space.indices(H1), space.indices(H2)
-    if not i1 or not i2:
-        raise DomainError("set_set_distance: empty point set")
-    return float(space.dist[np.ix_(i1, i2)].min())
 
 
 class StochasticGraph:
@@ -350,13 +333,6 @@ class EventSpec:
                 raise ValidationError(f"node {name}: allow_absent must be true or false")
             event.absent[g.node_index(name)] &= bool(flag)
         return event
-
-    def contains(self, g: StochasticGraph, r: Realization) -> bool:
-        event = self.to_event(g)
-        return all(
-            event.absent[v] if s < 0 else event.allowed[v, s]
-            for v, s in enumerate(r.indices)
-        )
 
     def to_json_dict(self, g: StochasticGraph) -> dict:
         out: dict = {"allowed": {}, "allow_absent": {}}

@@ -16,6 +16,7 @@ home-decomposition estimator.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .cc import SplitSpace, split_points
 from .mc import EstimateReport, TermReport, chernoff_budget, estimate_conditional
 from .model import StochasticGraph, mass_in, pinned_event
-from .oracle import Functional, FunctionalEvaluator
+from .oracle import Functional, FunctionalEvaluator, value_scale
 
 
 def estimate_emst_dp(
@@ -126,9 +127,16 @@ def estimate_emst_dp(
             )
             report.terms.append(leaf_terms[-1])
 
-    results = estimate_conditional(work, leaves, evaluator.class_fn, seed=seed, threads=threads)
+    results = estimate_conditional(work, leaves, evaluator.class_fn, seed=seed)
     for term, (mean, _, samples) in zip(leaf_terms, results):
         term.value, term.mean, term.samples = term.probability * mean, mean, samples
     report.extras["outer_weights"] = outer_weights
     report.extras["residual_weight"] = outer_weight
-    return report.finish()
+    report.finish()
+    # each leaf's value may round below the normal range: sum the leaves'
+    # products at a power-of-two scale instead, as enumerate_term does
+    # (every other term is 0)
+    s = value_scale(work)
+    scaled = math.fsum(t.probability * math.ldexp(t.mean, s) for t in leaf_terms)
+    report.value = math.ldexp(scaled, -s)
+    return report

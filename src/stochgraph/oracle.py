@@ -39,8 +39,8 @@ class FunctionalEvaluator:
     """Evaluates a functional on realized point sets of a graph, memoized.
 
     All supported functionals depend only on the multiset of realized points,
-    so the values sit in one ``PointSetMemo`` under the graph's m and n,
-    shared by every thread that calls ``values``.  Conventions for
+    so the values sit in one ``PointSetMemo`` under the graph's m and n.
+    An evaluator belongs to one run, like its memo.  Conventions for
     degenerate realizations (possible in existential mode): MST of <=1 point
     is 0; MPM of 0 points is 0 and of an odd count is an error; CC and the
     nearest-neighbor functionals of <2 points are 0.
@@ -102,6 +102,16 @@ def check_cap(cap: int) -> None:
         raise DomainError("enumeration cap must not be negative")
 
 
+def value_scale(g: StochasticGraph) -> int:
+    """s such that 2**s times the largest distance of ``g`` lies in [0.5, 1)
+    when that distance is below 0.5, else 0.  Values scaled by 2**s before
+    they are multiplied by probabilities keep their relative precision where
+    the products would fall below the normal range; any other product
+    rounds exactly as unscaled."""
+    top = float(g.space.dist.max(initial=0.0))
+    return -math.frexp(top)[1] if 0.0 < top < 0.5 else 0
+
+
 def enumerate_term(
     g: StochasticGraph,
     functional: Functional,
@@ -114,10 +124,8 @@ def enumerate_term(
     indices; each probability is the left-to-right product of its nodes'
     outcome probabilities.  The products Pr[r] * f(r) are summed by one
     ``math.fsum``, so the term is their correctly rounded sum, whatever the
-    chunking.  Where the largest distance is below 0.5, the values are first
-    scaled up by 2**s, s = -frexp(largest distance)[1], and the sum scaled
-    back once: products that would fall below the normal range keep their
-    relative precision, and any other product rounds exactly as unscaled.
+    chunking.  The values are scaled up by 2**``value_scale(g)`` and the
+    sum is scaled back once.
     """
     check_cap(cap)
     table = node_outcomes(g, event)
@@ -129,8 +137,7 @@ def enumerate_term(
         return 0.0, 0
 
     evaluator = FunctionalEvaluator(g, functional)
-    top = float(g.space.dist.max(initial=0.0))
-    s = -math.frexp(top)[1] if 0.0 < top < 0.5 else 0
+    s = value_scale(g)
 
     def products(start: int) -> list[float]:
         digits = np.unravel_index(np.arange(start, min(start + CHUNK, count)), radices)

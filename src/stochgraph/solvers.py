@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -109,7 +108,7 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class PointSetMemo:
-    """Values of realized point sets, each set solved once, shared by threads.
+    """Values of realized point sets, each set solved once.
 
     ``find(rows, solve)`` takes a row-sorted block of point indices in
     [-1, m) (-1 absent, sorted first) at most n wide and returns each row's
@@ -127,16 +126,15 @@ class PointSetMemo:
     each at most half the size of the one before, so a block is looked up
     with one ``searchsorted`` per run and a set is merged O(log) times.
     Slots never move and ``values`` only grows, so a slot reads the same
-    value from any later ``values``.  Threads solve outside the lock and
-    merge under it; a set two threads solved at once is kept once.
+    value from any later ``values``.  A memo belongs to one run, on one
+    thread.
     """
 
     def __init__(self, m: int, n: int):
         self.n = n
         self.values: tuple = ()  # one array per value, grown by doubling
         self._count = 0
-        self._runs: tuple = ()  # (sorted keys, their slots), largest first
-        self._lock = threading.Lock()
+        self._runs: list = []  # (sorted keys, their slots), largest first
         self._table = rank_table(m, n)
         if self._table is not None:
             self._offsets = np.arange(n) * (m + 1) + 1
@@ -163,9 +161,8 @@ class PointSetMemo:
         """Slot of each row's set in ``values``, solving the sets not held."""
         if not len(rows):
             return np.zeros(0, dtype=np.intp)
-        runs = self._runs
         keys, first, inverse = _distinct(self.keys(rows))
-        slots = self._lookup(runs, keys)
+        slots = self._lookup(keys)
         new = np.flatnonzero(slots < 0)
         if new.size:
             new = new[np.argsort(first[new])]  # first-occurrence order
@@ -186,47 +183,38 @@ class PointSetMemo:
                 sets = rows[:, w - k:] if len(sel) == len(rows) else rows[sel, w - k:]
                 solved.append(solve(sets))
             values = [np.concatenate(c) for c in zip(*solved)]
-            slots[new] = self._merge(runs, keys[new], values)
+            slots[new] = self._merge(keys[new], values)
         return slots[inverse]
 
-    @staticmethod
-    def _lookup(runs: tuple, keys: np.ndarray) -> np.ndarray:
-        """Slot of each of the sorted ``keys`` in ``runs``; -1 if absent."""
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Slot of each of the sorted ``keys``; -1 if absent."""
         slots = np.full(len(keys), -1, dtype=np.intp)
-        for run, run_slots in runs:
+        for run, run_slots in self._runs:
             at = np.minimum(np.searchsorted(run, keys), len(run) - 1)
             hit = run[at] == keys
             slots[hit] = run_slots[at[hit]]
         return slots
 
-    def _merge(self, runs: tuple, keys: np.ndarray, values: list) -> np.ndarray:
-        """Slots of distinct ``keys`` missing from ``runs``, after storing
-        the ``values`` of those no other thread stored since."""
-        with self._lock:
-            if self._runs is runs:
-                slots = np.full(len(keys), -1, dtype=np.intp)
-            else:
-                slots = self._lookup(self._runs, keys)
-            new = np.flatnonzero(slots < 0)
-            if new.size:
-                start, end = self._count, self._count + new.size
-                slots[new] = np.arange(start, end)
-                stored = list(self.values) or [np.empty(0, dtype=v.dtype) for v in values]
-                for i, v in enumerate(values):
-                    if len(stored[i]) < end:
-                        grown = np.empty(max(end, 2 * len(stored[i])), dtype=stored[i].dtype)
-                        grown[:start] = stored[i][:start]
-                        stored[i] = grown
-                    stored[i][start:end] = v[new]
-                # values before runs: a slot is found only once it is stored
-                self.values, self._count = tuple(stored), end
-                new = new[np.argsort(keys[new])]
-                runs = list(self._runs) + [(keys[new], slots[new])]
-                while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
-                    (a, sa), (b, sb) = runs.pop(-2), runs.pop()
-                    at = np.searchsorted(a, b)
-                    runs.append((np.insert(a, at, b), np.insert(sa, at, sb)))
-                self._runs = tuple(runs)
+    def _merge(self, keys: np.ndarray, values: list) -> np.ndarray:
+        """Slots of the distinct ``keys``, none held, after storing their
+        ``values``."""
+        start, end = self._count, self._count + len(keys)
+        stored = list(self.values) or [np.empty(0, dtype=v.dtype) for v in values]
+        for i, v in enumerate(values):
+            if len(stored[i]) < end:
+                grown = np.empty(max(end, 2 * len(stored[i])), dtype=stored[i].dtype)
+                grown[:start] = stored[i][:start]
+                stored[i] = grown
+            stored[i][start:end] = v
+        self.values, self._count = tuple(stored), end
+        slots = np.arange(start, end)
+        order = np.argsort(keys)
+        runs = self._runs
+        runs.append((keys[order], slots[order]))
+        while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+            (a, sa), (b, sb) = runs.pop(-2), runs.pop()
+            at = np.searchsorted(a, b)
+            runs.append((np.insert(a, at, b), np.insert(sa, at, sb)))
         return slots
 
 
@@ -602,7 +590,3 @@ def nn_graph(space: MetricSpace, points: Sequence) -> NNGraph:
         total_length=float(block.total[0]),
     )
 
-
-def longest_nn_edge(space: MetricSpace, points: Sequence) -> EdgeKey:
-    """The maximum EdgeKey among nearest-neighbor edges."""
-    return nn_graph(space, points).longest

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from stochgraph.model import MetricSpace, StochasticGraph
+from stochgraph.errors import DomainError
+from stochgraph.model import EventSpec, MetricSpace, Realization, StochasticGraph
+from stochgraph.solvers import EdgeKey, nn_graph
 
 
 def rng_for(seed: int) -> Generator:
@@ -147,6 +149,35 @@ def cc_by_permutation_enumeration(space: MetricSpace, points) -> float:
             best, best_perm = total, perm
     assert best_perm is not None
     return math.fsum(float(D[idx[i], idx[best_perm[i]]]) for i in range(k))
+
+
+def set_distance(space: MetricSpace, p, H) -> float:
+    """Closest distance from point ``p`` to the nonempty point set ``H``."""
+    idx = space.indices(H)
+    if not idx:
+        raise DomainError("set_distance: empty point set")
+    return float(space.dist[space.index(p), idx].min())
+
+
+def set_set_distance(space: MetricSpace, H1, H2) -> float:
+    """min over s in H1, t in H2 of d(s, t); both sets must be nonempty."""
+    i1, i2 = space.indices(H1), space.indices(H2)
+    if not i1 or not i2:
+        raise DomainError("set_set_distance: empty point set")
+    return float(space.dist[np.ix_(i1, i2)].min())
+
+
+def longest_nn_edge(space: MetricSpace, points) -> EdgeKey:
+    """The maximum EdgeKey among nearest-neighbor edges."""
+    return nn_graph(space, points).longest
+
+
+def event_contains(ev: EventSpec, g: StochasticGraph, r: Realization) -> bool:
+    """Whether realization ``r`` lies in the event ``ev``."""
+    event = ev.to_event(g)
+    return all(
+        event.absent[v] if s < 0 else event.allowed[v, s] for v, s in enumerate(r.indices)
+    )
 
 
 def enumerate_realizations(g: StochasticGraph):

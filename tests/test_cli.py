@@ -426,14 +426,16 @@ def test_huge_budget_scale_under_a_cap_runs_the_cap(tmp_path, instance_path):
 
 
 @pytest.mark.parametrize("value", ["-3", "0", "abc", "1.5", ""])
-def test_malformed_threads_env_var_is_invalid(instance_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("STOCHGRAPH_THREADS", value)
+def test_malformed_threads_is_invalid_and_no_variable_sets_it(
+    tmp_path, instance_path, monkeypatch, value
+):
     args = ["estimate", "mst", str(instance_path), "--epsilon", "0.25", "--seed", "1"]
-    assert exit_code(args) == 2
-    env_err = capsys.readouterr().err.splitlines()[-1]
-    monkeypatch.delenv("STOCHGRAPH_THREADS")
     assert exit_code(args + ["--threads", value]) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == env_err
+    # no environment variable sets the thread count
+    monkeypatch.setenv("STOCHGRAPH_THREADS", value)
+    out = tmp_path / "r.json"
+    assert exit_code(args + ["--budget-cap", "20", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["threads"] == 1
 
 
 @pytest.mark.parametrize("realization", ["[1, 2]", '"v0"', "5", "null"])

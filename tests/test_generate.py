@@ -126,20 +126,3 @@ def test_campaign_skips_oracle_cap_with_reason():
     )
     assert all("refused" in r.reason for r in result.rows)
     assert result.aggregate() == {}
-
-
-def test_env_var_sets_default_threads(monkeypatch):
-    from stochgraph.cli import build_parser
-
-    def default_threads() -> int:
-        args = ["estimate", "mst", "inst.json", "--epsilon", "0.25", "--seed", "1"]
-        return build_parser().parse_args(args).threads
-
-    monkeypatch.setenv("STOCHGRAPH_THREADS", "6")
-    assert default_threads() == 6
-    monkeypatch.setenv("STOCHGRAPH_THREADS", "junk")
-    with pytest.raises(SystemExit) as exc:
-        default_threads()
-    assert exc.value.code == 2
-    monkeypatch.delenv("STOCHGRAPH_THREADS")
-    assert default_threads() == 1

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +57,15 @@ def line_space(*xs):
         [f"p{i}" for i in range(len(xs))],
         coords=np.array([[x, 0.0] for x in xs]),
     )
+
+
+def on_threads(threads: int, fn):
+    """``fn()`` run at once on each of ``threads`` threads of the caller's
+    own, as a caller may run estimators; the results, in thread order.  Each
+    call builds its own samplers and class_fn: a memo belongs to one thread."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(fn) for _ in range(threads)]
+        return [f.result(timeout=300) for f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +187,13 @@ def test_mean_of_tiny_and_huge_values_is_exact(rng, threads, unit):
     def class_fn(rows):
         return (1 + rows[:, -1] % 5) * unit, np.zeros(len(rows), dtype=int)
 
-    mean, _ = run_conditional_mc(sampler, class_fn, n, stream, threads)
+    def mean():
+        stream = SampleStream(3, "tiny", g.n)
+        return run_conditional_mc(ConditionalSampler(g), class_fn, n, stream)[0]
+
     units = 1 + np.sort(sampler.draw_block(stream, 0, n), axis=1)[:, -1] % 5
-    assert mean == float(Fraction(int(units.sum()), n) * Fraction(unit))
+    exact = float(Fraction(int(units.sum()), n) * Fraction(unit))
+    assert on_threads(threads, mean) == [exact] * threads
 
 
 def test_class_fn_gets_each_block_distinct_sorted_classes(rng):
@@ -293,10 +308,12 @@ def test_position_keyed_term_is_thread_invariant_and_matches_sorted_rows(monkeyp
     assert sampler.support <= BLOCK_SIZE
     class_fn = mst_class_fn(g)
     n = 2 * BLOCK_SIZE + 100  # three blocks
-    runs = [
-        run_conditional_mc(sampler, class_fn, n, SampleStream(2, "keyed", g.n), threads)
-        for threads in (1, 2)
-    ]
+
+    def run():
+        stream = SampleStream(2, "keyed", g.n)
+        return run_conditional_mc(ConditionalSampler(g), mst_class_fn(g), n, stream)
+
+    runs = [run(), *on_threads(2, run)]
     keyed, unkeyed = mc_module.block_classes, []
 
     def whole_block(s, rows, keys=None):  # the path of a support above one block
@@ -304,9 +321,9 @@ def test_position_keyed_term_is_thread_invariant_and_matches_sorted_rows(monkeyp
         return keyed(s, rows)
 
     monkeypatch.setattr(mc_module, "block_classes", whole_block)
-    ref = run_conditional_mc(sampler, class_fn, n, SampleStream(2, "keyed", g.n), 1)
+    ref = run_conditional_mc(sampler, class_fn, n, SampleStream(2, "keyed", g.n))
     assert unkeyed == [True] * 3
-    assert runs[0] == runs[1] == ref
+    assert runs == [ref] * 3
     assert 0.0 < ref[0]
 
 
@@ -343,11 +360,9 @@ def mst_class_fn(g):
     return FunctionalEvaluator(g, Functional.MST).class_fn
 
 
-def one_term(g, event, class_fn, n_samples, *, seed, tag, threads=1):
+def one_term(g, event, class_fn, n_samples, *, seed, tag):
     """``estimate_conditional`` of the one term ``(event, n_samples, tag)``."""
-    [result] = estimate_conditional(
-        g, [(event, n_samples, tag, None)], class_fn, seed=seed, threads=threads
-    )
+    [result] = estimate_conditional(g, [(event, n_samples, tag, None)], class_fn, seed=seed)
     return result
 
 
@@ -431,13 +446,12 @@ def test_conditional_tracks_oracle():
 
 def test_conditional_thread_count_invariance(rng):
     g = random_graph(rng, 4, 5)
-    means = {
-        threads: one_term(
-            g, None, mst_class_fn(g), 20_000, seed=3, tag="threads", threads=threads
-        )[0]
-        for threads in (1, 4, 8)
-    }
-    assert means[1] == means[4] == means[8]
+
+    def mean():
+        return one_term(g, None, mst_class_fn(g), 20_000, seed=3, tag="threads")[0]
+
+    means = [m for threads in (1, 4, 8) for m in on_threads(threads, mean)]
+    assert means == [means[0]] * 13
 
 
 def test_conditional_thread_count_invariance_with_two_word_keys(rng):
@@ -445,13 +459,39 @@ def test_conditional_thread_count_invariance_with_two_word_keys(rng):
     # rank, C(40, 16) < 2**63, in one
     g = random_graph(rng, 16, 24, max_support=3)
     assert (g.m + 1) ** g.n >= 2**63 > math.comb(g.m + g.n, g.n)
-    means = {
-        threads: one_term(
-            g, None, mst_class_fn(g), 2 * 4096 + 500, seed=4, tag="threads", threads=threads
-        )[0]
-        for threads in (1, 2, 4)
-    }
-    assert means[1] == means[2] == means[4]
+
+    def mean():
+        return one_term(g, None, mst_class_fn(g), 2 * 4096 + 500, seed=4, tag="threads")[0]
+
+    means = [m for threads in (1, 2, 4) for m in on_threads(threads, mean)]
+    assert means == [means[0]] * 7
+
+
+def test_estimators_run_every_block_on_the_calling_thread(monkeypatch):
+    # eu-4-5 of the suite at a cap of two blocks: each estimator has a term
+    # of more than one block
+    g = gen_graph("euclidean-uniform", 4, 5, 13)
+    cap = 2 * BLOCK_SIZE
+    estimators = (estimate_emst, estimate_emst_dp, estimate_empm, estimate_ecc)
+    serial = [est(g, 0.25, 1, budget_cap=cap).to_dict() for est in estimators]
+    pairs = serial[-1]["extras"]["pairs"]
+    for doc in serial[:-1]:
+        assert max(t["samples"] for t in doc["terms"]) > BLOCK_SIZE
+    d = next(d for d in pairs if d["samples"] > BLOCK_SIZE)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(mc_module, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for est, want in zip(estimators, serial):
+        doc = est(g, 0.25, 1, budget_cap=cap, threads=4).to_dict()
+        assert doc.pop("threads") == 4 and want.pop("threads") == 1
+        assert doc == want
+    sp = cc_module.split_points(g)
+    mutual = d["kind"] == "mutual"
+    alone = cc_module.estimate_pair_term(sp, d["s"], d["t"], d["samples"], 1, mutual=mutual)
+    assert alone.to_dict() == d
 
 
 def test_conditional_unbiased_at_sampler_level(rng):
@@ -503,8 +543,7 @@ def test_grouped_terms_equal_each_term_run_alone(rng):
     ]
     alone = each_term_alone(g, terms, class_fn, seed=3)
     assert [samples for _, _, samples in alone] == sizes
-    for threads in (1, 2, 3):
-        assert estimate_conditional(g, iter(terms), class_fn, seed=3, threads=threads) == alone
+    assert estimate_conditional(g, iter(terms), class_fn, seed=3) == alone
 
     def kinds(key):  # the same terms with all-zero, subnormal and plain values
         return [(e, n, f"{tag}/{key}", key * k) for e, n, tag, k in terms]
@@ -518,8 +557,7 @@ def test_grouped_terms_equal_each_term_run_alone(rng):
     assert 20 * 2000 > 4 * BLOCK_SIZE  # a stack gathers at most 4 blocks of samples
     for case in (kinds(0), kinds(-1), mixed * 3, stacked):
         alone = each_term_alone(g, case, class_fn, seed=5)
-        for threads in (1, 2):
-            assert estimate_conditional(g, iter(case), class_fn, seed=5, threads=threads) == alone
+        assert estimate_conditional(g, iter(case), class_fn, seed=5) == alone
     tiny_means = [mean for mean, _, _ in each_term_alone(g, kinds(-1), class_fn, seed=5)]
     assert all(0.0 < mean < 2.0**-1022 for mean in tiny_means)  # the unscaled re-sums
 
@@ -551,12 +589,17 @@ def test_keyed_terms_group_by_the_classes_they_hand_class_fn(threads):
         event = Event(allowed, np.zeros(g.n, dtype=bool))
         if 1 < ConditionalSampler(g, event).support <= 50:
             terms.append((event, 2500, f"keyed-{len(terms)}", len(terms) + 1))
-    calls: list = []
-    class_fn = keyed_class_fn(g, calls)
-    got = estimate_conditional(g, terms, class_fn, seed=4, threads=threads)
-    rows = sum(calls)
-    assert len(calls) == -(-rows // BLOCK_SIZE) == 1
-    assert got == each_term_alone(g, terms, class_fn, seed=4)
+
+    def run():
+        calls: list = []
+        class_fn = keyed_class_fn(g, calls)
+        return calls, class_fn, estimate_conditional(g, terms, class_fn, seed=4)
+
+    # each of ``threads`` caller threads groups the terms alike
+    for calls, class_fn, got in on_threads(threads, run):
+        rows = sum(calls)
+        assert len(calls) == -(-rows // BLOCK_SIZE) == 1
+        assert got == each_term_alone(g, terms, class_fn, seed=4)
 
 
 def test_one_class_terms_close_their_groups_by_the_samples_they_hold(monkeypatch):
@@ -677,6 +720,7 @@ def test_more_deferred_terms_than_one_search_holds(monkeypatch):
     for d in pairs:
         alone = cc_module.estimate_pair_term(sp, d["s"], d["t"], 1, 1, mutual=d["kind"] == "mutual")
         assert alone.to_dict() == d
+    assert searched[2:] == [1] * len(pairs)  # each alone, a search of its own
     # and through the runner: terms of one sample, each against its engine run
     rg = random_graph(rng_for(12), 5, 6)
     evaluator = FunctionalEvaluator(rg, Functional.MST)
@@ -687,7 +731,7 @@ def test_more_deferred_terms_than_one_search_holds(monkeypatch):
         (*run_conditional_mc(sampler, evaluator.class_fn, 1, SampleStream(2, tag, rg.n)), 1)
         for _, _, tag, _ in terms
     ]
-    assert searched[2:] == [1100]
+    assert searched[2 + len(pairs):] == [1100]
 
 
 def ladder_cc_terms():
@@ -725,7 +769,6 @@ def test_no_waiting_term_keeps_its_sampler_while_its_group_is_solved(monkeypatch
         return solve
 
     monkeypatch.setattr(mc_module, "ConditionalSampler", Recorded)
-    monkeypatch.setattr(cc_module, "ConditionalSampler", Recorded)
     monkeypatch.setattr(FunctionalEvaluator, "values", check(values))
     monkeypatch.setattr(cc_module._PairValues, "get", check(pair_values))
     run()

@@ -19,9 +19,8 @@ from stochgraph import (
     node_mass,
 )
 from stochgraph.generate import gen_graph
-from stochgraph.model import set_set_distance
 
-from conftest import euclidean_space, random_graph, rng_for
+from conftest import euclidean_space, random_graph, rng_for, set_set_distance
 from test_acceptance import SUITE_SPEC
 
 

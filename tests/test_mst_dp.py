@@ -41,6 +41,19 @@ def test_deterministic_instance_exact_no_sampling():
     assert all(t.samples <= 1 for t in report.terms)
 
 
+def test_subnormal_leaves_sum_to_the_exact_value():
+    # every leaf is pinned, with mean d; each leaf's probability times d,
+    # rounded alone below the normal range, summed to 13 units of 2**-1074
+    points = ["a", "b", "c", "e"]
+    space = MetricSpace(points, dist=np.where(np.eye(4, dtype=bool), 0.0, 1e-322))
+    g = StochasticGraph(
+        ["v0", "v1"], space, {"v0": {"a": 0.5, "b": 0.5}, "v1": {"c": 0.25, "e": 0.25, "a": 0.5}}
+    )
+    report = estimate_emst_dp(g, 0.25, 1, budget_cap=50)
+    assert report.value == exact_expectation(g, Functional.MST) == 7.4e-323
+    assert [t.mean for t in report.terms if t.mean] == [1e-322] * 5
+
+
 def test_single_node_zero():
     space = line_space(0.0, 1.0)
     g = StochasticGraph(["v"], space, {"v": {"p0": 0.4, "p1": 0.6}})

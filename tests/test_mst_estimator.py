@@ -169,8 +169,7 @@ def test_more_than_64_nodes():
 
 
 def test_ladder_instance_is_bit_identical_at_two_threads():
-    # two 4096-sample blocks on two pool threads; each fresh graph's space
-    # builds its padded distance table in whichever thread solves first
+    # two 4096-sample blocks; the thread count is recorded and changes nothing else
     docs = []
     for threads in (1, 2):
         g = gen_graph("euclidean-uniform", 16, 24, 1)

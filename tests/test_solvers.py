@@ -7,7 +7,6 @@ import itertools
 import math
 import subprocess
 import sys
-import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -52,12 +51,12 @@ from stochgraph.solvers import (
     _nn_indices,
     edge_order,
     exact_sums,
-    longest_nn_edge,
 )
 
 from conftest import (
     cc_by_permutation_enumeration,
     euclidean_space,
+    longest_nn_edge,
     mpm_by_subset_dp,
     mst_by_tree_enumeration,
     nn_edges_of,
@@ -1005,42 +1004,6 @@ def realization_rows(g: StochasticGraph) -> np.ndarray:
     return np.sort(np.column_stack([outs[d] for (outs, _), d in zip(table, digits)]), axis=1)
 
 
-def in_two_threads(work, *blocks, patch=None):
-    """``work(block)`` for each block, the two runs on their own threads.
-    ``patch(wrap)`` installs ``wrap`` around a solver; the first solve of
-    each thread waits until the other thread is solving too, so both solve
-    their shared sets before either merges."""
-    barrier, local = threading.Barrier(2), threading.local()
-
-    def wrap(solver):
-        def waiting(*args):
-            out = solver(*args)
-            if not getattr(local, "met", False):
-                local.met = True
-                barrier.wait(timeout=30)
-            return out
-        return waiting
-
-    patch(wrap)
-    results: list = [None, None]
-    errors: list = []
-
-    def run(i):
-        try:
-            results[i] = work(blocks[i])
-        except BaseException as exc:  # surfaced in the main thread
-            errors.append(exc)
-            barrier.abort()
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors, errors
-    return results
-
-
 def overlapping_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two shuffled blocks that share about a third of their rows."""
     rng = rng_for(91)
@@ -1059,23 +1022,19 @@ def held_once(memo: solvers.PointSetMemo, rows: np.ndarray) -> bool:
 
 
 @pytest.mark.parametrize("key_kind", ["rank", "void"])
-def test_threads_sharing_an_evaluator_get_the_single_thread_values(monkeypatch, key_kind):
+def test_blocks_sharing_an_evaluator_get_the_values_each_gets_alone(key_kind):
     g = gen_graph("euclidean-uniform", 5, 6, 14)  # eu-5-6 of the suite
     blocks = overlapping_blocks(realization_rows(g))
     with keyed_by(key_kind):
         alone = [oracle.FunctionalEvaluator(g, Functional.MST).values(b) for b in blocks]
         shared = oracle.FunctionalEvaluator(g, Functional.MST)
-    compute = oracle.FunctionalEvaluator._compute
-    both = in_two_threads(
-        shared.values, *blocks,
-        patch=lambda wrap: monkeypatch.setattr(oracle.FunctionalEvaluator, "_compute", wrap(compute)),
-    )
+    both = [shared.values(b) for b in blocks]
     assert [v.tobytes() for v in both] == [v.tobytes() for v in alone]
     assert held_once(shared._memo, np.concatenate(blocks))
 
 
 @pytest.mark.parametrize("key_kind", ["rank", "void"])
-def test_threads_sharing_pair_values_get_the_single_thread_values(monkeypatch, key_kind):
+def test_blocks_sharing_pair_values_get_the_values_each_gets_alone(key_kind):
     sp = split_points(gen_graph("euclidean-uniform", 5, 6, 14))
     blocks = overlapping_blocks(realization_rows(sp.graph))
 
@@ -1086,11 +1045,7 @@ def test_threads_sharing_pair_values_get_the_single_thread_values(monkeypatch, k
     with keyed_by(key_kind):
         alone = [work(cc_module._PairValues(sp.graph), b) for b in blocks]
         shared = cc_module._PairValues(sp.graph)
-    nn = cc_module._nn_indices
-    both = in_two_threads(
-        lambda rows: work(shared, rows), *blocks,
-        patch=lambda wrap: monkeypatch.setattr(cc_module, "_nn_indices", wrap(nn)),
-    )
+    both = [work(shared, b) for b in blocks]
     for (longest, cc), (want_longest, want_cc) in zip(both, alone):
         assert longest.tobytes() == want_longest.tobytes() and cc.tobytes() == want_cc.tobytes()
     assert held_once(shared.nn, np.concatenate(blocks))
