@@ -104,49 +104,44 @@ def apply_budget_scale(full_n: int, scale: float = 1.0, cap: Optional[int] = Non
     return max(1, math.ceil(n))
 
 
-def block_classes(
-    sampler: ConditionalSampler, rows: np.ndarray, keys: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(classes, inverse) of a drawn block: ``classes[inverse]`` is the block
-    with each row sorted.
-
-    With ``keys``, the rows' position keys from ``draw_block``, the classes
-    are one row-sorted row per present key, in key order, so no two share an
-    outcome tuple; a keyed support is at most ``BLOCK_SIZE``, so the inverse
-    is uint16.  Otherwise ``rows``, sorted in place, are their own classes.
-    """
-    if keys is None:
-        rows.sort(axis=1)
-        return rows, np.arange(len(rows))
-    present = np.flatnonzero(np.bincount(keys, minlength=sampler.support))
-    # uint16 throughout: a cast on assignment costs more than the pick
-    slot = np.empty(sampler.support, dtype=np.uint16)
-    slot[keys] = np.arange(len(keys), dtype=np.uint16)  # any row of a key will do
-    classes = rows[slot[present]]
-    classes.sort(axis=1)
-    slot[present] = np.arange(len(present), dtype=np.uint16)
-    return classes, slot[keys]
+def block_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, inverse) of a drawn block whose rows are nearly all
+    distinct: the rows, each sorted in place, are their own classes."""
+    rows.sort(axis=1)
+    return rows, np.arange(len(rows))
 
 
 def draw_classes(
     sampler: ConditionalSampler, stream: SampleStream, n_samples: int, b: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``block_classes`` of block ``b`` of a term's ``n_samples`` draws, keyed
-    by position when the support fits in one block."""
+    """(classes, inverse) of block ``b`` of a term's ``n_samples`` draws:
+    ``classes[inverse]`` is the block with each row sorted.  A support above
+    one block gives the ``block_classes`` of the drawn rows.  Otherwise
+    ``draw_block`` gives only each row's position key, and the classes are
+    the row-sorted ``decode`` of the present keys, in key order, with a
+    uint16 inverse."""
     start = b * BLOCK_SIZE
     count = min(BLOCK_SIZE, n_samples - start)
-    keys = np.zeros(count, dtype=np.int64) if sampler.support <= BLOCK_SIZE else None
-    return block_classes(sampler, sampler.draw_block(stream, start, count, keys), keys)
+    if sampler.support > BLOCK_SIZE:
+        return block_classes(sampler.draw_block(stream, start, count))
+    keys = sampler.draw_block(stream, start, count, keyed=True)
+    present = np.flatnonzero(np.bincount(keys, minlength=sampler.support))
+    # uint16 throughout: a cast on assignment costs more than the pick
+    slot = np.empty(sampler.support, dtype=np.uint16)
+    slot[present] = np.arange(len(present), dtype=np.uint16)
+    classes = sampler.decode(present)
+    classes.sort(axis=1)
+    return classes, slot[keys]
 
 
 def group_classes(
-    uniforms: Sequence[np.ndarray], tables: Sequence[np.ndarray]
+    words: Sequence[np.ndarray], tables: Sequence[np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each term's one block, drawn for all terms by one ``draw_terms`` and
     row-sorted: its rows are its classes, with inverse ``arange``."""
-    rows = draw_terms(uniforms, tables)
+    rows = draw_terms(words, tables)
     rows.sort(axis=1)
-    ends = np.cumsum([len(u) for u in uniforms])[:-1]
+    ends = np.cumsum([len(w) for w in words])[:-1]
     return [(block, np.arange(len(block))) for block in np.split(rows, ends)]
 
 
@@ -238,19 +233,19 @@ def estimate_conditional(
     A group closes once the rows it will hand ``class_fn`` reach
     ``BLOCK_SIZE``: a pinned term's one row, a keyed term's classes, a
     deferred term's samples.  A keyed term's inverse is uint16
-    (``block_classes``); the group also closes once its terms hold
+    (``draw_classes``); the group also closes once its terms hold
     64 * ``BLOCK_SIZE`` samples, so a group waiting for its next term holds
     at most 512 KiB of inverses.
     """
     results: list = []
     group: list = []  # [position, key, samples, classes, inverse]; inverse None if pinned
-    deferred: list = []  # (group slot, uniforms, table) of the terms drawn at its close
+    deferred: list = []  # (group slot, words, table) of the terms drawn at its close
     rows = held = 0  # rows the group hands class_fn; samples its terms hold
 
     def solve_group() -> None:
         if deferred:
-            slots, uniforms, tables = zip(*deferred)
-            for slot, block in zip(slots, group_classes(uniforms, tables)):
+            slots, words, tables = zip(*deferred)
+            for slot, block in zip(slots, group_classes(words, tables)):
                 group[slot][3:] = block
         counts = [len(classes) for _, _, _, classes, _ in group]
         vals, hits = class_fn(
@@ -288,10 +283,10 @@ def estimate_conditional(
                 results[i] = (mean, hits, n_samples)
                 continue
             if sampler.support > n_samples:  # rows mostly distinct: drawn with the group
-                deferred.append((len(group), stream.uniforms(0, n_samples), sampler.table))
+                deferred.append((len(group), stream.words(0, n_samples), sampler.table))
             else:
                 classes, inverse = draw_classes(sampler, stream, n_samples, 0)
-        del sampler  # a waiting term holds its drawn block, or its uniforms and table, only
+        del sampler  # a waiting term holds its drawn block, or its words and table, only
         group.append([i, key, n_samples, classes, inverse])
         rows += n_samples if classes is None else len(classes)
         held += n_samples

@@ -48,11 +48,12 @@ def _philox(key: np.ndarray, counter: int) -> Generator:
 class SampleStream:
     """Substream handle for one estimator run: key = (seed, tag).
 
-    ``uniforms(start, count)`` yields a (count, width) block of float64
-    uniforms in [0, 1); row ``r`` holds the draws owned by sample index
-    ``start + r``.  ``draws`` is how many uniforms each index needs; the
-    window ``width`` rounds it up to a multiple of 4, because Philox emits 4
-    words per counter tick.
+    ``words(start, count)`` yields a (count, width) block of raw uint64
+    Philox words; row ``r`` holds the draws owned by sample index
+    ``start + r``.  ``uniforms`` gives the same block as float64 uniforms in
+    [0, 1), ``(word >> 11) * 2**-53``, which is ``random()`` byte for byte.
+    ``draws`` is how many draws each index needs; the window ``width`` rounds
+    it up to a multiple of 4, because Philox emits 4 words per counter tick.
     """
 
     def __init__(self, seed: int, tag: str, draws: int):
@@ -65,8 +66,9 @@ class SampleStream:
         key = int.from_bytes(digest[:16], "little")
         self._key = np.array([key & _WORD, key >> 64], dtype=np.uint64)
 
+    def words(self, start: int, count: int) -> np.ndarray:
+        gen = _philox(self._key, start * (self.width // 4))
+        return gen.bit_generator.random_raw(max(count, 0) * self.width).reshape(-1, self.width)
+
     def uniforms(self, start: int, count: int) -> np.ndarray:
-        if count <= 0:
-            return np.empty((0, self.width))
-        flat = _philox(self._key, start * (self.width // 4)).random(count * self.width)
-        return flat.reshape(count, self.width)
+        return (self.words(start, count) >> 11) * 2.0**-53

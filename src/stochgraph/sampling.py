@@ -55,9 +55,10 @@ class ConditionalSampler:
     cumulative probabilities along each row after renormalization, and
     ``support``, the number of outcome tuples.  Built on first read:
     ``outcomes[j]`` and ``cum[j]``, node ``j``'s allowed point indices (-1
-    for absent) and its slice of ``table``.  ``draw_block`` can also give
-    each drawn row's position key.  Raises ``DomainError`` if a node has no
-    mass under the event.
+    for absent) and its slice of ``table``, and ``thresholds[j]``, the raw
+    Philox words at which its outcome position steps up.  ``draw_block`` can
+    give each drawn row's position key instead of its row.  Raises
+    ``DomainError`` if a node has no mass under the event.
     """
 
     def __init__(self, g: StochasticGraph, event: EventSpec | Event | None = None):
@@ -81,61 +82,89 @@ class ConditionalSampler:
     def cum(self) -> list[np.ndarray]:
         return [c[row] for c, row in zip(self.table, self.mask)]
 
+    @functools.cached_property
+    def thresholds(self) -> list[np.ndarray]:
+        """Per node, ``ceil(c * 2**53) << 11`` (uint64) of each ``cum`` entry c
+        below 1.0: c is at most the uniform ``(w >> 11) * 2**-53`` of a word w
+        exactly when its threshold is at most w."""
+        steps = self.mask & (self.table < 1.0)
+        words = np.ceil(self.table * 2.0**53).astype(np.uint64) << np.uint64(11)
+        return [w[row] for w, row in zip(words, steps)]
+
     @property
     def is_deterministic(self) -> bool:
         """True when every node has exactly one possible outcome."""
         return self.support == 1
 
     def draw_block(
-        self, stream: SampleStream, start: int, count: int, keys: np.ndarray | None = None
+        self, stream: SampleStream, start: int, count: int, keyed: bool = False
     ) -> np.ndarray:
         """(count, n) matrix of point indices for sample indices start..start+count-1.
 
-        ``keys``, a zeroed int64 array of ``count`` entries, receives each
-        row's position key: the C-order index in ``[0, support)`` of its
-        tuple of outcome positions (node j's position is the index of its
-        outcome in ``outcomes[j]``), from the searches that draw the row.
-        The rows do not depend on it.
+        Node j's outcome position in a row is the number of its
+        ``thresholds`` at most the row's word j (``SampleStream.words``).
+        ``keyed`` returns instead each row's position key, an int64: the
+        C-order index in ``[0, support)`` of its tuple of outcome positions
+        (node j's position indexes ``outcomes[j]``); ``decode`` gives back
+        the rows.
         """
         n = self.g.n
         if n > stream.width:
-            raise DomainError(
-                f"stream width {stream.width} too small for {n} nodes"
-            )
-        u = stream.uniforms(start, count)
-        out = np.empty((count, n), dtype=np.int64)
-        for j in range(n):
-            if len(self.cum[j]) == 1:  # cum is [1.0] and u < 1: no search
-                out[:, j] = self.outcomes[j][0]
-                continue
-            # cum ends in 1.0 exactly and u < 1, so every u lands inside
-            at = np.searchsorted(self.cum[j], u[:, j], side="right")
-            out[:, j] = self.outcomes[j][at]
-            if keys is not None:  # Horner's rule over the mixed radix
-                keys *= len(self.cum[j])
-                keys += at
+            raise DomainError(f"stream width {stream.width} too small for {n} nodes")
+        words = stream.words(start, count)
+        out = np.zeros(count, dtype=np.int64) if keyed else np.empty((count, n), dtype=np.int64)
+        for j, (outs, steps) in enumerate(zip(self.outcomes, self.thresholds)):
+            at = _positions(words[:, j], steps)
+            if not keyed:
+                out[:, j] = outs[at]
+            elif len(outs) > 1:  # Horner's rule over the mixed radix
+                out *= len(outs)
+                out += at
         return out
+
+    def decode(self, keys: np.ndarray) -> np.ndarray:
+        """The (len(keys), n) rows of the given position keys (``draw_block``)."""
+        positions = np.unravel_index(keys, [len(outs) for outs in self.outcomes])
+        return np.array([outs[at] for outs, at in zip(self.outcomes, positions)]).T.copy()
+
+
+_COUNT_MAX = 10  # more thresholds take one search: they cross at 11-15 (tests/bench_engine.py "search")
+
+
+def _positions(words: np.ndarray, steps: np.ndarray) -> np.ndarray | int:
+    """How many of the sorted uint64 ``steps`` are at most each word: one
+    comparison per step, counted in uint8, or for more than ``_COUNT_MAX``
+    steps one ``np.searchsorted``."""
+    if len(steps) > _COUNT_MAX:
+        return np.searchsorted(steps, words, side="right")
+    if not len(steps):
+        return 0
+    at = (words >= steps[0]).view(np.uint8)
+    for step in steps[1:]:
+        at = at + (words >= step)
+    return at
 
 
 _SPAN = 2**53 + 1  # term t's thresholds lie in [t * _SPAN, t * _SPAN + 2**53]
 _TERMS_PER_SEARCH = 2**63 // _SPAN  # 1023 terms' spans fit in int64
 
 
-def draw_terms(uniforms: Sequence[np.ndarray], tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Each term's ``draw_block`` rows, stacked, from its ``SampleStream.uniforms``
+def draw_terms(words: Sequence[np.ndarray], tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Each term's ``draw_block`` rows, stacked, from its ``SampleStream.words``
     (first n columns) and its sampler's ``table``: one ``np.searchsorted`` per
-    node column on exact integers, needles ``u * 2**53`` (``random()`` gives
-    ``(x >> 11) * 2**-53``) and thresholds ``ceil(table * 2**53) + t * _SPAN``
-    for term t.  The first full-row entry above u is an allowed outcome (a
-    masked-out entry repeats the one before it), so rows match bit for bit.
+    node column on exact integers, needles ``w >> 11`` (``random()`` gives
+    ``(w >> 11) * 2**-53``) and thresholds ``ceil(table * 2**53) + t * _SPAN``
+    for term t.  The first full-row entry above the uniform is an allowed
+    outcome (a masked-out entry repeats the one before it), so rows match bit
+    for bit.
     """
     parts = []
     for s in range(0, len(tables), _TERMS_PER_SEARCH):
         chunk = slice(s, s + _TERMS_PER_SEARCH)
         table = np.stack(tables[chunk])  # (terms, n, m + 1)
         term = np.arange(len(table))
-        row_term = np.repeat(term, [len(u) for u in uniforms[chunk]])[:, None]
-        needles = (np.concatenate(uniforms[chunk])[:, : table.shape[1]] * 2.0**53).astype(np.int64)
+        row_term = np.repeat(term, [len(w) for w in words[chunk]])[:, None]
+        needles = (np.concatenate(words[chunk])[:, : table.shape[1]] >> np.uint64(11)).view(np.int64)
         needles += row_term * _SPAN
         pos = np.empty(needles.shape, dtype=np.int64)
         for j in range(needles.shape[1]):  # one column's thresholds at a time: small temporaries

@@ -9,9 +9,10 @@ points each (support 8, so blocks are keyed by outcome position), and
 is row-sorted whole and its rows are its classes).  Each case times one call:
 
 - ``build``: ``ConditionalSampler(g, event)``;
-- ``draw``: ``draw_block`` of one full block, with position keys when
-  the support fits in one block, as ``draw_classes`` draws it;
-- ``classes``: ``block_classes`` of that block (and its keys);
+- ``draw``: ``draw_block`` of one full block as ``draw_classes`` draws it:
+  only each row's position key when the support fits in one block;
+- ``classes``: ``draw_classes`` of that drawn block, so its dedup alone:
+  the decoded present keys, or ``block_classes`` of the rows;
 - ``block``: ``run_conditional_mc`` over one block with a constant
   ``class_fn``, so no solver runs.
 
@@ -48,6 +49,11 @@ terms of the acceptance suite's ``eu-5-6`` cc instance
 cold ``_PairValues.class_fn``: every term is keyed (support at most 2,500),
 so this is the per-group floor of campaign-small's cc op without planning.
 
+``search`` times how ``draw_block`` finds one node's outcome positions in
+a block's word column from r - 1 evenly spaced thresholds, r in {2, 4, 8,
+16, 32}: one comparison per threshold (``count``) or one integer
+``np.searchsorted``.  ``sampling._COUNT_MAX`` is set where they cross.
+
 ``test_calibration`` is ``bench_solvers.py``'s host-speed case, fixed
 numpy and ``math.fsum`` work that never calls the package, so a case here
 divided by it compares runs made at different host speeds.
@@ -60,7 +66,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stochgraph import cc
+from stochgraph import cc, sampling
 from stochgraph.generate import gen_graph
 from stochgraph.mc import (
     BLOCK_SIZE,
@@ -103,19 +109,21 @@ def test_engine_layer(benchmark, term, layer):
     assert (sampler.support <= 8) == (term == "small")
     keyed = sampler.support <= BLOCK_SIZE
 
-    def draw():  # as draw_classes draws it: with position keys if keyed
-        keys = np.zeros(BLOCK_SIZE, dtype=np.int64) if keyed else None
-        return sampler.draw_block(stream, 0, BLOCK_SIZE, keys), keys
+    def draw():  # as draw_classes draws it: keys only if keyed
+        return sampler.draw_block(stream, 0, BLOCK_SIZE, keyed=keyed)
 
     stream = SampleStream(1, "bench", G.n)
-    rows, keys = draw()
+    drawn = draw()
     benchmark.group = layer
     if layer == "build":
         benchmark(ConditionalSampler, G, EVENTS[term])
     elif layer == "draw":
         benchmark(draw)
     elif layer == "classes":
-        benchmark(lambda: block_classes(sampler, rows.copy(), keys))
+        drawing = ConditionalSampler(G, EVENTS[term])
+        drawing.draw_block = lambda *_args, **_kwargs: drawn.copy()
+        classes, inverse = benchmark(draw_classes, drawing, stream, BLOCK_SIZE, 0)
+        assert len(inverse) == BLOCK_SIZE and (len(classes) <= 8) == keyed
     else:
         mean, _ = benchmark(run_conditional_mc, sampler, constant_class_fn, BLOCK_SIZE, stream)
         assert mean == 1.0
@@ -131,7 +139,7 @@ def test_ladder_mst_classes(benchmark):
     memos = []
 
     def values() -> np.ndarray:
-        classes, _ = block_classes(sampler, rows.copy())
+        classes, _ = block_classes(rows.copy())
         memos.append(PointSetMemo(LADDER_MST.m, LADDER_MST.n))
         slots = memos[-1].find(classes, lambda idx: (np.zeros(len(idx)),))
         return memos[-1].values[0][slots]
@@ -183,7 +191,7 @@ def test_group_draw(benchmark, way):
         blocks = benchmark(lambda: [draw_classes(s, st, 50, 0) for s, st in zip(samplers, streams)])
     else:
         blocks = benchmark(lambda: group_classes(
-            [st.uniforms(0, 50)[:, : g.n] for st in streams], [s.table for s in samplers]
+            [st.words(0, 50) for st in streams], [s.table for s in samplers]
         ))
     assert sum(len(inverse) for _, inverse in blocks) == 80 * 50
 
@@ -255,6 +263,17 @@ def test_group_reduce(benchmark, way):
     benchmark.group = "group-reduce"
     means = benchmark(stacked if way == "stacked" else per_term)
     assert means == per_term()
+
+
+@pytest.mark.parametrize("r", [2, 4, 8, 16, 32])
+@pytest.mark.parametrize("way", ["count", "searchsorted"])
+def test_search(benchmark, monkeypatch, way, r):
+    column = SampleStream(1, "bench", G.n).words(0, BLOCK_SIZE)[:, 3]  # strided, as drawn
+    steps = np.ceil(np.arange(1, r) / r * 2.0**53).astype(np.uint64) << np.uint64(11)
+    monkeypatch.setattr(sampling, "_COUNT_MAX", r if way == "count" else 0)
+    benchmark.group = f"search-r{r}"
+    at = benchmark(sampling._positions, column, steps)
+    np.testing.assert_array_equal(at, np.searchsorted(steps, column, side="right"))
 
 
 def test_calibration(benchmark):

@@ -28,4 +28,4 @@ def test_bench_files_run_with_benchmarks_disabled():
         capture_output=True, text=True, timeout=600, env=env, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "91 passed" in proc.stdout
+    assert "101 passed" in proc.stdout

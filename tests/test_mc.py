@@ -278,7 +278,7 @@ def test_position_keys_give_the_classes_of_sorted_rows(case):
             assert len(classes) == len(tuples)
             assert len(set(zip(inverse.tolist(), ref_inverse.ravel().tolist()))) == len(tuples)
             # the unkeyed classes of the same rows hold the same rows
-            unkeyed, at = block_classes(sampler, rows.copy())
+            unkeyed, at = block_classes(rows.copy())
             np.testing.assert_array_equal(classes[inverse], unkeyed[at])
         if case == "shared-points":  # distinct outcome tuples, one point set: one class each
             assert len(np.unique(classes, axis=0)) < len(classes) == len(tuples)
@@ -290,10 +290,11 @@ def test_position_keys_number_outcome_tuples_in_c_order():
     g = support_graph(rng_for(3), (2, 1, 3, 2), 4, existential=True)
     sampler = ConditionalSampler(g)
     stream = SampleStream(3, "c-order", g.n)
-    keys = np.zeros(BLOCK_SIZE, dtype=np.int64)
-    rows = sampler.draw_block(stream, 0, BLOCK_SIZE, keys)
-    # the rows do not depend on the keys
-    np.testing.assert_array_equal(rows, sampler.draw_block(stream, 0, BLOCK_SIZE))
+    keys = sampler.draw_block(stream, 0, BLOCK_SIZE, keyed=True)
+    rows = sampler.draw_block(stream, 0, BLOCK_SIZE)
+    # the keys decode to the rows drawn without them
+    assert keys.dtype == np.int64 and keys.shape == (BLOCK_SIZE,)
+    np.testing.assert_array_equal(sampler.decode(keys), rows)
     # each node's outcome position, the last node fastest
     outcomes = [o.tolist() for o in sampler.outcomes]
     positions = [[outs.index(x) for x, outs in zip(row, outcomes)] for row in rows.tolist()]
@@ -313,16 +314,18 @@ def test_position_keyed_term_is_thread_invariant_and_matches_sorted_rows(monkeyp
         stream = SampleStream(2, "keyed", g.n)
         return run_conditional_mc(ConditionalSampler(g), mst_class_fn(g), n, stream)
 
-    runs = [run(), *on_threads(2, run)]
-    keyed, unkeyed = mc_module.block_classes, []
+    whole, drawn_whole = mc_module.block_classes, []
 
-    def whole_block(s, rows, keys=None):  # the path of a support above one block
-        unkeyed.append(keys is not None)
-        return keyed(s, rows)
+    def whole_block(rows):  # the path of a support above one block
+        drawn_whole.append(len(rows))
+        return whole(rows)
 
     monkeypatch.setattr(mc_module, "block_classes", whole_block)
+    runs = [run(), *on_threads(2, run)]
+    assert drawn_whole == []  # keyed: no rows are drawn
+    sampler.support = BLOCK_SIZE + 1  # rows drawn whole, as for a larger support
     ref = run_conditional_mc(sampler, class_fn, n, SampleStream(2, "keyed", g.n))
-    assert unkeyed == [True] * 3
+    assert drawn_whole == [BLOCK_SIZE, BLOCK_SIZE, 100]
     assert runs == [ref] * 3
     assert 0.0 < ref[0]
 
@@ -643,14 +646,21 @@ def test_campaign_cc_instance_solves_its_nearest_neighbors_in_few_calls(monkeypa
     assert 1 <= len(calls) <= 3
 
 
+def words_of(u: np.ndarray) -> np.ndarray:
+    """Philox words whose uniforms are ``u`` (multiples of 2**-53), with
+    noise in the 11 bits ``random()`` drops."""
+    noise = rng_for(12).integers(0, 2**11, size=u.shape, dtype=np.uint64)
+    return (u * 2.0**53).astype(np.uint64) << np.uint64(11) | noise
+
+
 class FixedStream:
-    """Stands in for a ``SampleStream``: sample i's uniforms are row i of ``u``."""
+    """Stands in for a ``SampleStream``: sample i's words are row i of ``words``."""
 
-    def __init__(self, u: np.ndarray):
-        self.u, self.width = u, u.shape[1]
+    def __init__(self, words: np.ndarray):
+        self.block, self.width = words, words.shape[1]
 
-    def uniforms(self, start: int, count: int) -> np.ndarray:
-        return self.u[start : start + count]
+    def words(self, start: int, count: int) -> np.ndarray:
+        return self.block[start : start + count]
 
 
 def edge_case_terms():
@@ -686,17 +696,87 @@ def edge_case_terms():
 
 def test_group_draw_equals_each_term_drawn_alone():
     g, samplers, uniforms = edge_case_terms()
-    drawn = [s.draw_block(FixedStream(u), 0, len(u)) for s, u in zip(samplers, uniforms)]
+    words = [words_of(u) for u in uniforms]
+    drawn = [s.draw_block(FixedStream(w), 0, len(w)) for s, w in zip(samplers, words)]
     tables = [s.table for s in samplers]
     rows = np.concatenate(drawn)
-    assert draw_terms(uniforms, tables).tobytes() == rows.tobytes()
+    assert draw_terms(words, tables).tobytes() == rows.tobytes()
     # a uniform on a threshold, an absent node, and no draw past cum's 1.0
     assert (uniforms[0][:, 4] == 0.5).any() and (rows[:, 2] == -1).any()
     assert (rows[:, 3] != 3).all()
-    grouped = group_classes(uniforms, tables)
+    grouped = group_classes(words, tables)
     for (classes, inverse), block in zip(grouped, drawn):
         assert classes.dtype == block.dtype and inverse.dtype == np.intp
         np.testing.assert_array_equal(classes[inverse], np.sort(block, axis=1))
+    for sampler, w, block in zip(samplers, words, drawn):  # keyed: decoded present keys
+        assert sampler.support <= BLOCK_SIZE
+        classes, inverse = draw_classes(sampler, FixedStream(w), len(w), 0)
+        np.testing.assert_array_equal(classes[inverse], np.sort(block, axis=1))
+
+
+def threshold_graph(sizes) -> StochasticGraph:
+    """An existential graph with one node of each number of outcomes in
+    ``sizes`` (an even number holds an absent column), then a node whose cum
+    reaches 1.0 before its last outcome (trailing masses of 1e-300) and one
+    with subnormal masses."""
+    big = 2 * (sampling_module._COUNT_MAX + 2)
+    rng = rng_for(21)
+    rows = []
+    for r in sizes:
+        p = np.zeros(big)
+        points = r - (r % 2 == 0)
+        p[rng.choice(big, size=points, replace=False)] = rng.random(points) + 0.01
+        p /= p.sum()
+        if r % 2:
+            p[np.argmax(p)] += 1e-15  # sums past 1.0: no absent column
+        else:
+            p *= 0.75
+        rows.append(p)
+    rows.append(np.r_[[0.5, 0.5, 1e-300, 1e-300], np.zeros(big - 4)])
+    rows.append(np.r_[[1e-310, 3e-310, 5e-324, 0.5], np.zeros(big - 4)])
+    return StochasticGraph(
+        [f"v{v}" for v in range(len(rows))], line_space(*range(big)), np.array(rows),
+        presence_mode="existential",
+    )
+
+
+# outcome counts 1 to 2 * (_COUNT_MAX + 2), split so that each support fits an int64 key
+THRESHOLD_SIZES = [range(1, 9), range(9, 15), range(15, 2 * (sampling_module._COUNT_MAX + 2) + 1)]
+
+
+@pytest.mark.parametrize("sizes", THRESHOLD_SIZES, ids=lambda r: f"r{r.start}-{r.stop - 1}")
+def test_threshold_counts_equal_a_float_search_on_and_around_every_threshold(sizes):
+    g = threshold_graph(sizes)
+    allowed = g.probs > 0.0
+    allowed[-1, 3] = False  # the subnormal node keeps only its subnormal points, renormalized
+    samplers = [ConditionalSampler(g), ConditionalSampler(g, Event(allowed, np.zeros(g.n, bool)))]
+    assert [len(outs) for outs in samplers[0].outcomes] == [*sizes, 4, 5]
+    assert samplers[0].cum[-2].tolist() == [0.5, 1.0, 1.0, 1.0]
+    assert 0.0 < samplers[0].cum[-1][0] < 2.0**-1022  # a subnormal threshold
+    rng, absent = rng_for(22), []
+    for sampler in samplers:
+        exact = np.concatenate(sampler.cum) * 2.0**53
+        near = np.concatenate([np.floor(exact), np.ceil(exact)])[:, None] + [-1, 0, 1]
+        x = np.unique(np.clip(np.r_[near.ravel(), 0, 2**53 - 1], 0, 2**53 - 1)).astype(np.uint64)
+        base = np.column_stack([rng.permutation(x) for _ in range(g.n)]) << np.uint64(11)
+        noise = rng.integers(0, 2**11, size=base.shape, dtype=np.uint64)
+        # the dropped bits all clear, random, and all set
+        words = np.concatenate([base, base | noise, base | np.uint64(2**11 - 1)])
+        u = (words >> np.uint64(11)) * 2.0**-53
+        at = np.column_stack([
+            np.searchsorted(cum, u[:, j], side="right") for j, cum in enumerate(sampler.cum)
+        ])
+        rows = np.column_stack([outs[at[:, j]] for j, outs in enumerate(sampler.outcomes)])
+        stream = FixedStream(words)
+        np.testing.assert_array_equal(sampler.draw_block(stream, 0, len(words)), rows)
+        keys = sampler.draw_block(stream, 0, len(words), keyed=True)
+        radix = [len(outs) for outs in sampler.outcomes]
+        np.testing.assert_array_equal(keys, np.ravel_multi_index(at.T, radix))
+        np.testing.assert_array_equal(sampler.decode(keys), rows)
+        assert draw_terms([words], [sampler.table]).tobytes() == rows.tobytes()
+        assert (rows[:, -2] < 2).all()  # never past cum's first 1.0
+        absent.append((rows == -1).any())
+    assert absent == [True, False]
 
 
 def test_more_deferred_terms_than_one_search_holds(monkeypatch):
@@ -705,9 +785,9 @@ def test_more_deferred_terms_than_one_search_holds(monkeypatch):
     searched = []
     original = mc_module.draw_terms
 
-    def counted(uniforms, tables):
+    def counted(words, tables):
         searched.append(len(tables))
-        return original(uniforms, tables)
+        return original(words, tables)
 
     monkeypatch.setattr(mc_module, "draw_terms", counted)
     reports = [estimate_ecc(g, 0.25, 1, budget_cap=1, threads=threads) for threads in (1, 2)]

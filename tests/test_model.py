@@ -303,8 +303,8 @@ def test_sample_zero_mass_event_rejected():
 
 
 def test_uniforms_are_multiples_of_2_to_the_minus_53():
-    # the group draw searches u * 2**53 as an exact integer; if numpy's
-    # random() ever changes its float construction, this fails first
+    # uniforms are (w >> 11) * 2**-53, numpy's random() of the same words
+    # (checked below): exact integers times 2**-53, all 53 bits used
     for seed, tag, draws in ((1, "a", 5), (7, "cc/p0/p1/mutual", 16), (2**40, "", 1)):
         u = SampleStream(seed, tag, draws).uniforms(3, 2000) * 2.0**53
         assert (u == np.floor(u)).all() and u.min() >= 0 and u.max() < 2.0**53
@@ -318,18 +318,30 @@ def test_uniforms_equal_a_fresh_philox_on_every_thread(threads):
     cases = [
         (1, "a", 5, 0, 7), (7, "cc/p0/p1/mutual", 16, 3, 2000), (2**40, "", 1, 10**6, 1),
         (5, "wide", 33, 2**70, 3), (1, "a", 5, 11, 40), (9, "b", 12, 0, 1),
+        (3, "w4", 4, 2**40, 9), (3, "w8", 8, 1, 300), (3, "w64", 64, 7, 50), (4, "w64", 64, 0, 1),
+        (1, "a", 5, 3, 0), (2, "w4", 3, 0, 0), (2, "w64", 64, 2**70, 0),
     ] * 4
+
+    def fresh(seed, tag, width, start):
+        key = int.from_bytes(hashlib.sha256(f"{seed}:{tag}".encode()).digest()[:16], "little")
+        return Generator(Philox(key=key, counter=start * width // 4))
 
     def both(case):
         seed, tag, draws, start, count = case
         stream = SampleStream(seed, tag, draws)
-        key = int.from_bytes(hashlib.sha256(f"{seed}:{tag}".encode()).digest()[:16], "little")
-        fresh = Generator(Philox(key=key, counter=start * stream.width // 4))
-        return stream.uniforms(start, count).tobytes(), fresh.random(count * stream.width).tobytes()
+        words = stream.words(start, count)
+        assert words.dtype == np.uint64 and words.shape == (count, stream.width)
+        raw = fresh(seed, tag, stream.width, start).bit_generator.random_raw(count * stream.width)
+        uniforms = fresh(seed, tag, stream.width, start).random(count * stream.width)
+        return (
+            (words.tobytes(), stream.uniforms(start, count).tobytes()),
+            (raw.tobytes(), uniforms.tobytes()),
+        )
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pairs = list(pool.map(both, cases))
     assert all(got == want for got, want in pairs)
+    assert {SampleStream(1, "", draws).width for _, _, draws, _, _ in cases} >= {4, 8, 64}
 
 
 def test_sampling_deterministic_and_partition_independent():
