@@ -54,11 +54,11 @@ class ConditionalSampler:
     absent) the event allows with positive probability, ``table``, their
     cumulative probabilities along each row after renormalization, and
     ``support``, the number of outcome tuples.  Built on first read:
-    ``outcomes[j]`` and ``cum[j]``, node ``j``'s allowed point indices (-1
-    for absent) and its slice of ``table``, and ``thresholds[j]``, the raw
-    Philox words at which its outcome position steps up.  ``draw_block`` can
-    give each drawn row's position key instead of its row.  Raises
-    ``DomainError`` if a node has no mass under the event.
+    ``outcomes[j]``, node ``j``'s allowed point indices (-1 for absent), and
+    ``thresholds[j]``, the raw Philox words at which its outcome position
+    steps up.  ``draw_block`` can give each drawn row's position key instead
+    of its row.  Raises ``DomainError`` if a node has no mass under the
+    event.
     """
 
     def __init__(self, g: StochasticGraph, event: EventSpec | Event | None = None):
@@ -79,14 +79,11 @@ class ConditionalSampler:
         return [_outcome_ids(self.g.m)[row] for row in self.mask]
 
     @functools.cached_property
-    def cum(self) -> list[np.ndarray]:
-        return [c[row] for c, row in zip(self.table, self.mask)]
-
-    @functools.cached_property
     def thresholds(self) -> list[np.ndarray]:
-        """Per node, ``ceil(c * 2**53) << 11`` (uint64) of each ``cum`` entry c
-        below 1.0: c is at most the uniform ``(w >> 11) * 2**-53`` of a word w
-        exactly when its threshold is at most w."""
+        """Per node, ``ceil(c * 2**53) << 11`` (uint64) of each ``table`` entry
+        c of an allowed outcome below 1.0: c is at most the uniform
+        ``(w >> 11) * 2**-53`` of a word w exactly when its threshold is at
+        most w."""
         steps = self.mask & (self.table < 1.0)
         words = np.ceil(self.table * 2.0**53).astype(np.uint64) << np.uint64(11)
         return [w[row] for w, row in zip(words, steps)]
@@ -128,20 +125,15 @@ class ConditionalSampler:
         return np.array([outs[at] for outs, at in zip(self.outcomes, positions)]).T.copy()
 
 
-_COUNT_MAX = 10  # more thresholds take one search: they cross at 11-15 (tests/bench_engine.py "search")
-
-
 def _positions(words: np.ndarray, steps: np.ndarray) -> np.ndarray | int:
-    """How many of the sorted uint64 ``steps`` are at most each word: one
-    comparison per step, counted in uint8, or for more than ``_COUNT_MAX``
-    steps one ``np.searchsorted``."""
-    if len(steps) > _COUNT_MAX:
-        return np.searchsorted(steps, words, side="right")
+    """How many of the uint64 ``steps`` are at most each word: one
+    comparison per step, counted in the smallest unsigned type that holds
+    ``len(steps)``."""
     if not len(steps):
         return 0
-    at = (words >= steps[0]).view(np.uint8)
+    at = (words >= steps[0]).astype(np.min_scalar_type(len(steps)))
     for step in steps[1:]:
-        at = at + (words >= step)
+        at += words >= step
     return at
 
 

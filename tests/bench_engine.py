@@ -49,10 +49,12 @@ terms of the acceptance suite's ``eu-5-6`` cc instance
 cold ``_PairValues.class_fn``: every term is keyed (support at most 2,500),
 so this is the per-group floor of campaign-small's cc op without planning.
 
-``search`` times how ``draw_block`` finds one node's outcome positions in
-a block's word column from r - 1 evenly spaced thresholds, r in {2, 4, 8,
-16, 32}: one comparison per threshold (``count``) or one integer
-``np.searchsorted``.  ``sampling._COUNT_MAX`` is set where they cross.
+``search`` times two ways to find one node's outcome positions in a
+block's word column from r - 1 evenly spaced thresholds, r in {2, 4, 8,
+16, 32}: one comparison per threshold (``count``, as ``draw_block`` does)
+or one integer ``np.searchsorted``.  Counting is faster up to about ten
+thresholds; no node of the benchmark's graphs has more than four, so
+``draw_block`` only counts.
 
 ``test_calibration`` is ``bench_solvers.py``'s host-speed case, fixed
 numpy and ``math.fsum`` work that never calls the package, so a case here
@@ -267,12 +269,14 @@ def test_group_reduce(benchmark, way):
 
 @pytest.mark.parametrize("r", [2, 4, 8, 16, 32])
 @pytest.mark.parametrize("way", ["count", "searchsorted"])
-def test_search(benchmark, monkeypatch, way, r):
+def test_search(benchmark, way, r):
     column = SampleStream(1, "bench", G.n).words(0, BLOCK_SIZE)[:, 3]  # strided, as drawn
     steps = np.ceil(np.arange(1, r) / r * 2.0**53).astype(np.uint64) << np.uint64(11)
-    monkeypatch.setattr(sampling, "_COUNT_MAX", r if way == "count" else 0)
     benchmark.group = f"search-r{r}"
-    at = benchmark(sampling._positions, column, steps)
+    if way == "count":
+        at = benchmark(sampling._positions, column, steps)
+    else:
+        at = benchmark(np.searchsorted, steps, column, side="right")
     np.testing.assert_array_equal(at, np.searchsorted(steps, column, side="right"))
 
 

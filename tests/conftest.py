@@ -296,6 +296,12 @@ def count_groups(rows, block: int) -> int:
     return groups + (total > 0)
 
 
+def node_cums(sampler) -> list[np.ndarray]:
+    """Each node's cumulative probabilities over its allowed outcomes, in
+    ``sampler.outcomes`` order: its row of ``sampler.table`` under its mask."""
+    return [c[row] for c, row in zip(sampler.table, sampler.mask)]
+
+
 @pytest.fixture
 def rng():
     return rng_for(20240817)

@@ -49,7 +49,7 @@ from stochgraph.oracle import FunctionalEvaluator
 from stochgraph.rng import SampleStream
 from stochgraph.sampling import ConditionalSampler, draw_terms
 
-from conftest import count_groups, euclidean_space, random_graph, rng_for
+from conftest import count_groups, euclidean_space, node_cums, random_graph, rng_for
 
 
 def line_space(*xs):
@@ -337,7 +337,7 @@ def test_pinned_columns_equal_a_search_on_every_node():
     u = stream.uniforms(5, 500)
     ref = np.column_stack([
         outs[np.minimum(np.searchsorted(cum, u[:, j], side="right"), len(cum) - 1)]
-        for j, (outs, cum) in enumerate(zip(sampler.outcomes, sampler.cum))
+        for j, (outs, cum) in enumerate(zip(sampler.outcomes, node_cums(sampler)))
     ])
     np.testing.assert_array_equal(sampler.draw_block(stream, 5, 500), ref)
 
@@ -683,7 +683,7 @@ def edge_case_terms():
     edge = Event(allowed, np.array([False, False, True, False, False]))
     samplers = [ConditionalSampler(g, e) for e in (edge, None, Event(allowed, np.ones(5, bool)))]
     assert samplers[0].outcomes[1].tolist() == [2]
-    assert samplers[0].cum[3].tolist() == [0.5, 0.75, 1.0, 1.0]
+    assert node_cums(samplers[0])[3].tolist() == [0.5, 0.75, 1.0, 1.0]
     rng = rng_for(11)
     uniforms = []
     for sampler in samplers:
@@ -719,7 +719,7 @@ def threshold_graph(sizes) -> StochasticGraph:
     ``sizes`` (an even number holds an absent column), then a node whose cum
     reaches 1.0 before its last outcome (trailing masses of 1e-300) and one
     with subnormal masses."""
-    big = 2 * (sampling_module._COUNT_MAX + 2)
+    big = max(*sizes, 4)
     rng = rng_for(21)
     rows = []
     for r in sizes:
@@ -740,8 +740,9 @@ def threshold_graph(sizes) -> StochasticGraph:
     )
 
 
-# outcome counts 1 to 2 * (_COUNT_MAX + 2), split so that each support fits an int64 key
-THRESHOLD_SIZES = [range(1, 9), range(9, 15), range(15, 2 * (sampling_module._COUNT_MAX + 2) + 1)]
+# outcome counts 1 to 24, and 255 to 257 (254 to 256 thresholds: past a uint8
+# count), split so that each support fits an int64 key
+THRESHOLD_SIZES = [range(1, 9), range(9, 15), range(15, 25), range(255, 258)]
 
 
 @pytest.mark.parametrize("sizes", THRESHOLD_SIZES, ids=lambda r: f"r{r.start}-{r.stop - 1}")
@@ -751,11 +752,11 @@ def test_threshold_counts_equal_a_float_search_on_and_around_every_threshold(siz
     allowed[-1, 3] = False  # the subnormal node keeps only its subnormal points, renormalized
     samplers = [ConditionalSampler(g), ConditionalSampler(g, Event(allowed, np.zeros(g.n, bool)))]
     assert [len(outs) for outs in samplers[0].outcomes] == [*sizes, 4, 5]
-    assert samplers[0].cum[-2].tolist() == [0.5, 1.0, 1.0, 1.0]
-    assert 0.0 < samplers[0].cum[-1][0] < 2.0**-1022  # a subnormal threshold
+    assert node_cums(samplers[0])[-2].tolist() == [0.5, 1.0, 1.0, 1.0]
+    assert 0.0 < node_cums(samplers[0])[-1][0] < 2.0**-1022  # a subnormal threshold
     rng, absent = rng_for(22), []
     for sampler in samplers:
-        exact = np.concatenate(sampler.cum) * 2.0**53
+        exact = np.concatenate(node_cums(sampler)) * 2.0**53
         near = np.concatenate([np.floor(exact), np.ceil(exact)])[:, None] + [-1, 0, 1]
         x = np.unique(np.clip(np.r_[near.ravel(), 0, 2**53 - 1], 0, 2**53 - 1)).astype(np.uint64)
         base = np.column_stack([rng.permutation(x) for _ in range(g.n)]) << np.uint64(11)
@@ -764,7 +765,7 @@ def test_threshold_counts_equal_a_float_search_on_and_around_every_threshold(siz
         words = np.concatenate([base, base | noise, base | np.uint64(2**11 - 1)])
         u = (words >> np.uint64(11)) * 2.0**-53
         at = np.column_stack([
-            np.searchsorted(cum, u[:, j], side="right") for j, cum in enumerate(sampler.cum)
+            np.searchsorted(cum, u[:, j], side="right") for j, cum in enumerate(node_cums(sampler))
         ])
         rows = np.column_stack([outs[at[:, j]] for j, outs in enumerate(sampler.outcomes)])
         stream = FixedStream(words)

@@ -47,6 +47,7 @@ from stochgraph.sampling import ABSENT_IDX, node_outcomes
 from conftest import (
     enumerate_realizations,
     event_contains,
+    node_cums,
     random_graph,
     rng_for,
     set_distance,
@@ -391,7 +392,7 @@ def test_outcome_table_and_node_outcomes():
     assert (w_out.tolist(), w_w.tolist()) == ([1], [1.0])
     certain = StochasticGraph(["v"], space, {"v": {"p0": 0.25, "p1": 0.75}})
     assert certain.outcome_probs[:, -1].tolist() == [0.0]
-    cum = ConditionalSampler(certain, None).cum[0]
+    cum = node_cums(ConditionalSampler(certain, None))[0]
     assert cum[-1] == 1.0
 
 
@@ -417,7 +418,7 @@ def test_sampler_tables_equal_each_node_cumsum_bitwise(case):
             ConditionalSampler(g, event)
         return
     sampler = ConditionalSampler(g, event)
-    for (outs, weights), got_outs, got_cum in zip(outcomes, sampler.outcomes, sampler.cum):
+    for (outs, weights), got_outs, got_cum in zip(outcomes, sampler.outcomes, node_cums(sampler)):
         cum = np.cumsum(weights)
         assert np.array_equal(got_outs, outs)
         assert got_cum.tobytes() == (cum / cum[-1]).tobytes()
