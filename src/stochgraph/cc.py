@@ -203,7 +203,7 @@ class _PairValues:
 
     def get(self, rows: np.ndarray) -> np.ndarray:
         """Longest nearest-neighbor edge (lo * m + hi) of each row of a
-        row-sorted block (-1 for absent).
+        block of realizations (-1 for absent).
 
         Uncached point sets are solved with one call of the kernel per
         present count.
@@ -212,7 +212,7 @@ class _PairValues:
         return self.nn.values[1][slots]
 
     def class_fn(self, rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(values, indicators) of row-sorted classes, each for the pair term
+        """(values, indicators) of realization classes, each for the pair term
         whose pair (lo * m + hi) is its key: the indicator that the class's
         longest nearest-neighbor edge is that pair and, on those hits, its
         cycle cover, which must lie in d <= CC <= 2 n d (d the pair's length).
@@ -230,7 +230,7 @@ class _PairValues:
         return out, hit.astype(np.int64)
 
     def cycle_covers(self, rows: np.ndarray) -> np.ndarray:
-        """CC of each row of a row-sorted block already passed to ``get``."""
+        """CC of each row of a block whose point sets were passed to ``get``."""
         slots = self.cc.find(rows, self._solve_cc)
         return self.cc.values[0][slots]
 

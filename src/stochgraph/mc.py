@@ -104,51 +104,25 @@ def apply_budget_scale(full_n: int, scale: float = 1.0, cap: Optional[int] = Non
     return max(1, math.ceil(n))
 
 
-def block_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(classes, inverse) of a drawn block whose rows are nearly all
-    distinct: the rows, each sorted in place, are their own classes."""
-    rows.sort(axis=1)
-    return rows, np.arange(len(rows))
-
-
 def draw_classes(
     sampler: ConditionalSampler, stream: SampleStream, n_samples: int, b: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(classes, inverse) of block ``b`` of a term's ``n_samples`` draws:
-    ``classes[inverse]`` is the block with each row sorted.  A support above
-    one block gives the ``block_classes`` of the drawn rows.  Otherwise
+    ``classes[inverse]`` is the drawn block.  Above a support of one block
+    the rows are nearly all distinct and are their own classes.  Otherwise
     ``draw_block`` gives only each row's position key, and the classes are
-    the row-sorted ``decode`` of the present keys, in key order, with a
-    uint16 inverse."""
+    the ``decode`` of the present keys, in key order, with a uint16
+    inverse."""
     start = b * BLOCK_SIZE
     count = min(BLOCK_SIZE, n_samples - start)
     if sampler.support > BLOCK_SIZE:
-        return block_classes(sampler.draw_block(stream, start, count))
+        return sampler.draw_block(stream, start, count), np.arange(count)
     keys = sampler.draw_block(stream, start, count, keyed=True)
     present = np.flatnonzero(np.bincount(keys, minlength=sampler.support))
     # uint16 throughout: a cast on assignment costs more than the pick
     slot = np.empty(sampler.support, dtype=np.uint16)
     slot[present] = np.arange(len(present), dtype=np.uint16)
-    classes = sampler.decode(present)
-    classes.sort(axis=1)
-    return classes, slot[keys]
-
-
-def group_classes(
-    words: Sequence[np.ndarray], tables: Sequence[np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each term's one block, drawn for all terms by one ``draw_terms`` and
-    row-sorted: its rows are its classes, with inverse ``arange``."""
-    rows = draw_terms(words, tables)
-    rows.sort(axis=1)
-    ends = np.cumsum([len(w) for w in words])[:-1]
-    return [(block, np.arange(len(block))) for block in np.split(rows, ends)]
-
-
-def pinned_classes(sampler: ConditionalSampler) -> np.ndarray:
-    """The one realization, as a (1, n) row-sorted class, of a sampler whose
-    event pins every node."""
-    return np.sort([[int(o[0]) for o in sampler.outcomes]], axis=1)
+    return sampler.decode(present), slot[keys]
 
 
 _RESUM_BELOW = 2.0**-969  # 2**53 times the least normal double
@@ -186,8 +160,8 @@ def run_conditional_mc(
 ) -> tuple[float, int]:
     """Mean of a per-realization value over n_samples conditional draws.
 
-    ``class_fn`` maps a ``BLOCK_SIZE`` block's (B, n) array of row-sorted
-    realization classes (point indices, -1 for absent; a point set may
+    ``class_fn`` maps a ``BLOCK_SIZE`` block's (B, n) array of realization
+    classes (point indices in node order, -1 for absent; a point set may
     appear more than once) to (values, indicators), one of each per class;
     it is called once per block and may cache.  Each block is drawn with
     ``draw_classes`` and reduced by ``block_sums``; ``sums``, if given, are
@@ -224,11 +198,12 @@ def estimate_conditional(
     holds each row's term key.  Terms are read lazily, in order.  A term of
     ``BLOCK_SIZE`` samples or more runs at once through ``run_conditional_mc``,
     block by block.  A smaller term frees its sampler and waits in a group; a
-    pinned term gives its one realization, one sample.  A term whose support
-    is at most its sample count draws its block on joining and is keyed, any
-    other when ``group_classes`` draws the group's.  One ``class_fn`` call
-    solves the row-sorted classes of the whole group; its terms are reduced
-    by ``block_sums``, stacked by sample count, so each equals its run alone.
+    pinned term (support 1) gives its one realization, ``decode`` of key 0,
+    one sample.  A term whose support is at most its sample count draws its
+    block on joining and is keyed; the others are drawn by one ``draw_terms``
+    call when the group closes, each row its own class.  One ``class_fn`` call
+    solves the classes of the whole group; its terms are reduced by
+    ``block_sums``, stacked by sample count, so each equals its run alone.
 
     A group closes once the rows it will hand ``class_fn`` reach
     ``BLOCK_SIZE``: a pinned term's one row, a keyed term's classes, a
@@ -245,8 +220,9 @@ def estimate_conditional(
     def solve_group() -> None:
         if deferred:
             slots, words, tables = zip(*deferred)
-            for slot, block in zip(slots, group_classes(words, tables)):
-                group[slot][3:] = block
+            ends = np.cumsum([len(w) for w in words])[:-1]
+            for slot, block in zip(slots, np.split(draw_terms(words, tables), ends)):
+                group[slot][3:] = block, np.arange(len(block))
         counts = [len(classes) for _, _, _, classes, _ in group]
         vals, hits = class_fn(
             np.concatenate([classes for _, _, _, classes, _ in group]),
@@ -270,8 +246,8 @@ def estimate_conditional(
         results.append(None)
         sampler = ConditionalSampler(g, event)
         classes = inverse = None
-        if sampler.is_deterministic:
-            classes, n_samples = pinned_classes(sampler), 1
+        if sampler.support == 1:
+            classes, n_samples = sampler.decode([0]), 1
         else:
             stream = SampleStream(seed, tag, g.n)
             if n_samples >= BLOCK_SIZE:

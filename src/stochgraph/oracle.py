@@ -52,7 +52,7 @@ class FunctionalEvaluator:
         self._memo = PointSetMemo(g.m, g.n)
 
     def values(self, rows: np.ndarray) -> np.ndarray:
-        """Values of a block of row-sorted realizations (-1 for absent).
+        """Values of a block of realizations (-1 for absent).
 
         Uncached point sets are solved with one kernel call per present
         count; rows sharing a point set share its value.
@@ -71,7 +71,7 @@ class FunctionalEvaluator:
         return self._memo.values[0][slot]
 
     def value_of_assignment(self, assignment) -> float:
-        return float(self.values(np.sort([assignment], axis=1))[0])
+        return float(self.values(np.array([assignment]))[0])
 
     def _compute(self, idx: np.ndarray) -> np.ndarray:
         """Values of a (B, k) block of point sets with k present points each."""
@@ -144,7 +144,7 @@ def enumerate_term(
         prob = np.ones(len(digits[0]))
         for (_, weights), d in zip(table, digits):
             prob *= weights[d]
-        rows = np.sort(np.column_stack([outs[d] for (outs, _), d in zip(table, digits)]), axis=1)
+        rows = np.column_stack([outs[d] for (outs, _), d in zip(table, digits)])
         return (prob * np.ldexp(evaluator.values(rows), s)).tolist()
 
     chunks = map(products, range(0, count, CHUNK))

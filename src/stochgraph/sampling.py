@@ -88,11 +88,6 @@ class ConditionalSampler:
         words = np.ceil(self.table * 2.0**53).astype(np.uint64) << np.uint64(11)
         return [w[row] for w, row in zip(words, steps)]
 
-    @property
-    def is_deterministic(self) -> bool:
-        """True when every node has exactly one possible outcome."""
-        return self.support == 1
-
     def draw_block(
         self, stream: SampleStream, start: int, count: int, keyed: bool = False
     ) -> np.ndarray:

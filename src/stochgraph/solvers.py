@@ -110,12 +110,13 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class PointSetMemo:
     """Values of realized point sets, each set solved once.
 
-    ``find(rows, solve)`` takes a row-sorted block of point indices in
-    [-1, m) (-1 absent, sorted first) at most n wide and returns each row's
-    slot in ``values``, after solving the sets the memo lacks.  ``solve`` maps a
-    (B, k) block of distinct k-point sets to a tuple of value arrays; it is
-    called once per present count, ascending, on the first row of each new
-    set, in first-occurrence order.
+    ``find(rows, solve)`` takes a block of point indices in [-1, m) (-1
+    absent) at most n wide, each row's points in any column order, and
+    returns each row's slot in ``values``, after solving the sets the memo
+    lacks.  It row-sorts its own copy (-1 first), so ``solve`` maps a
+    (B, k) block of distinct k-point sets, each row ascending, to a tuple
+    of value arrays; it is called once per present count, ascending, on the
+    first row of each new set, in first-occurrence order.
 
     A row's key is one int64, its multiset rank under ``rank_table(m, n)``;
     a block k wide reads the table's last k columns.  Where the rank could
@@ -161,6 +162,7 @@ class PointSetMemo:
         """Slot of each row's set in ``values``, solving the sets not held."""
         if not len(rows):
             return np.zeros(0, dtype=np.intp)
+        rows = np.sort(rows, axis=1)
         keys, first, inverse = _distinct(self.keys(rows))
         slots = self._lookup(keys)
         new = np.flatnonzero(slots < 0)

@@ -5,22 +5,22 @@
 Two terms of a generated n = 8, m = 12 Euclidean instance: ``small``
 conditions every node on its most likely point except three nodes on two
 points each (support 8, so blocks are keyed by outcome position), and
-``large`` is unconditioned (support far above ``BLOCK_SIZE``, so each block
-is row-sorted whole and its rows are its classes).  Each case times one call:
+``large`` is unconditioned (support far above ``BLOCK_SIZE``, so each
+block's rows are its classes).  Each case times one call:
 
 - ``build``: ``ConditionalSampler(g, event)``;
 - ``draw``: ``draw_block`` of one full block as ``draw_classes`` draws it:
   only each row's position key when the support fits in one block;
 - ``classes``: ``draw_classes`` of that drawn block, so its dedup alone:
-  the decoded present keys, or ``block_classes`` of the rows;
+  the decoded present keys, or the rows themselves;
 - ``block``: ``run_conditional_mc`` over one block with a constant
   ``class_fn``, so no solver runs.
 
 ``test_ladder_mst_classes`` times an unconditioned block of ladder-large's
 MST instance (``euclidean-uniform 16 24``, generator seed 1) from its drawn
-rows to one value per row: ``block_classes`` row-sorts it, and a cold
-``PointSetMemo`` with a constant ``solve`` finds its distinct point sets by
-their int64 rank keys, and each row's value is read back.
+rows to one value per row: a cold ``PointSetMemo`` with a constant ``solve``
+row-sorts its copy of the block, finds its distinct point sets by their
+int64 rank keys, and each row's value is read back.
 
 Two cases time cc on the benchmark's ladder-large cc instance
 (``euclidean-uniform 10 14``, generator seed 1):
@@ -34,7 +34,8 @@ Two cases time cc on the benchmark's ladder-large cc instance
   pair term, its probabilities, sampling and class solving;
 - ``group-draw``: the blocks of 80 of those events (support above 50) at
   50 samples each, from their samplers and streams to each term's classes,
-  drawn per term (``draw_classes``) or as one group (``group_classes``).
+  drawn per term (``draw_classes``) or as one group (``draw_terms``, split
+  into terms as ``estimate_conditional`` splits it).
 
 ``group-reduce`` times the reduction of one group's small terms from the
 values and indicators its ``class_fn`` call returned: 81 terms of 50
@@ -72,11 +73,9 @@ from stochgraph import cc, sampling
 from stochgraph.generate import gen_graph
 from stochgraph.mc import (
     BLOCK_SIZE,
-    block_classes,
     block_sums,
     draw_classes,
     estimate_conditional,
-    group_classes,
     run_conditional_mc,
 )
 from stochgraph.model import Event, pinned_event
@@ -141,9 +140,8 @@ def test_ladder_mst_classes(benchmark):
     memos = []
 
     def values() -> np.ndarray:
-        classes, _ = block_classes(rows.copy())
         memos.append(PointSetMemo(LADDER_MST.m, LADDER_MST.n))
-        slots = memos[-1].find(classes, lambda idx: (np.zeros(len(idx)),))
+        slots = memos[-1].find(rows, lambda idx: (np.zeros(len(idx)),))
         return memos[-1].values[0][slots]
 
     benchmark.group = "classes"
@@ -191,11 +189,12 @@ def test_group_draw(benchmark, way):
     benchmark.group = "group-draw"
     if way == "per-term":
         blocks = benchmark(lambda: [draw_classes(s, st, 50, 0) for s, st in zip(samplers, streams)])
+        blocks = [classes[inverse] for classes, inverse in blocks]
     else:
-        blocks = benchmark(lambda: group_classes(
+        blocks = benchmark(lambda: np.split(sampling.draw_terms(
             [st.words(0, 50) for st in streams], [s.table for s in samplers]
-        ))
-    assert sum(len(inverse) for _, inverse in blocks) == 80 * 50
+        ), np.arange(50, 80 * 50, 50)))
+    assert sum(len(block) for block in blocks) == 80 * 50
 
 
 CAMPAIGN_CC = gen_graph("euclidean-uniform", 5, 6, 14)

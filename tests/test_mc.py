@@ -38,9 +38,7 @@ from stochgraph.generate import gen_graph
 from stochgraph.mc import (
     BLOCK_SIZE,
     apply_budget_scale,
-    block_classes,
     draw_classes,
-    group_classes,
     run_conditional_mc,
     tree_sums,
 )
@@ -48,6 +46,7 @@ from stochgraph.model import Event
 from stochgraph.oracle import FunctionalEvaluator
 from stochgraph.rng import SampleStream
 from stochgraph.sampling import ConditionalSampler, draw_terms
+from stochgraph.solvers import PointSetMemo
 
 from conftest import count_groups, euclidean_space, node_cums, random_graph, rng_for
 
@@ -191,12 +190,12 @@ def test_mean_of_tiny_and_huge_values_is_exact(rng, threads, unit):
         stream = SampleStream(3, "tiny", g.n)
         return run_conditional_mc(ConditionalSampler(g), class_fn, n, stream)[0]
 
-    units = 1 + np.sort(sampler.draw_block(stream, 0, n), axis=1)[:, -1] % 5
+    units = 1 + sampler.draw_block(stream, 0, n)[:, -1] % 5
     exact = float(Fraction(int(units.sum()), n) * Fraction(unit))
     assert on_threads(threads, mean) == [exact] * threads
 
 
-def test_class_fn_gets_each_block_distinct_sorted_classes(rng):
+def test_class_fn_gets_each_block_distinct_classes(rng):
     g = random_graph(rng, 4, 5)
     sampler = ConditionalSampler(g)
     blocks = []
@@ -208,8 +207,7 @@ def test_class_fn_gets_each_block_distinct_sorted_classes(rng):
     n = 2 * BLOCK_SIZE + 7
     mean, hits = run_conditional_mc(sampler, class_fn, n, SampleStream(1, "blocks", g.n))
     assert len(blocks) == 3
-    drawn = sampler.draw_block(SampleStream(1, "blocks", g.n), 0, n)
-    rows = np.sort(drawn, axis=1)
+    rows = sampler.draw_block(SampleStream(1, "blocks", g.n), 0, n)
     # integer values sum exactly, so block boundaries cannot matter
     assert mean == tree_sum(rows[:, -1].astype(float)) / n
     assert hits == int((rows[:, 0] == rows[:, -1]).sum())
@@ -217,13 +215,13 @@ def test_class_fn_gets_each_block_distinct_sorted_classes(rng):
     assert sampler.support <= BLOCK_SIZE
     for b, block in enumerate(blocks):
         assert block.shape[1] == g.n
-        assert np.all(block[:, 1:] >= block[:, :-1])
-        tuples = drawn[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE]
-        assert len(block) == len(np.unique(tuples, axis=0))
+        tuples = np.unique(rows[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE], axis=0)
+        assert len(block) == len(tuples)
+        np.testing.assert_array_equal(np.unique(block, axis=0), tuples)
 
 
 # ---------------------------------------------------------------------------
-# block_classes: position keys when the support fits in one block
+# draw_classes: position keys when the support fits in one block
 # ---------------------------------------------------------------------------
 
 def support_graph(rng, sizes, m, existential=False):
@@ -245,6 +243,10 @@ def support_graph(rng, sizes, m, existential=False):
     return g
 
 
+def zero_values(idx: np.ndarray) -> tuple[np.ndarray]:
+    return (np.zeros(len(idx)),)
+
+
 SUPPORT_CASES = {
     "pinned": ((1, 3, 1, 2, 1), 4, False),
     "existential": ((2, 3, 2, 1, 3), 4, True),
@@ -264,12 +266,15 @@ def test_position_keys_give_the_classes_of_sorted_rows(case):
         stream = SampleStream(seed, case, g.n)
         rows = sampler.draw_block(stream, 0, BLOCK_SIZE)
         classes, inverse = draw_classes(sampler, stream, BLOCK_SIZE, 0)
-        row_sorted = np.sort(rows, axis=1)
         assert classes.dtype == rows.dtype
-        np.testing.assert_array_equal(classes[inverse], row_sorted)
-        if sampler.support > BLOCK_SIZE:  # the whole block, row-sorted, is its classes
+        np.testing.assert_array_equal(classes[inverse], rows)
+        # a memo finds each row's point set alike from its class and its sorted row
+        memo = PointSetMemo(g.m, g.n)
+        slots = memo.find(classes, zero_values)[inverse]
+        np.testing.assert_array_equal(slots, memo.find(np.sort(rows, axis=1), zero_values))
+        if sampler.support > BLOCK_SIZE:  # the whole block is its classes
             assert inverse.dtype == np.intp
-            np.testing.assert_array_equal(classes, row_sorted)
+            np.testing.assert_array_equal(classes, rows)
             np.testing.assert_array_equal(inverse, np.arange(len(rows)))
         else:
             assert inverse.dtype == np.uint16
@@ -278,10 +283,12 @@ def test_position_keys_give_the_classes_of_sorted_rows(case):
             assert len(classes) == len(tuples)
             assert len(set(zip(inverse.tolist(), ref_inverse.ravel().tolist()))) == len(tuples)
             # the unkeyed classes of the same rows hold the same rows
-            unkeyed, at = block_classes(rows.copy())
+            whole = ConditionalSampler(g)
+            whole.support = BLOCK_SIZE + 1
+            unkeyed, at = draw_classes(whole, stream, BLOCK_SIZE, 0)
             np.testing.assert_array_equal(classes[inverse], unkeyed[at])
         if case == "shared-points":  # distinct outcome tuples, one point set: one class each
-            assert len(np.unique(classes, axis=0)) < len(classes) == len(tuples)
+            assert len(np.unique(np.sort(classes, axis=1), axis=0)) < len(classes) == len(tuples)
         if existential:
             assert (rows == -1).any()
 
@@ -314,13 +321,14 @@ def test_position_keyed_term_is_thread_invariant_and_matches_sorted_rows(monkeyp
         stream = SampleStream(2, "keyed", g.n)
         return run_conditional_mc(ConditionalSampler(g), mst_class_fn(g), n, stream)
 
-    whole, drawn_whole = mc_module.block_classes, []
+    draw, drawn_whole = ConditionalSampler.draw_block, []
 
-    def whole_block(rows):  # the path of a support above one block
-        drawn_whole.append(len(rows))
-        return whole(rows)
+    def drawing(self, stream, start, count, keyed=False):
+        if not keyed:  # the path of a support above one block
+            drawn_whole.append(count)
+        return draw(self, stream, start, count, keyed)
 
-    monkeypatch.setattr(mc_module, "block_classes", whole_block)
+    monkeypatch.setattr(ConditionalSampler, "draw_block", drawing)
     runs = [run(), *on_threads(2, run)]
     assert drawn_whole == []  # keyed: no rows are drawn
     sampler.support = BLOCK_SIZE + 1  # rows drawn whole, as for a larger support
@@ -342,7 +350,7 @@ def test_pinned_columns_equal_a_search_on_every_node():
     np.testing.assert_array_equal(sampler.draw_block(stream, 5, 500), ref)
 
 
-def test_is_deterministic_means_support_1(rng):
+def test_support_1_means_every_node_is_pinned(rng):
     seen = set()
     for _ in range(30):
         g = random_graph(rng, 3, 4, max_support=2, presence_mode="existential")
@@ -350,8 +358,11 @@ def test_is_deterministic_means_support_1(rng):
         allowed[np.arange(g.n), g.probs.argmax(axis=1)] = True
         sampler = ConditionalSampler(g, Event(allowed, rng.random(g.n) < 0.3))
         assert sampler.support == math.prod(len(o) for o in sampler.outcomes)
-        assert sampler.is_deterministic == (sampler.support == 1)
-        seen.add(sampler.is_deterministic)
+        pinned = all(len(o) == 1 for o in sampler.outcomes)
+        assert pinned == (sampler.support == 1)
+        if pinned:  # key 0 decodes to the one realization
+            assert sampler.decode([0]).tolist() == [[int(o[0]) for o in sampler.outcomes]]
+        seen.add(pinned)
     assert seen == {True, False}
 
 
@@ -413,16 +424,17 @@ def test_conditional_pinned_existential_event_is_the_oracle_value():
 def test_conditional_hits_count_indicator_samples(rng):
     g = random_graph(rng, 4, 5)
 
-    def class_fn(rows, keys):
-        return rows[:, -1].astype(float), (rows[:, -1] % 2 == 0).astype(int)
+    def class_fn(rows, keys):  # of each row's greatest point
+        top = rows.max(axis=1)
+        return top.astype(float), (top % 2 == 0).astype(int)
 
     n = BLOCK_SIZE + 321
     mean, hits, samples = one_term(g, None, class_fn, n, seed=9, tag="hits")
-    rows = np.sort(ConditionalSampler(g).draw_block(SampleStream(9, "hits", g.n), 0, n), axis=1)
+    top = ConditionalSampler(g).draw_block(SampleStream(9, "hits", g.n), 0, n).max(axis=1)
     assert samples == n
-    assert hits == int((rows[:, -1] % 2 == 0).sum())
+    assert hits == int((top % 2 == 0).sum())
     assert 0 < hits < n
-    assert mean == tree_sum(rows[:, -1].astype(float)) / n
+    assert mean == tree_sum(top.astype(float)) / n
 
 
 def test_conditional_tracks_oracle():
@@ -516,7 +528,7 @@ def each_term_alone(g, terms, class_fn, seed):
             return class_fn(rows, np.full(len(rows), key))
 
         sampler = ConditionalSampler(g, event)
-        n = 1 if sampler.is_deterministic else n
+        n = 1 if sampler.support == 1 else n
         alone.append((*run_conditional_mc(sampler, fn, n, SampleStream(seed, tag, g.n)), n))
     return alone
 
@@ -704,14 +716,12 @@ def test_group_draw_equals_each_term_drawn_alone():
     # a uniform on a threshold, an absent node, and no draw past cum's 1.0
     assert (uniforms[0][:, 4] == 0.5).any() and (rows[:, 2] == -1).any()
     assert (rows[:, 3] != 3).all()
-    grouped = group_classes(words, tables)
-    for (classes, inverse), block in zip(grouped, drawn):
-        assert classes.dtype == block.dtype and inverse.dtype == np.intp
-        np.testing.assert_array_equal(classes[inverse], np.sort(block, axis=1))
+    assert draw_terms(words, tables).dtype == rows.dtype
     for sampler, w, block in zip(samplers, words, drawn):  # keyed: decoded present keys
         assert sampler.support <= BLOCK_SIZE
         classes, inverse = draw_classes(sampler, FixedStream(w), len(w), 0)
-        np.testing.assert_array_equal(classes[inverse], np.sort(block, axis=1))
+        assert classes.dtype == block.dtype
+        np.testing.assert_array_equal(classes[inverse], block)
 
 
 def threshold_graph(sizes) -> StochasticGraph:

@@ -49,5 +49,5 @@ def test_module_table_names_resolve():
         head, *rest = name.split(".")
         if head in roots:  # np.unique, math.fsum and the like are skipped
             checked[name] = resolves(roots[head], rest)
-    assert {"SplitSpace.rank", "mc.block_classes", "stochgraph.solvers"} <= set(checked)
+    assert {"SplitSpace.rank", "mc.draw_classes", "stochgraph.solvers"} <= set(checked)
     assert [name for name, ok in sorted(checked.items()) if not ok] == []

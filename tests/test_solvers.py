@@ -1053,6 +1053,56 @@ def test_blocks_sharing_pair_values_get_the_values_each_gets_alone(key_kind):
     assert held_once(shared.cc, np.concatenate(cc_rows))
 
 
+def shuffled_columns(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``rows`` with each row's entries in a random column order."""
+    return np.take_along_axis(rows, rng.random(rows.shape).argsort(axis=1), axis=1)
+
+
+@pytest.mark.parametrize("key_kind", ["rank", "void"])
+@given(padded_blocks(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_memo_finds_each_set_from_its_points_in_any_column_order(key_kind, case, seed):
+    """Shuffled rows, with absent entries and repeated points, get the slots
+    of their sorted rows, and ``solve`` gets the same ascending sets."""
+    rows, m = case
+    shuffled = shuffled_columns(rows, np.random.default_rng(seed))
+    given_rows = shuffled.copy()
+    found = []
+    for block in (rows, shuffled):
+        calls: list = []
+
+        def solve(idx):
+            calls.append(idx.copy())
+            return (np.arange(len(idx)),)
+
+        with keyed_by(key_kind):
+            memo = solvers.PointSetMemo(m, rows.shape[1])
+        found.append((memo.find(block, solve).tolist(), [c.tolist() for c in calls]))
+        assert all(np.all(idx[:, 1:] >= idx[:, :-1]) for idx in calls)
+    assert found[1] == found[0]
+    np.testing.assert_array_equal(shuffled, given_rows)  # the caller's block is left as given
+
+
+@pytest.mark.parametrize("key_kind", ["rank", "void"])
+def test_pair_values_do_not_depend_on_column_order(key_kind):
+    sp = split_points(suite_graph("exist-eu-4-5"))
+    rows = realization_rows(sp.graph)
+    rows = rows[np.count_nonzero(rows >= 0, axis=1) >= 2]  # a pair term's rows hold its pair
+    shuffled = shuffled_columns(rows, rng_for(93))
+    assert (rows == -1).any() and (shuffled != rows).any()
+    longest = cc_module._PairValues(sp.graph).get(rows)
+    keys = np.where(np.arange(len(rows)) % 3, longest, np.roll(longest, 1))  # hits and misses
+    got = []
+    for block in (rows, shuffled):
+        with keyed_by(key_kind):
+            values = cc_module._PairValues(sp.graph)
+        got.append(values.class_fn(block, keys))
+    (vals, hits), (shuffled_vals, shuffled_hits) = got
+    assert vals.tobytes() == shuffled_vals.tobytes()
+    assert hits.tolist() == shuffled_hits.tolist()
+    assert 0 < hits.sum() < len(rows)
+
+
 def suite_graph(name: str) -> StochasticGraph:
     if name.startswith("exist-"):
         return _existential(*next(spec for n, *spec in SUITE_SPEC if n == name[6:]))
